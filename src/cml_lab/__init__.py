@@ -5,6 +5,15 @@ trajectory-level CLT / invariance-principle diagnostics."""
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# BLAS and OpenMP read their thread counts once, when numpy first loads
+# them, so CML_LAB_THREADS must be applied before any submodule imports
+# numpy.  It has no effect in a process that imported numpy before cml_lab.
+if _os.environ.get("CML_LAB_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_var] = _os.environ["CML_LAB_THREADS"]
+
 from .lattice import (
     Coupling,
     CouplingConstantEstimate,

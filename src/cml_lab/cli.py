@@ -526,8 +526,8 @@ def _step_clt(cfg, state, report):
         burn_in=cfg.burn_in, seed=cfg.seed, method=method,
     )
     series = simulate_ensemble(ens)
-    centered = series - series.mean()
-    sums = centered.sum(axis=1)
+    series -= series.mean()
+    sums = series.sum(axis=1)
     n = series.shape[1]
     res = clt_test(sums, n, sigma2)
     emp_var = float(sums.var() / n)
@@ -636,13 +636,6 @@ def emit_report(report: RunReport, out_dir: str, formats=("json", "csv")) -> lis
 # command line entry point
 
 
-def _apply_thread_override() -> None:
-    threads = os.environ.get("CML_LAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cml-lab",
@@ -663,7 +656,6 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("config")
     p_exp.add_argument("-o", "--output", default="operator.txt")
     args = parser.parse_args(argv)
-    _apply_thread_override()
 
     try:
         cfg = parse_config(args.config)

@@ -9,9 +9,10 @@ a Green-Kubo sum with a twisted-eigenvalue curvature cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,14 +61,20 @@ def spectral_gap(
     op: UlamOperator, m: int = 6, dense_limit: int = _DENSE_LIMIT
 ) -> SpectrumReport:
     """Top-m eigenvalues by modulus: dense solver at small dimension,
-    implicitly restarted Arnoldi above it (deterministic start vector)."""
+    implicitly restarted Arnoldi above it.
+
+    Arnoldi starts from a fixed vector that is no eigenvector: from the
+    constant vector, the leading eigenvector of every normalized operator,
+    the Krylov space breaks down at once and ARPACK restarts from a vector
+    of its own that differs per process.
+    """
     if op.kind not in ("L", "coupled"):
         raise ValueError("spectral gap is defined for normalized operator kinds")
     n = op.n_cells
     if n <= dense_limit:
         vals = np.linalg.eigvals(op.matrix.toarray())
     else:
-        v0 = np.full(n, 1.0 / n)
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
         try:
             vals = spla.eigs(
                 op.matrix, k=min(m, n - 2), which="LM", v0=v0,
@@ -109,6 +116,22 @@ def stationary_distribution(
     )
 
 
+def _correlation_terms(
+    phi1: Potential, phi2: Potential, op: UlamOperator, nu: np.ndarray | None
+) -> Iterator[float]:
+    """C_0, C_1, ... of :func:`operator_correlation`, one operator
+    application per term, without end."""
+    grid = op.grid
+    reps = grid.reps()
+    if nu is None:
+        nu = stationary_distribution(op)
+    v1 = phi1.on_array(reps, grid.k)
+    v = phi2.on_array(reps, grid.k) - float(nu @ phi2.on_array(reps, grid.k))
+    while True:
+        yield float(nu @ (v1 * v))
+        v = op.matrix @ v
+
+
 def operator_correlation(
     phi1: Potential,
     phi2: Potential,
@@ -121,18 +144,8 @@ def operator_correlation(
     Returns the signed values for lags 0..n_max; C_0 is the covariance of
     the two observables under the stationary cell measure.
     """
-    grid = op.grid
-    reps = grid.reps()
-    if nu is None:
-        nu = stationary_distribution(op)
-    v1 = phi1.on_array(reps, grid.k)
-    v2 = phi2.on_array(reps, grid.k) - float(nu @ phi2.on_array(reps, grid.k))
-    out = np.empty(n_max + 1)
-    v = v2
-    for n in range(n_max + 1):
-        out[n] = float(nu @ (v1 * v))
-        v = op.matrix @ v
-    return out
+    terms = _correlation_terms(phi1, phi2, op, nu)
+    return np.fromiter(itertools.islice(terms, n_max + 1), float, n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -273,24 +286,26 @@ def variance_green_kubo(
     geometric tail estimate (from the ratio of the last terms) is added.
     A materially negative result signals a discretization artifact.
     """
-    c = operator_correlation(phi, phi, op, n_cap, nu=nu)
-    c0 = c[0]
+    terms = _correlation_terms(phi, phi, op, nu)
+    c0 = next(terms)
     if c0 == 0.0:
         return 0.0
     total = c0
     last = abs(c0)
+    c_n = c0
     n_used = 0
     for n in range(1, n_cap + 1):
-        total += 2.0 * c[n]
+        c_n = next(terms)
+        total += 2.0 * c_n
         n_used = n
-        if abs(c[n]) < tail_tol * abs(c0):
+        if abs(c_n) < tail_tol * abs(c0):
             break
-        last = abs(c[n])
+        last = abs(c_n)
     # geometric tail from the final observed ratio
-    if n_used >= 2 and last > 0.0 and abs(c[n_used]) > 0.0:
-        r = abs(c[n_used]) / last
+    if n_used >= 2 and last > 0.0 and abs(c_n) > 0.0:
+        r = abs(c_n) / last
         if 0.0 < r < 1.0:
-            total += 2.0 * abs(c[n_used]) * r / (1.0 - r) * np.sign(c[n_used])
+            total += 2.0 * abs(c_n) * r / (1.0 - r) * np.sign(c_n)
     if total < -1e-8:
         raise ValueError(
             f"Green-Kubo variance {total} is negative: grid too coarse for phi"

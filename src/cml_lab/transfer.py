@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
+
+# Most quadrature points an assembly holds at once (counting each branch
+# preimage of a point for 'P').  It bounds the slab temporaries, so peak
+# memory scales with cells and non-zeros, not with the quadrature cloud.
+_SLAB_POINTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +178,30 @@ class Grid:
         bins = np.unravel_index(np.arange(self.n_cells), (self.n_bins,) * self.d)
         return (np.stack(bins) + 0.5) / self.n_bins
 
-    def quad_points(self, quad: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint-refined quadrature: quad**d points per cell.
+    def quad_slabs(
+        self, quad: int, max_points: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Midpoint-refined quadrature, quad**d points per cell, in slabs.
 
-        Returns the points (d, M) with their parent cell indices (M,).
+        A slab is a run of consecutive first-axis bins, as many as fit in
+        ``max_points`` points (at least one), so it holds whole cells.  The
+        first axis varies slowest, so the slabs are consecutive ranges of
+        the C-order enumeration of all points, yielded in that order.  Each
+        slab is its points (d, M) with their parent cell indices (M,).
         """
         fine = self.n_bins * quad
-        bins = np.unravel_index(np.arange(fine ** self.d), (fine,) * self.d)
-        pts = (np.stack(bins) + 0.5) / fine
-        parent = np.ravel_multi_index(
-            tuple(b // quad for b in bins), (self.n_bins,) * self.d
-        )
-        return pts, parent
+        per_bin = quad * fine ** (self.d - 1)
+        step = max(1, max_points // per_bin)
+        for lo in range(0, self.n_bins, step):
+            hi = min(lo + step, self.n_bins)
+            bins = np.unravel_index(
+                np.arange(lo * per_bin, hi * per_bin), (fine,) * self.d
+            )
+            pts = (np.stack(bins) + 0.5) / fine
+            parent = np.ravel_multi_index(
+                tuple(b // quad for b in bins), (self.n_bins,) * self.d
+            )
+            yield pts, parent
 
     def node_weights(self, m: MetricParams) -> np.ndarray:
         return m.theta ** np.abs(np.arange(-self.k, self.k + 1, dtype=float))
@@ -297,23 +314,37 @@ def ulam_matrix(
 def _assemble_p_matrix(
     grid: Grid, node_map: NodeMap, potential: Potential, quad: int
 ) -> sp.csr_matrix:
-    pts, rows = grid.quad_points(quad)
-    n_pts = pts.shape[1]
+    """Raw branch-weight matrix, stacked from the row blocks of slabs.
+
+    A slab's quadrature points are its rows' points, so every row gets the
+    same entries in the same order as from one all-at-once assembly, and
+    the same bytes after the per-row sort and duplicate sum.  That takes
+    the same branch values: Newton branches stop on the largest step of
+    the call, and for d >= 2 every slab holds the whole 1-d grid on its
+    other axes, so each call takes the same steps.
+    """
     b_k = node_map.b ** grid.d
     weight = 1.0 / (b_k * quad ** grid.d)
-    table = branch_preimage_table(pts, node_map)  # (b_k, d, n_pts)
-    data, row_idx, col_idx = [], [], []
-    for branch in range(b_k):
-        pre = table[branch]
-        fv = potential.on_array(pre, grid.k)
-        data.append(np.exp(fv) * weight)
-        row_idx.append(rows)
-        col_idx.append(grid.cell_of(pre))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(row_idx), np.concatenate(col_idx))),
-        shape=(grid.n_cells, grid.n_cells),
-    )
-    return mat.tocsr()
+    blocks = []
+    # the (b_k, d, n) branch table is the largest array of a slab
+    for pts, rows in grid.quad_slabs(quad, _SLAB_POINTS // b_k):
+        first = rows[0]
+        table = branch_preimage_table(pts, node_map)  # (b_k, d, n)
+        data, col_idx = [], []
+        for pre in table:
+            fv = potential.on_array(pre, grid.k)
+            data.append(np.exp(fv) * weight)
+            col_idx.append(grid.cell_of(pre))
+        blocks.append(
+            sp.coo_matrix(
+                (
+                    np.concatenate(data),
+                    (np.tile(rows - first, b_k), np.concatenate(col_idx)),
+                ),
+                shape=(rows[-1] - first + 1, grid.n_cells),
+            ).tocsr()
+        )
+    return sp.vstack(blocks, format="csr")
 
 
 def _normalize_matrix(eigen: "EigenData") -> sp.csr_matrix:
@@ -348,18 +379,43 @@ def _assemble_coupled_matrix(
             f"node map {node_map.name!r} has no forward derivative; "
             "the coupled assembly needs it for the change of variables"
         )
-    pts, cols = grid.quad_points(quad)
-    fwd = node_map.forward(pts)
-    images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
-    np.clip(images, 0.0, _ONE_MINUS, out=images)
-    rows = grid.cell_of(images)
-    log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
-    log_det += math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
-    weight = np.exp(potential.on_array(pts, grid.k) + log_det)
-    weight /= quad ** grid.d
+    # A slab owns whole columns, but a row can take entries from several
+    # slabs, and scipy sums duplicates after an unstable per-row sort: so
+    # collect every triplet first and convert once, in the same order as an
+    # all-at-once assembly.  Cell indices fit int32 on any grid whose
+    # triplets fit in memory; scipy would cast int64 ones to int32 anyway.
+    n_pts = grid.n_cells * quad ** grid.d
+    rows = np.empty(n_pts, dtype=np.int32)
+    cols = np.empty(n_pts, dtype=np.int32)
+    weight = np.empty(n_pts)
+    log_det_e = math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
+    start = 0
+    for pts, parent in grid.quad_slabs(quad, _SLAB_POINTS):
+        stop = start + parent.size
+        fwd = node_map.forward(pts)
+        images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
+        np.clip(images, 0.0, _ONE_MINUS, out=images)
+        rows[start:stop] = grid.cell_of(images)
+        cols[start:stop] = parent
+        log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
+        log_det += log_det_e
+        np.divide(
+            np.exp(potential.on_array(pts, grid.k) + log_det),
+            quad ** grid.d,
+            out=weight[start:stop],
+        )
+        start = stop
     raw = sp.coo_matrix(
         (weight, (rows, cols)), shape=(grid.n_cells, grid.n_cells)
     ).tocsr()
+    del rows, cols, weight
+    return _normalize_on_reachable(raw)
+
+
+def _normalize_on_reachable(raw: sp.csr_matrix) -> sp.csr_matrix:
+    """Normalize a raw coupled matrix by its leading eigen-pair on the
+    reachable cells; rows and columns of the other cells stay empty."""
+    n_cells = raw.shape[0]
     # Reachable set: cells with preimage mass from within the set.  Start
     # from the nonempty rows and shrink until stable -- restricting the
     # columns can empty a row whose only sources were themselves dropped.
@@ -378,7 +434,7 @@ def _assemble_coupled_matrix(
     mat = (sp.diags(1.0 / row_sums) @ mat).tocoo()
     full = sp.coo_matrix(
         (mat.data, (active[mat.row], active[mat.col])),
-        shape=(grid.n_cells, grid.n_cells),
+        shape=(n_cells, n_cells),
     )
     return full.tocsr()
 
@@ -790,6 +846,35 @@ def _points_in_box(pts: np.ndarray, grid: Grid, box: Sequence[tuple[int, int]]) 
     return inside
 
 
+def _preimage_meets_box(
+    pts: np.ndarray, grid: Grid, box: Sequence[tuple[int, int]], node_map: NodeMap
+) -> np.ndarray:
+    """Whether some nodewise branch preimage of each point (d, n) lies in
+    the box.
+
+    The preimages are the full product of per-axis branch choices, so one
+    lies in the box exactly when every axis has a branch value inside the
+    box's interval on that axis.  A branch takes its values in its own
+    half-open domain, so only the branches whose domain meets the interval
+    are evaluated: one per axis on an admissible box.
+    """
+    domains = node_map.branch_domains()
+    branches = []
+    for br in node_map.inverse_branches:
+        j = int(np.searchsorted(domains, float(br(np.array(0.0))), side="right"))
+        branches.append((br, domains[j - 1], domains[j]))
+    inside = np.ones(pts.shape[1], dtype=bool)
+    for axis, (lo, hi) in enumerate(box):
+        lo_x, hi_x = lo / grid.n_bins, hi / grid.n_bins
+        on_axis = np.zeros(pts.shape[1], dtype=bool)
+        for br, left, right in branches:
+            if left < hi_x and lo_x < right:
+                z = br(pts[axis])
+                on_axis |= (z >= lo_x) & (z < hi_x)
+        inside &= on_axis
+    return inside
+
+
 def check_conformality(
     eigen: EigenData,
     box: Sequence[tuple[int, int]],
@@ -832,11 +917,9 @@ def check_conformality(
     valid = np.all((y >= 0.0) & (y < 1.0), axis=0)
     hit = np.zeros(mc_samples, dtype=bool)
     if np.any(valid):
-        table = branch_preimage_table(np.clip(y[:, valid], 0.0, _ONE_MINUS), node_map)
-        inside = np.zeros(int(valid.sum()), dtype=bool)
-        for branch in range(table.shape[0]):
-            inside |= _points_in_box(table[branch], grid, box)
-        hit[valid] = inside
+        hit[valid] = _preimage_meets_box(
+            np.clip(y[:, valid], 0.0, _ONE_MINUS), grid, box, node_map
+        )
     rhs = float(np.mean(hit))
     ratio = lhs / rhs if rhs > 0.0 else math.inf
     return ConformalityResult(lhs=lhs, rhs=rhs, ratio=ratio)

@@ -1,5 +1,7 @@
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,3 +205,31 @@ class TestMain:
         sums = np.asarray(op.matrix.sum(axis=1)).ravel()
         support = sums > 0.0
         assert np.max(np.abs(sums[support] - 1.0)) < 1e-12
+
+
+class TestThreadCap:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+    )
+    def test_thread_cap_applies_at_import(self):
+        # the cap must reach BLAS before numpy loads it, so it is applied
+        # when cml_lab is imported, not when main() runs
+        code = (
+            "import cml_lab, numpy as np\n"
+            "a = np.ones((400, 400))\n"
+            "a @ a\n"
+            "print([l.split()[1] for l in open('/proc/self/status')"
+            " if l.startswith('Threads:')][0])\n"
+        )
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["CML_LAB_THREADS"] = "1"
+        src = os.path.dirname(os.path.dirname(cl.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "1"

@@ -42,6 +42,16 @@ class TestSpectralGap:
             mods.append(cl.spectral_gap(l_op).lambda2_modulus)
         assert abs(mods[0] - mods[1]) < 0.02
 
+    def test_arnoldi_is_repeatable(self, doubling):
+        # the constant start vector is the leading eigenvector of every 'L'
+        # operator; on the flat 4,096-cell operator it made ARPACK restart
+        # from a vector that changed from call to call
+        p = cl.ulam_matrix("P", 1, 16, doubling, potential=cl.zero_potential())
+        l_op = cl.ulam_matrix("L", 1, 16, doubling, eigen=cl.leading_eigenpair(p))
+        assert l_op.n_cells > 2048  # above the dense limit: the Arnoldi path
+        first = cl.spectral_gap(l_op).eigenvalues
+        assert cl.spectral_gap(l_op).eigenvalues == first
+
     def test_rejects_raw_kind(self, perturbed_eigen_k0):
         with pytest.raises(ValueError):
             cl.spectral_gap(perturbed_eigen_k0.operator)
@@ -149,6 +159,22 @@ class TestVariance:
         ) / 12.0
         assert sigma2 == pytest.approx(expected, abs=1e-12)
         assert sigma2 == pytest.approx(0.25, abs=0.01)
+
+    def test_truncated_sum_matches_full_correlation_sequence(self, perturbed_L):
+        # reference: the sum over the first 500 lags computed up front
+        phi = cl.node_coordinate()
+        c = cl.operator_correlation(phi, phi, perturbed_L, 500)
+        total, last, n_used = c[0], abs(c[0]), 0
+        for n in range(1, 501):
+            total += 2.0 * c[n]
+            n_used = n
+            if abs(c[n]) < 1e-6 * abs(c[0]):
+                break
+            last = abs(c[n])
+        assert 2 <= n_used < 500
+        r = abs(c[n_used]) / last
+        total += 2.0 * abs(c[n_used]) * r / (1.0 - r) * np.sign(c[n_used])
+        assert cl.variance_green_kubo(phi, perturbed_L) == float(total)
 
     def test_constant_observable_zero_variance(self, doubling_L):
         assert cl.variance_green_kubo(cl.constant_potential(2.0), doubling_L) == 0.0

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import cml_lab as cl
+from cml_lab import transfer
 
 ONE = cl.constant_potential(1.0, name="one")
 
@@ -249,6 +251,23 @@ class TestConformality:
             ratios.append(res.ratio)
         assert max(ratios) - min(ratios) < 0.02
 
+    @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
+    def test_per_axis_box_test_matches_branch_table(self, map_name, request):
+        # reference: some row of the full b**d branch table lies in the box
+        node_map = request.getfixturevalue(map_name)
+        grid = cl.Grid(k=1, n_bins=16)
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, np.nextafter(1.0, 0.0), (grid.d, 20_000))
+        for _ in range(5):
+            box = cl.random_admissible_box(grid, node_map, rng)
+            table = cl.lattice.branch_preimage_table(pts, node_map)
+            ref = np.zeros(pts.shape[1], dtype=bool)
+            for pre in table:
+                ref |= transfer._points_in_box(pre, grid, box)
+            got = transfer._preimage_meets_box(pts, grid, box, node_map)
+            assert ref.any()
+            assert np.array_equal(got, ref)
+
     def test_non_injective_box_rejected(self, doubling_eigen_k0, doubling):
         with pytest.raises(ValueError):
             cl.check_conformality(doubling_eigen_k0, [(0, 256)], doubling)
@@ -294,6 +313,119 @@ class TestCoupledMatrix:
         # the two assemblies (preimage branches vs forward images) alias
         # differently at cell scale; compare the distribution functions
         assert np.max(np.abs(np.cumsum(nu_l) - np.cumsum(nu_c))) < 0.01
+
+
+def _all_quad_points(grid, quad):
+    """All quadrature points at once, with their parent cells."""
+    fine = grid.n_bins * quad
+    bins = np.unravel_index(np.arange(fine ** grid.d), (fine,) * grid.d)
+    pts = (np.stack(bins) + 0.5) / fine
+    parent = np.ravel_multi_index(
+        tuple(b // quad for b in bins), (grid.n_bins,) * grid.d
+    )
+    return pts, parent
+
+
+def _monolithic_p(grid, node_map, potential, quad):
+    """Reference 'P' assembly from one all-at-once branch table."""
+    pts, rows = _all_quad_points(grid, quad)
+    b_k = node_map.b ** grid.d
+    weight = 1.0 / (b_k * quad ** grid.d)
+    table = cl.lattice.branch_preimage_table(pts, node_map)
+    data, row_idx, col_idx = [], [], []
+    for branch in range(b_k):
+        pre = table[branch]
+        data.append(np.exp(potential.on_array(pre, grid.k)) * weight)
+        row_idx.append(rows)
+        col_idx.append(grid.cell_of(pre))
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(row_idx), np.concatenate(col_idx))),
+        shape=(grid.n_cells, grid.n_cells),
+    ).tocsr()
+
+
+def _monolithic_coupled(grid, node_map, potential, coupling, quad):
+    """Reference 'coupled' assembly from all quadrature points at once."""
+    pts, cols = _all_quad_points(grid, quad)
+    fwd = node_map.forward(pts)
+    images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
+    np.clip(images, 0.0, np.nextafter(1.0, 0.0), out=images)
+    rows = grid.cell_of(images)
+    log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
+    log_det += math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
+    weight = np.exp(potential.on_array(pts, grid.k) + log_det)
+    weight /= quad ** grid.d
+    raw = sp.coo_matrix(
+        (weight, (rows, cols)), shape=(grid.n_cells, grid.n_cells)
+    ).tocsr()
+    return transfer._normalize_on_reachable(raw)
+
+
+def _assert_same_bytes(got, ref):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestSlabAssembly:
+    """Slab-wise assembly gives the all-at-once matrices bit for bit,
+    whatever the slab size: one bin per slab, a size that does not divide
+    n_bins, and a single slab."""
+
+    CASES = [(0, 64), (1, 6)]
+    SLAB_BINS = [1, 5, None]
+
+    @staticmethod
+    def _points_per_bin(grid, quad):
+        return quad ** grid.d * grid.n_bins ** (grid.d - 1)
+
+    @pytest.mark.parametrize("slab_bins", SLAB_BINS)
+    @pytest.mark.parametrize("k,n_bins", CASES)
+    def test_slabs_enumerate_all_points_in_order(self, k, n_bins, slab_bins):
+        grid = cl.Grid(k=k, n_bins=n_bins)
+        per_bin = self._points_per_bin(grid, 4)
+        slabs = list(grid.quad_slabs(4, (slab_bins or n_bins) * per_bin))
+        assert len(slabs) == -(-n_bins // (slab_bins or n_bins))
+        pts, parent = _all_quad_points(grid, 4)
+        assert np.array_equal(np.concatenate([s[0] for s in slabs], axis=1), pts)
+        assert np.array_equal(np.concatenate([s[1] for s in slabs]), parent)
+
+    # The Newton branches of the perturbed map stop on the largest step of
+    # the whole call.  For d >= 2 every slab holds the whole 1-d grid on its
+    # other axes, so each call takes the same steps as one all-at-once
+    # call; for d = 1 a slab holds part of it, so k=0 uses the closed-form
+    # branches of the doubling map (see CHANGES.md).
+    @pytest.mark.parametrize("slab_bins", SLAB_BINS)
+    @pytest.mark.parametrize(
+        "k,n_bins,map_name", [(0, 64, "doubling"), (1, 6, "perturbed")]
+    )
+    def test_p_matrix_matches_monolithic(
+        self, k, n_bins, map_name, slab_bins, metric, monkeypatch, request
+    ):
+        node_map = request.getfixturevalue(map_name)
+        grid = cl.Grid(k=k, n_bins=n_bins)
+        budget = (slab_bins or n_bins) * self._points_per_bin(grid, 4)
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", budget * node_map.b ** grid.d)
+        pot = cl.node_sine_potential(0.1, 0, metric)
+        op = cl.ulam_matrix("P", k, n_bins, node_map, potential=pot)
+        _assert_same_bytes(op.matrix, _monolithic_p(grid, node_map, pot, 4))
+
+    @pytest.mark.parametrize("slab_bins", SLAB_BINS)
+    @pytest.mark.parametrize("k,n_bins", CASES)
+    def test_coupled_matrix_matches_monolithic(
+        self, k, n_bins, slab_bins, perturbed, metric, monkeypatch
+    ):
+        grid = cl.Grid(k=k, n_bins=n_bins)
+        budget = (slab_bins or n_bins) * self._points_per_bin(grid, 4)
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", budget)
+        pot = cl.srb_potential(perturbed, max_k=k, metric=metric)
+        coupling = cl.Coupling(epsilon=0.05)
+        op = cl.ulam_matrix(
+            "coupled", k, n_bins, perturbed, potential=pot, coupling=coupling
+        )
+        ref = _monolithic_coupled(grid, perturbed, pot, coupling, 4)
+        _assert_same_bytes(op.matrix, ref)
 
 
 class TestPersistence:
