@@ -32,6 +32,9 @@ __all__ = [
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 
+# Most path values the pull-back sampler holds at once.
+_PULLBACK_POINTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -79,6 +82,8 @@ def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
     values at the interval edge and abort if clamping exceeds 0.01% of all
     node updates.
     """
+    if cfg.method == "pullback":
+        return _simulate_pullback(cfg)
     d = 2 * cfg.k_sim + 1
     states = np.empty((cfg.n_replicas, d))
     for r in range(cfg.n_replicas):
@@ -86,8 +91,6 @@ def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
     n_keep = cfg.n_steps - cfg.burn_in
     out = np.empty((cfg.n_replicas, n_keep))
     clamped = 0
-    if cfg.method == "pullback":
-        return _simulate_pullback(cfg)
     for step in range(cfg.n_steps):
         states = cfg.node_map.forward(states)
         states = cfg.coupling.apply_to_array(states, cfg.k_sim, cfg.node_map.p_tau)
@@ -109,25 +112,37 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
     """Backward branch sampling: iterate uniformly chosen inverse branches
     and reverse the orbit.  Samples the equal-branch-weight invariant
     measure of the nodewise map, so it is exact for the flat potential
-    (Lebesgue for the doubling map) and immune to orbit collapse."""
+    (Lebesgue for the doubling map) and immune to orbit collapse.
+
+    Each replica's stream draws its initial state, then its branch choices
+    for every step in one call, which yields the same numbers as one call
+    per step.  The reversal puts the last ``burn_in`` pull-back steps in
+    the burn-in, so only the first ``n_steps - burn_in`` are taken.  All
+    replicas of a chunk step together, each branch applied to the entries
+    that chose it; a chunk holds at most ``_PULLBACK_POINTS`` path values.
+    """
     if cfg.coupling.kind == "diffusive" and cfg.coupling.epsilon != 0.0:
         raise ValueError("pullback sampling supports the uncoupled system only")
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
     out = np.empty((cfg.n_replicas, n_keep))
-    branches = np.array(
-        [cfg.node_map.inverse_branches[j] for j in range(cfg.node_map.b)], dtype=object
-    )
-    for r in range(cfg.n_replicas):
-        rng = _replica_rng(cfg.seed, r)
-        x = rng.uniform(0.0, _ONE_MINUS, d)
-        path = np.empty((cfg.n_steps, d))
-        for step in range(cfg.n_steps):
-            choice = rng.integers(0, cfg.node_map.b, d)
-            x = np.array([branches[c](v) for c, v in zip(choice, x)])
-            path[step] = x
-        forward_orbit = path[::-1][cfg.burn_in:]
-        out[r] = cfg.observable.on_array(forward_orbit.T, cfg.k_sim)
+    chunk = max(1, _PULLBACK_POINTS // (n_keep * d))
+    for lo in range(0, cfg.n_replicas, chunk):
+        replicas = range(lo, min(lo + chunk, cfg.n_replicas))
+        x = np.empty((len(replicas), d))
+        choice = np.empty((len(replicas), n_keep, d), dtype=np.int64)
+        for i, r in enumerate(replicas):
+            rng = _replica_rng(cfg.seed, r)
+            x[i] = rng.uniform(0.0, _ONE_MINUS, d)
+            choice[i] = rng.integers(0, cfg.node_map.b, (n_keep, d))
+        path = np.empty((len(replicas), n_keep, d))
+        for step in range(n_keep):
+            for j, branch in enumerate(cfg.node_map.inverse_branches):
+                chose = choice[:, step] == j
+                x[chose] = branch(x[chose])
+            path[:, step] = x
+        for i, r in enumerate(replicas):
+            out[r] = cfg.observable.on_array(path[i, ::-1].T, cfg.k_sim)
     return out
 
 

@@ -45,14 +45,12 @@ class MetricParams:
 
     ``alpha`` is the base of the variation seminorm and must satisfy
     alpha >= theta**beta so that the variation seminorm is dominated by
-    the Hoelder seminorm.  ``circle`` switches d_I from |x-y| to the
-    wrap-around distance on the circle (off by default).
+    the Hoelder seminorm.
     """
 
     theta: float = 0.5
     beta: float = 1.0
     alpha: float | None = None
-    circle: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta < 1.0:
@@ -68,10 +66,7 @@ class MetricParams:
             )
 
     def node_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = np.abs(np.asarray(a) - np.asarray(b))
-        if self.circle:
-            diff = np.minimum(diff, 1.0 - diff)
-        return diff
+        return np.abs(np.asarray(a) - np.asarray(b))
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,9 @@ class NodeMap:
     """A full-branch expanding map of [0,1) together with its inverse branches.
 
     ``forward`` and every inverse branch are vectorized over numpy arrays.
+    Every inverse branch is an increasing bijection from [0,1) onto its
+    monotone branch domain, so it maps an interval [u, v) onto
+    [br(u), br(v)) and ``forward`` maps subintervals of a domain back.
     ``eta`` is the uniform contraction factor of the inverse branches and
     ``p_tau`` a fixed point of the forward map.  ``trajectory_safe`` marks
     maps whose forward orbits survive binary floating point (the pure
@@ -106,18 +104,6 @@ class NodeMap:
         """Left endpoints of the monotone branch domains, plus the right end 1."""
         lefts = [float(br(np.array(0.0))) for br in self.inverse_branches]
         return np.array(sorted(lefts) + [1.0])
-
-    def verify(self, samples: int = 200, rng: np.random.Generator | None = None) -> None:
-        """Spot-check full-branch and contraction properties on random points."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        x = rng.uniform(0.0, 1.0, samples)
-        y = rng.uniform(0.0, 1.0, samples)
-        for br in self.inverse_branches:
-            zx, zy = br(x), br(y)
-            if np.max(np.abs(self.forward(zx) - x)) > 1e-10:
-                raise ValueError(f"{self.name}: inverse branch is not a right inverse")
-            if np.max(np.abs(zx - zy) - self.eta * np.abs(x - y)) > 1e-12:
-                raise ValueError(f"{self.name}: branch contraction factor exceeds eta")
 
 
 def doubling_map() -> NodeMap:
@@ -282,7 +268,6 @@ class Coupling:
     kind: str = "diffusive"
     epsilon: float = 0.0
     matrix: np.ndarray | None = None
-    measured_CE: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "diffusive":
@@ -348,6 +333,9 @@ class Coupling:
     def invert_on_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
         """Solve E(x) = vals for values of shape (..., 2k+1); boundary terms
         from the p_tau tail move to the right-hand side."""
+        if self.kind == "diffusive" and self.epsilon == 0.0:
+            # E is the identity: a solve would return the right-hand side
+            return np.asarray(vals, dtype=float)
         a = self.dense_matrix(k)
         c = self.boundary_offset(k, p_tau)
         rhs = np.asarray(vals, dtype=float) - c
@@ -427,12 +415,6 @@ class CouplingConstantEstimate:
     contracts: bool
 
 
-def _shifted_metric(a: np.ndarray, b: np.ndarray, m: MetricParams, shift: int) -> float:
-    k = (a.size - 1) // 2
-    weights = m.theta ** np.abs(_node_indices(k) - shift)
-    return float(np.max(weights * m.node_distance(a, b)))
-
-
 def estimate_coupling_constant(
     coupling: Coupling,
     node_map: NodeMap,
@@ -451,18 +433,23 @@ def estimate_coupling_constant(
         raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(0) if rng is None else rng
     d = 2 * k + 1
-    best = 0.0
     xs = rng.uniform(0.0, 1.0, (samples, d))
     ys = rng.uniform(0.0, 1.0, (samples, d))
     ix = coupling.invert_on_array(xs, k, node_map.p_tau)
     iy = coupling.invert_on_array(ys, k, node_map.p_tau)
-    for i in range(samples):
-        for shift in range(-k, k + 1):
-            denom = _shifted_metric(xs[i], ys[i], m, shift)
-            if denom == 0.0:
-                continue
-            num = _shifted_metric(ix[i], iy[i], m, shift)
-            best = max(best, num / denom)
+    # weights[s, j] = theta^|j - shift| re-centres the metric on node shift
+    nodes = _node_indices(k)
+    weights = m.theta ** np.abs(nodes[None, :] - nodes[:, None])
+
+    def shifted_metrics(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(sample, shift) table of the shifted metrics of the pairs."""
+        diff = m.node_distance(a, b)
+        return np.max(weights[None, :, :] * diff[:, None, :], axis=2)
+
+    denom = shifted_metrics(xs, ys)
+    num = shifted_metrics(ix, iy)
+    ok = denom != 0.0
+    best = float(np.max(num[ok] / denom[ok], initial=0.0))
     return CouplingConstantEstimate(
         value=best, eta=node_map.eta, contracts=best * node_map.eta < 1.0
     )

@@ -76,7 +76,6 @@ def decaying_sine_potential(
     1/base, so the k-th variation decays like base^-k.
     """
     m = metric or MetricParams()
-    tail = 2.0 * amplitude * base ** -1 / (1.0 - 1.0 / base)  # sum over |j| > 0 bound
     sup = abs(amplitude) * (base + 1.0) / (base - 1.0)
     lip = _TWO_PI * abs(amplitude) * sum(
         base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in range(-60, 61)
@@ -91,7 +90,6 @@ def decaying_sine_potential(
         weights = abs(amplitude) * base ** -np.abs(np.arange(-k, k + 1, dtype=float))
         return np.sign(amplitude) * weights @ np.sin(_TWO_PI * vals)
 
-    del tail
     return Potential(
         name=f"decaying_sine(c={amplitude}, base={base})",
         evaluator=evaluate,

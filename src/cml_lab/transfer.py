@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -174,9 +175,16 @@ class Grid:
         return np.ravel_multi_index(bins, (self.n_bins,) * self.d)
 
     def reps(self) -> np.ndarray:
-        """Cell midpoints, shape (d, n_cells)."""
+        """Cell midpoints, shape (d, n_cells), read-only."""
+        return self._reps
+
+    @cached_property
+    def _reps(self) -> np.ndarray:
+        # computed once per grid: the seminorm samplers ask for it per call
         bins = np.unravel_index(np.arange(self.n_cells), (self.n_bins,) * self.d)
-        return (np.stack(bins) + 0.5) / self.n_bins
+        reps = (np.stack(bins) + 0.5) / self.n_bins
+        reps.setflags(write=False)
+        return reps
 
     def quad_slabs(
         self, quad: int, max_points: int
@@ -854,23 +862,25 @@ def _preimage_meets_box(
 
     The preimages are the full product of per-axis branch choices, so one
     lies in the box exactly when every axis has a branch value inside the
-    box's interval on that axis.  A branch takes its values in its own
-    half-open domain, so only the branches whose domain meets the interval
-    are evaluated: one per axis on an admissible box.
+    box's interval on that axis.  A branch is an increasing bijection from
+    [0,1) onto its domain [left, right), so its value lies in [lo_x, hi_x)
+    exactly when the point lies in the forward image of that interval cut
+    to the domain: [F(lo_x), F(hi_x)), with 0 for a cut at left and 1 for
+    a cut at right.  Only branches whose domain meets the interval count:
+    one per axis on an admissible box.
     """
-    domains = node_map.branch_domains()
-    branches = []
-    for br in node_map.inverse_branches:
-        j = int(np.searchsorted(domains, float(br(np.array(0.0))), side="right"))
-        branches.append((br, domains[j - 1], domains[j]))
+    lefts = [float(br(np.array(0.0))) for br in node_map.inverse_branches]
+    domains = np.array(sorted(lefts) + [1.0])
+    rights = domains[np.searchsorted(domains, lefts, side="right")]
     inside = np.ones(pts.shape[1], dtype=bool)
     for axis, (lo, hi) in enumerate(box):
         lo_x, hi_x = lo / grid.n_bins, hi / grid.n_bins
         on_axis = np.zeros(pts.shape[1], dtype=bool)
-        for br, left, right in branches:
+        for left, right in zip(lefts, rights):
             if left < hi_x and lo_x < right:
-                z = br(pts[axis])
-                on_axis |= (z >= lo_x) & (z < hi_x)
+                y_lo = 0.0 if lo_x <= left else float(node_map.forward(np.array(lo_x)))
+                y_hi = 1.0 if hi_x >= right else float(node_map.forward(np.array(hi_x)))
+                on_axis |= (pts[axis] >= y_lo) & (pts[axis] < y_hi)
         inside &= on_axis
     return inside
 

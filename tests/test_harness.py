@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cml_lab as cl
+from cml_lab import harness
 
 
 def make_cfg(perturbed, **kw):
@@ -62,6 +63,37 @@ class TestSimulation:
         out = cl.simulate_ensemble(cfg)
         assert abs(out.mean() - 0.5) < 0.01
         assert abs(out.var() - 1.0 / 12.0) < 0.005
+
+    # one chunk, one replica per chunk, and chunks of 4 replicas out of 6
+    @pytest.mark.parametrize("chunk_points", [None, 1, 4 * 180 * 3])
+    def test_pullback_matches_per_step_loop(self, chunk_points, doubling, monkeypatch):
+        # reference: one replica at a time, one branch draw per step
+        if chunk_points is not None:
+            monkeypatch.setattr(harness, "_PULLBACK_POINTS", chunk_points)
+        cfg = cl.EnsembleConfig(
+            node_map=doubling,
+            coupling=cl.Coupling(epsilon=0.0),
+            observable=cl.node_coordinate(),
+            k_sim=1,
+            n_steps=300,
+            n_replicas=6,
+            burn_in=120,
+            seed=42,
+            method="pullback",
+        )
+        ref = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
+        for r in range(cfg.n_replicas):
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, r]))
+            x = rng.uniform(0.0, np.nextafter(1.0, 0.0), 3)
+            path = np.empty((cfg.n_steps, 3))
+            for step in range(cfg.n_steps):
+                choice = rng.integers(0, doubling.b, 3)
+                x = np.array(
+                    [doubling.inverse_branches[c](v) for c, v in zip(choice, x)]
+                )
+                path[step] = x
+            ref[r] = cfg.observable.on_array(path[::-1][cfg.burn_in:].T, 1)
+        assert np.array_equal(cl.simulate_ensemble(cfg), ref)
 
     def test_mean_matches_operator_measure(self, perturbed, perturbed_eigen_k0):
         cfg = make_cfg(

@@ -162,6 +162,15 @@ class TestCoupling:
             back = cl.invert_coupling(y, e, doubling)
             assert np.allclose(back.values, x.values, atol=1e-12)
 
+    def test_invert_identity_returns_input(self):
+        # at eps = 0 the solve against the identity is skipped; it would
+        # return the right-hand side exactly
+        vals = np.random.default_rng(4).uniform(0.0, 1.0, (500, 3))
+        got = cl.Coupling(epsilon=0.0).invert_on_array(vals, 1, 0.0)
+        ref = np.linalg.solve(np.eye(3), vals[..., None])[..., 0]
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got, vals)
+
     def test_rejects_epsilon_half(self):
         with pytest.raises(ValueError):
             cl.Coupling(epsilon=0.5)
@@ -246,6 +255,32 @@ class TestCouplingConstant:
             cl.Coupling(epsilon=0.1), doubling, metric, samples=4000
         )
         assert est.contracts  # C_E * eta < 1 at eta = 1/2
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
+    def test_matches_pairwise_loop(self, k, eps, doubling, metric):
+        # reference: the per-pair, per-shift loop over the same draws
+        e = cl.Coupling(epsilon=eps)
+        got = cl.estimate_coupling_constant(
+            e, doubling, metric, samples=1000, k=k, rng=np.random.default_rng(11)
+        )
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(0.0, 1.0, (1000, 2 * k + 1))
+        ys = rng.uniform(0.0, 1.0, (1000, 2 * k + 1))
+        ix = e.invert_on_array(xs, k, doubling.p_tau)
+        iy = e.invert_on_array(ys, k, doubling.p_tau)
+
+        def shifted(a, b, shift):
+            w = metric.theta ** np.abs(np.arange(-k, k + 1) - shift)
+            return float(np.max(w * np.abs(a - b)))
+
+        best = 0.0
+        for i in range(xs.shape[0]):
+            for shift in range(-k, k + 1):
+                denom = shifted(xs[i], ys[i], shift)
+                if denom != 0.0:
+                    best = max(best, shifted(ix[i], iy[i], shift) / denom)
+        assert got.value == best
 
 
 class TestPotential:

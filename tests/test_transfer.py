@@ -83,6 +83,14 @@ class TestGrid:
         reps = grid.reps()
         assert np.array_equal(grid.cell_of(reps), np.arange(grid.n_cells))
 
+    def test_reps_computed_once_and_read_only(self):
+        grid = cl.Grid(k=1, n_bins=8)
+        reps = grid.reps()
+        assert grid.reps() is reps
+        assert np.array_equal(reps, cl.Grid(k=1, n_bins=8).reps())
+        with pytest.raises(ValueError):
+            reps[0, 0] = 0.0
+
 
 class TestPMatrix:
     def test_rows_sum_to_one_for_zero_potential(self, doubling_eigen_k0):
@@ -263,6 +271,20 @@ class TestConformality:
             table = cl.lattice.branch_preimage_table(pts, node_map)
             ref = np.zeros(pts.shape[1], dtype=bool)
             for pre in table:
+                ref |= transfer._points_in_box(pre, grid, box)
+            got = transfer._preimage_meets_box(pts, grid, box, node_map)
+            assert ref.any()
+            assert np.array_equal(got, ref)
+        # boxes whose axis intervals touch the ends of a branch domain,
+        # [0, 1/2) and [1/2, 1) for both maps, and a few interior ones
+        for box in (
+            [(0, 8), (8, 16), (0, 1)],
+            [(7, 8), (15, 16), (8, 9)],
+            [(0, 3), (13, 16), (5, 11)],
+            [(8, 16), (0, 8), (2, 6)],
+        ):
+            ref = np.zeros(pts.shape[1], dtype=bool)
+            for pre in cl.lattice.branch_preimage_table(pts, node_map):
                 ref |= transfer._points_in_box(pre, grid, box)
             got = transfer._preimage_meets_box(pts, grid, box, node_map)
             assert ref.any()
