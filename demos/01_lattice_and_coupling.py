@@ -38,8 +38,8 @@ def main() -> None:
         if i == 3:
             break
 
-    est = cl.estimate_coupling_constant(e, nm, m, samples=2000)
-    print(f"\nsampled interaction constant C_E >= {est.value:.3f}; "
+    est = cl.estimate_coupling_constant(e, nm, m)
+    print(f"\ninteraction constant C_E = {est.value:.3f}; "
           f"C_E * eta = {est.value * nm.eta:.3f} < 1 -> contraction regime: "
           f"{est.contracts}")
 

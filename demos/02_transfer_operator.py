@@ -45,7 +45,7 @@ def main() -> None:
     print(f"  {support.sum()} of {op.n_cells} cells reachable; active rows "
           f"sum to one within {np.max(np.abs(sums[support] - 1.0)):.1e}")
 
-    est = cl.estimate_coupling_constant(coupling, nm, m, samples=2000, k=1)
+    est = cl.estimate_coupling_constant(coupling, nm, m, k=1)
     ly = cl.check_lasota_yorke(op, eigen, [cl.node_coordinate()],
                                n_max=5, m=m, ce=est.value)
     print(f"  iterated-seminorm inequality holds: {ly.all_ok} "

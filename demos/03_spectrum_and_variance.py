@@ -48,7 +48,7 @@ def main() -> None:
     tw = cl.twisted_matrix(op, phi, 0.1)
     ones = np.ones(op.n_cells, dtype=complex)
     for _ in range(50):
-        ones = tw.matrix @ ones
+        ones = tw @ ones
     print(f"  twisted operator, t=0.1: sup |M_t^50 1| = "
           f"{np.max(np.abs(ones)):.6f} <= 1")
 

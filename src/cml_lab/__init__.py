@@ -53,18 +53,16 @@ from .transfer import (
     check_Pk_cauchy,
     cone_membership,
     estimate_holder_seminorm,
-    eval_coupled_L,
     eval_Pk,
     leading_eigenpair,
     load_operator,
+    power_iterate,
     random_admissible_box,
-    save_eigen_data,
     save_operator,
     ulam_matrix,
 )
 from .spectral import (
     SpectrumReport,
-    TwistedOperator,
     check_twisted_bound,
     operator_correlation,
     spectral_gap,

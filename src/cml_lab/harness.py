@@ -116,12 +116,13 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
 
     Each replica's stream draws its initial state, then its branch choices
     for every step in one call, which yields the same numbers as one call
-    per step.  The reversal puts the last ``burn_in`` pull-back steps in
-    the burn-in, so only the first ``n_steps - burn_in`` are taken.  All
-    replicas of a chunk step together, each branch applied to the entries
-    that chose it; a chunk holds at most ``_PULLBACK_POINTS`` path values.
+    per step.  The first ``burn_in`` pull-back steps, the transient nearest
+    the uniform start, are dropped, and the rest are reversed into forward
+    time.  All replicas of a chunk step together, each branch applied to
+    the entries that chose it; a chunk holds at most ``_PULLBACK_POINTS``
+    path values.
     """
-    if cfg.coupling.kind == "diffusive" and cfg.coupling.epsilon != 0.0:
+    if cfg.coupling.epsilon != 0.0:
         raise ValueError("pullback sampling supports the uncoupled system only")
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
@@ -130,17 +131,18 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
     for lo in range(0, cfg.n_replicas, chunk):
         replicas = range(lo, min(lo + chunk, cfg.n_replicas))
         x = np.empty((len(replicas), d))
-        choice = np.empty((len(replicas), n_keep, d), dtype=np.int64)
+        choice = np.empty((len(replicas), cfg.n_steps, d), dtype=np.int64)
         for i, r in enumerate(replicas):
             rng = _replica_rng(cfg.seed, r)
             x[i] = rng.uniform(0.0, _ONE_MINUS, d)
-            choice[i] = rng.integers(0, cfg.node_map.b, (n_keep, d))
+            choice[i] = rng.integers(0, cfg.node_map.b, (cfg.n_steps, d))
         path = np.empty((len(replicas), n_keep, d))
-        for step in range(n_keep):
+        for step in range(cfg.n_steps):
             for j, branch in enumerate(cfg.node_map.inverse_branches):
                 chose = choice[:, step] == j
                 x[chose] = branch(x[chose])
-            path[:, step] = x
+            if step >= cfg.burn_in:
+                path[:, step - cfg.burn_in] = x
         for i, r in enumerate(replicas):
             out[r] = cfg.observable.on_array(path[i, ::-1].T, cfg.k_sim)
     return out

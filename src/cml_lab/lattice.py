@@ -257,49 +257,24 @@ def apply_bar_tau(x: FiniteState, node_map: NodeMap) -> FiniteState:
 
 @dataclass(frozen=True)
 class Coupling:
-    """An invertible linear interaction between lattice nodes.
-
-    The diffusive kind averages each node with its nearest neighbors with
-    weight epsilon; nodes beyond the window contribute as p_tau.  A custom
-    kind supplies an explicit banded row matrix which must be strictly
-    diagonally dominant (which certifies invertibility).
-    """
+    """The diffusive interaction between lattice nodes: each node is
+    averaged with its nearest neighbors with weight epsilon; nodes beyond
+    the window contribute as p_tau."""
 
     kind: str = "diffusive"
     epsilon: float = 0.0
-    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "diffusive":
-            if not 0.0 <= self.epsilon < 0.5:
-                raise ValueError(
-                    f"diffusive strength must lie in [0, 1/2), got {self.epsilon}"
-                )
-        elif self.kind == "matrix":
-            if self.matrix is None:
-                raise ValueError("matrix kind needs an explicit matrix")
-            a = np.asarray(self.matrix, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 == 0:
-                raise ValueError("coupling matrix must be square with odd dimension")
-            diag = np.abs(np.diag(a))
-            off = np.sum(np.abs(a), axis=1) - diag
-            if np.any(diag <= off):
-                raise ValueError("coupling matrix must be strictly diagonally dominant")
-            a = a.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, "matrix", a)
-        else:
+        if self.kind != "diffusive":
             raise ValueError(f"unknown coupling kind {self.kind!r}")
+        if not 0.0 <= self.epsilon < 0.5:
+            raise ValueError(
+                f"diffusive strength must lie in [0, 1/2), got {self.epsilon}"
+            )
 
     def dense_matrix(self, k: int) -> np.ndarray:
         """The linear part acting on the 2k+1 window values."""
         d = 2 * k + 1
-        if self.kind == "matrix":
-            if self.matrix.shape[0] != d:
-                raise ValueError(
-                    f"coupling matrix is {self.matrix.shape[0]}-dimensional, window is {d}"
-                )
-            return np.asarray(self.matrix)
         a = np.eye(d) * (1.0 - self.epsilon)
         idx = np.arange(d - 1)
         a[idx, idx + 1] = self.epsilon / 2.0
@@ -308,32 +283,28 @@ class Coupling:
 
     def boundary_offset(self, k: int, p_tau: float) -> np.ndarray:
         """Constant contribution of the p_tau tail to the edge nodes."""
-        d = 2 * k + 1
-        c = np.zeros(d)
-        if self.kind == "diffusive":
-            c[0] += self.epsilon / 2.0 * p_tau
-            c[-1] += self.epsilon / 2.0 * p_tau
+        c = np.zeros(2 * k + 1)
+        c[0] += self.epsilon / 2.0 * p_tau
+        c[-1] += self.epsilon / 2.0 * p_tau
         return c
 
     def apply_to_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
         """Apply the coupling to values of shape (..., 2k+1)."""
         vals = np.asarray(vals, dtype=float)
-        if self.kind == "diffusive":
-            if self.epsilon == 0.0:
-                return vals
-            left = np.concatenate(
-                [np.full(vals.shape[:-1] + (1,), p_tau), vals[..., :-1]], axis=-1
-            )
-            right = np.concatenate(
-                [vals[..., 1:], np.full(vals.shape[:-1] + (1,), p_tau)], axis=-1
-            )
-            return (1.0 - self.epsilon) * vals + 0.5 * self.epsilon * (left + right)
-        return vals @ self.dense_matrix(k).T + self.boundary_offset(k, p_tau)
+        if self.epsilon == 0.0:
+            return vals
+        left = np.concatenate(
+            [np.full(vals.shape[:-1] + (1,), p_tau), vals[..., :-1]], axis=-1
+        )
+        right = np.concatenate(
+            [vals[..., 1:], np.full(vals.shape[:-1] + (1,), p_tau)], axis=-1
+        )
+        return (1.0 - self.epsilon) * vals + 0.5 * self.epsilon * (left + right)
 
     def invert_on_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
         """Solve E(x) = vals for values of shape (..., 2k+1); boundary terms
         from the p_tau tail move to the right-hand side."""
-        if self.kind == "diffusive" and self.epsilon == 0.0:
+        if self.epsilon == 0.0:
             # E is the identity: a solve would return the right-hand side
             return np.asarray(vals, dtype=float)
         a = self.dense_matrix(k)
@@ -345,9 +316,7 @@ class Coupling:
 def apply_coupling(x: FiniteState, coupling: Coupling, node_map: NodeMap) -> FiniteState:
     out = coupling.apply_to_array(x.values, x.k, node_map.p_tau)
     if np.any(out < 0.0) or np.any(out >= 1.0):
-        raise ValueError(
-            "coupling output escapes [0,1); the supplied matrix is not a lattice coupling"
-        )
+        raise ValueError("coupling output escapes [0,1)")
     return FiniteState(k=x.k, values=out)
 
 
@@ -403,11 +372,10 @@ def branch_preimage_table(values: np.ndarray, node_map: NodeMap) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingConstantEstimate:
-    """Sampled lower bound on the interaction constant C_E.
+    """The interaction constant C_E of a coupling on a window.
 
-    ``value`` maximizes the ratio of shifted metrics of inverted pairs over
-    sampled pairs, hence never exceeds the true constant.  ``contracts``
-    records whether value * eta < 1, the regime the theory requires.
+    ``contracts`` records whether value * eta < 1, the regime the theory
+    requires.
     """
 
     value: float
@@ -419,39 +387,23 @@ def estimate_coupling_constant(
     coupling: Coupling,
     node_map: NodeMap,
     m: MetricParams,
-    samples: int = 10_000,
     k: int = 3,
-    rng: np.random.Generator | None = None,
 ) -> CouplingConstantEstimate:
-    """Estimate C_E by maximizing the shifted-metric ratio over random pairs.
+    """C_E, the largest ratio d_s(E^-1 x, E^-1 y) / d_s(x, y) over pairs
+    and over the metrics d_s re-centred on each node s of the window.
 
-    The shift re-centers the metric weight at each node offset realizable
-    inside the window (|shift| <= k).  The result is a sampled lower bound
-    on the true constant.
+    With D_s = diag(theta^|j - s|), d_s(x, y) = |D_s (x - y)|_inf, so the
+    ratio's supremum is the operator norm |D_s E^-1 D_s^-1|_inf, the
+    largest absolute row sum, attained by x - y = D_s^-1 sign(that row).
     """
-    if samples <= 0:
-        raise ValueError("need at least one sample pair")
-    rng = np.random.default_rng(0) if rng is None else rng
-    d = 2 * k + 1
-    xs = rng.uniform(0.0, 1.0, (samples, d))
-    ys = rng.uniform(0.0, 1.0, (samples, d))
-    ix = coupling.invert_on_array(xs, k, node_map.p_tau)
-    iy = coupling.invert_on_array(ys, k, node_map.p_tau)
-    # weights[s, j] = theta^|j - shift| re-centres the metric on node shift
+    e_inv = np.linalg.inv(coupling.dense_matrix(k))
     nodes = _node_indices(k)
+    # weights[s, j] = theta^|j - s| re-centres the metric on node s
     weights = m.theta ** np.abs(nodes[None, :] - nodes[:, None])
-
-    def shifted_metrics(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(sample, shift) table of the shifted metrics of the pairs."""
-        diff = m.node_distance(a, b)
-        return np.max(weights[None, :, :] * diff[:, None, :], axis=2)
-
-    denom = shifted_metrics(xs, ys)
-    num = shifted_metrics(ix, iy)
-    ok = denom != 0.0
-    best = float(np.max(num[ok] / denom[ok], initial=0.0))
+    scaled = weights[:, :, None] * e_inv[None, :, :] / weights[:, None, :]
+    value = float(np.max(np.sum(np.abs(scaled), axis=2)))
     return CouplingConstantEstimate(
-        value=best, eta=node_map.eta, contracts=best * node_map.eta < 1.0
+        value=value, eta=node_map.eta, contracts=value * node_map.eta < 1.0
     )
 
 

@@ -10,7 +10,6 @@ a Green-Kubo sum with a twisted-eigenvalue curvature cross-check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,23 +18,27 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import MetricParams, Potential
-from .transfer import EigenData, UlamOperator, grid_holder_seminorm
+from .transfer import UlamOperator, grid_holder_seminorm, power_iterate
 
 __all__ = [
     "SpectrumReport",
-    "TwistedOperator",
     "spectral_gap",
     "stationary_distribution",
     "operator_correlation",
     "twisted_matrix",
-    "twisted_leading_eigenvalue",
     "check_twisted_bound",
     "TwistedBoundReport",
     "variance_green_kubo",
     "variance_from_twisted_curvature",
 ]
 
+# Eigenvalues spectral_gap reports, and the largest matrix it solves densely.
+_SPECTRUM_SIZE = 6
 _DENSE_LIMIT = 2048
+
+# Green-Kubo truncation: relative tail tolerance and lag cap.
+_GK_TAIL_TOL = 1e-6
+_GK_MAX_LAG = 500
 
 
 @dataclass(frozen=True)
@@ -57,35 +60,40 @@ def _sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def spectral_gap(
-    op: UlamOperator, m: int = 6, dense_limit: int = _DENSE_LIMIT
-) -> SpectrumReport:
-    """Top-m eigenvalues by modulus: dense solver at small dimension,
+def spectral_gap(op: UlamOperator) -> SpectrumReport:
+    """Top eigenvalues by modulus: dense solver at small dimension,
     implicitly restarted Arnoldi above it.
 
     Arnoldi starts from a fixed vector that is no eigenvector: from the
     constant vector, the leading eigenvector of every normalized operator,
     the Krylov space breaks down at once and ARPACK restarts from a vector
-    of its own that differs per process.
+    of its own that differs per process.  When the cut splits a conjugate
+    pair, the kept member is the one with positive imaginary part, so the
+    report depends on the spectrum alone, not on which member the solver
+    returned.
     """
     if op.kind not in ("L", "coupled"):
         raise ValueError("spectral gap is defined for normalized operator kinds")
     n = op.n_cells
-    if n <= dense_limit:
+    if n <= _DENSE_LIMIT:
         vals = np.linalg.eigvals(op.matrix.toarray())
     else:
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
         try:
             vals = spla.eigs(
-                op.matrix, k=min(m, n - 2), which="LM", v0=v0,
+                op.matrix, k=min(_SPECTRUM_SIZE, n - 2), which="LM", v0=v0,
                 return_eigenvectors=False,
             )
         except spla.ArpackNoConvergence as exc:
             raise RuntimeError(
                 f"Arnoldi iteration did not converge; "
-                f"{len(exc.eigenvalues)} of {m} eigenvalues found"
+                f"{len(exc.eigenvalues)} of {_SPECTRUM_SIZE} eigenvalues found"
             ) from exc
-    vals = _sort_eigenvalues(np.asarray(vals))[:m]
+    vals = _sort_eigenvalues(np.asarray(vals))[:_SPECTRUM_SIZE]
+    # a kept pair sorts as (negative, positive) imaginary part, so a last
+    # value with negative imaginary part had its partner cut
+    if vals[-1].imag < 0.0:
+        vals[-1] = np.conj(vals[-1])
     lam1 = float(np.abs(vals[0]))
     if not lam1 - 1.0 < 1e-6:
         raise ValueError(f"leading eigenvalue modulus {lam1} exceeds 1 + 1e-6")
@@ -97,23 +105,9 @@ def spectral_gap(
     )
 
 
-def stationary_distribution(
-    op: UlamOperator, tol: float = 1e-13, max_iter: int = 100_000
-) -> np.ndarray:
+def stationary_distribution(op: UlamOperator) -> np.ndarray:
     """The probability vector fixed by the adjoint of a normalized operator."""
-    mt = op.matrix.T.tocsr()
-    n = op.n_cells
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        w = mt @ v
-        w /= w.sum()
-        delta = float(np.max(np.abs(w - v)))
-        v = w
-        if delta < tol:
-            return v
-    raise RuntimeError(
-        f"stationary distribution did not converge; final sup-change {delta:.3e}"
-    )
+    return power_iterate(op.matrix.T.tocsr())[1]
 
 
 def _correlation_terms(
@@ -148,46 +142,17 @@ def operator_correlation(
     return np.fromiter(itertools.islice(terms, n_max + 1), float, n_max + 1)
 
 
-@dataclass(frozen=True)
-class TwistedOperator:
-    """The base operator with columns twisted by exp(i t f(source cell))."""
-
-    t: float
-    base: UlamOperator
-    observable: Potential
-    matrix: sp.csr_matrix
-
-
 def twisted_matrix(
     base: UlamOperator, observable: Potential, t: float
-) -> TwistedOperator:
+) -> sp.csr_matrix:
+    """The base matrix with columns twisted by exp(i t f(source cell))."""
     if base.kind not in ("L", "coupled"):
         raise ValueError("twisting applies to normalized operator kinds")
     if t == 0.0:
-        matrix = base.matrix.astype(complex)
-    else:
-        reps = base.grid.reps()
-        phase = np.exp(1j * t * observable.on_array(reps, base.grid.k))
-        matrix = (base.matrix @ sp.diags(phase)).tocsr()
-    return TwistedOperator(t=t, base=base, observable=observable, matrix=matrix)
-
-
-def twisted_leading_eigenvalue(
-    tw: TwistedOperator, tol: float = 1e-13, max_iter: int = 100_000
-) -> complex:
-    """Leading eigenvalue of the twisted matrix by complex power iteration."""
-    n = tw.matrix.shape[0]
-    v = np.full(n, 1.0 / n, dtype=complex)
-    lam = 1.0 + 0j
-    for _ in range(max_iter):
-        w = tw.matrix @ v
-        lam_new = complex(np.vdot(v, w) / np.vdot(v, v))
-        w /= np.linalg.norm(w)
-        delta = abs(lam_new - lam)
-        lam, v = lam_new, w
-        if delta < tol:
-            return lam
-    raise RuntimeError(f"twisted eigenvalue iteration stalled at change {delta:.3e}")
+        return base.matrix.astype(complex)
+    reps = base.grid.reps()
+    phase = np.exp(1j * t * observable.on_array(reps, base.grid.k))
+    return (base.matrix @ sp.diags(phase)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -252,8 +217,8 @@ def check_twisted_bound(
         sup_max = 0.0
         holder_max = 0.0
         for _ in range(n_max):
-            ones = tw.matrix @ ones
-            w = tw.matrix @ w
+            ones = tw @ ones
+            w = tw @ w
             sup_max = max(sup_max, float(np.max(np.abs(ones))))
             holder_max = max(
                 holder_max, grid_holder_seminorm(w, grid, m, samples, rng, mask=support)
@@ -277,13 +242,12 @@ def variance_green_kubo(
     phi: Potential,
     op: UlamOperator,
     nu: np.ndarray | None = None,
-    tail_tol: float = 1e-6,
-    n_cap: int = 500,
 ) -> float:
     """Limit variance as the summed autocovariance sequence of phi.
 
-    The series is truncated once |C_n| falls below tail_tol * C_0, and a
-    geometric tail estimate (from the ratio of the last terms) is added.
+    The series is truncated once |C_n| falls below _GK_TAIL_TOL * C_0 (or
+    at lag _GK_MAX_LAG), and a geometric tail estimate (from the ratio of
+    the last terms) is added.
     A materially negative result signals a discretization artifact.
     """
     terms = _correlation_terms(phi, phi, op, nu)
@@ -294,11 +258,11 @@ def variance_green_kubo(
     last = abs(c0)
     c_n = c0
     n_used = 0
-    for n in range(1, n_cap + 1):
+    for n in range(1, _GK_MAX_LAG + 1):
         c_n = next(terms)
         total += 2.0 * c_n
         n_used = n
-        if abs(c_n) < tail_tol * abs(c0):
+        if abs(c_n) < _GK_TAIL_TOL * abs(c0):
             break
         last = abs(c_n)
     # geometric tail from the final observed ratio
@@ -322,11 +286,9 @@ def variance_from_twisted_curvature(
     differences with one Richardson refinement."""
 
     def curvature(h: float) -> float:
-        lam_p = twisted_leading_eigenvalue(twisted_matrix(op, observable, h))
-        lam_m = twisted_leading_eigenvalue(twisted_matrix(op, observable, -h))
-        return -(
-            (np.log(lam_p) + np.log(lam_m)).real
-        ) / h ** 2
+        lam_p, _ = power_iterate(twisted_matrix(op, observable, h))
+        lam_m, _ = power_iterate(twisted_matrix(op, observable, -h))
+        return -((np.log(lam_p) + np.log(lam_m)).real) / h ** 2
 
     d1 = curvature(step)
     d2 = curvature(2.0 * step)

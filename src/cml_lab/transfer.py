@@ -39,8 +39,8 @@ __all__ = [
     "CauchyReport",
     "ulam_matrix",
     "leading_eigenpair",
+    "power_iterate",
     "cone_membership",
-    "eval_coupled_L",
     "estimate_holder_seminorm",
     "grid_holder_seminorm",
     "check_lasota_yorke",
@@ -48,7 +48,6 @@ __all__ = [
     "random_admissible_box",
     "save_operator",
     "load_operator",
-    "save_eigen_data",
 ]
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
@@ -301,7 +300,8 @@ def ulam_matrix(
         if eigen.operator.grid != grid:
             raise ValueError("eigen-data grid does not match the requested grid")
         return UlamOperator(
-            kind="L", grid=grid, quad=quad, matrix=_normalize_matrix(eigen),
+            kind="L", grid=grid, quad=quad,
+            matrix=_similarity(eigen.operator.matrix, eigen.h, eigen.lam),
             node_map=node_map, potential=eigen.operator.potential,
         )
     if kind == "coupled":
@@ -355,13 +355,14 @@ def _assemble_p_matrix(
     return sp.vstack(blocks, format="csr")
 
 
-def _normalize_matrix(eigen: "EigenData") -> sp.csr_matrix:
-    h = eigen.h
-    inv_h = sp.diags(1.0 / h)
-    dh = sp.diags(h)
-    mat = ((inv_h @ eigen.operator.matrix @ dh) / eigen.lam).tocsr()
-    # The continuum normalized operator fixes constants exactly; divide out
-    # the residual row defect left by the finite eigen-solve tolerance.
+def _similarity(matrix: sp.csr_matrix, h: np.ndarray, lam: float) -> sp.csr_matrix:
+    """diag(1/h) M diag(h) / lam, the normalized operator of the eigen-pair
+    (lam, h) of M.  The continuum normalized operator fixes constants
+    exactly; its rows are rescaled to divide out the residual row defect
+    left by the finite eigen-solve tolerance."""
+    if np.min(h) <= 0.0:
+        raise ValueError("leading eigenvector is not strictly positive")
+    mat = ((sp.diags(1.0 / h) @ matrix @ sp.diags(h)) / lam).tocsr()
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     return (sp.diags(1.0 / row_sums) @ mat).tocsr()
 
@@ -434,12 +435,8 @@ def _normalize_on_reachable(raw: sp.csr_matrix) -> sp.csr_matrix:
         if keep.all():
             break
         active = active[keep]
-    lam, h = _power_iterate(sub)
-    inv_h = sp.diags(1.0 / h)
-    dh = sp.diags(h)
-    mat = ((inv_h @ sub @ dh) / lam).tocsr()
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    mat = (sp.diags(1.0 / row_sums) @ mat).tocoo()
+    lam, h = power_iterate(sub)
+    mat = _similarity(sub, h, lam).tocoo()
     full = sp.coo_matrix(
         (mat.data, (active[mat.row], active[mat.col])),
         shape=(n_cells, n_cells),
@@ -447,26 +444,32 @@ def _normalize_on_reachable(raw: sp.csr_matrix) -> sp.csr_matrix:
     return full.tocsr()
 
 
-def _power_iterate(
-    matrix: sp.csr_matrix, tol: float = 1e-13, max_iter: int = 100_000
-) -> tuple[float, np.ndarray]:
-    """Leading eigenvalue and positive right eigenvector of a sparse
-    nonnegative matrix, normalized to unit mean."""
-    n = matrix.shape[0]
-    v = np.ones(n)
-    lam = 1.0
-    for _ in range(max_iter):
+# Stop rule and step cap of power_iterate.
+_POWER_TOL = 1e-13
+_POWER_STEPS = 100_000
+
+
+def power_iterate(matrix) -> tuple[float | complex, np.ndarray]:
+    """Dominant eigenvalue and right eigenvector of a square matrix, real
+    or complex, by power iteration.
+
+    Starts from the constant vector 1/n and rescales every iterate to sum
+    one, so the eigenvalue is the sum of the product.  Stops once the
+    sup-change is at most _POWER_TOL times the iterate's sup norm; raises
+    with the final change after _POWER_STEPS steps.
+    """
+    v = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
+    for _ in range(_POWER_STEPS):
         w = matrix @ v
-        lam = w.mean()
+        lam = w.sum()
         w /= lam
         delta = float(np.max(np.abs(w - v)))
         v = w
-        if delta < tol * max(1.0, float(np.max(np.abs(v)))):
-            if np.any(v <= 0.0):
-                raise RuntimeError("leading eigenvector is not strictly positive")
+        if delta <= _POWER_TOL * float(np.max(np.abs(v))):
             return lam, v
     raise RuntimeError(
-        f"power iteration did not converge; final sup-change {delta:.3e}"
+        f"power iteration did not converge in {_POWER_STEPS} steps; "
+        f"final sup-change {delta:.3e}"
     )
 
 
@@ -491,60 +494,15 @@ class EigenData:
     mu: np.ndarray
     operator: UlamOperator
 
-    def g_at(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Normalized potential at arbitrary points (d, n): the raw
-        potential corrected by the eigen-pair, with h looked up on cells."""
-        op = self.operator
-        fv = op.potential.on_array(values, k)
-        fwd = op.node_map.forward(values)
-        log_h = np.log(self.h)
-        return (
-            fv
-            - math.log(self.lam)
-            - log_h[op.grid.cell_of(fwd)]
-            + log_h[op.grid.cell_of(values)]
-        )
 
-
-def leading_eigenpair(
-    op: UlamOperator, tol: float = 1e-12, max_iter: int = 100_000
-) -> EigenData:
-    """Power iteration on the matrix (for h) and its transpose (for nu).
-
-    Converged when successive normalized iterates differ by less than tol
-    in the sup norm; raises with the final residual otherwise.
-    """
+def leading_eigenpair(op: UlamOperator) -> EigenData:
+    """Power iteration on the matrix (for lam and h) and its transpose (for
+    nu), with h scaled so that nu(h) = 1."""
     if op.kind != "P":
         raise ValueError("leading eigen-data is extracted from the 'P' operator")
-    m = op.matrix
-    mt = m.T.tocsr()
-    n = op.n_cells
-    h = np.full(n, 1.0 / n)
-    nu = np.full(n, 1.0 / n)
-
-    def iterate(mat: sp.csr_matrix, v: np.ndarray, label: str) -> np.ndarray:
-        for _ in range(max_iter):
-            w = mat @ v
-            s = w.sum()
-            if s <= 0.0 or np.any(w < 0.0):
-                raise ValueError(
-                    f"{label} iterate lost positivity; operator is not irreducible "
-                    "on this grid"
-                )
-            w /= s
-            delta = float(np.max(np.abs(w - v)))
-            v = w
-            if delta < tol:
-                return v
-        raise RuntimeError(
-            f"power iteration for {label} did not converge in {max_iter} steps; "
-            f"final sup-change {delta:.3e}"
-        )
-
-    h = iterate(m, h, "eigenfunction")
-    nu = iterate(mt, nu, "eigen-measure")
-    lam = float((nu @ (m @ h)) / (nu @ h))
-    nu = nu / nu.sum()
+    lam, h = power_iterate(op.matrix)
+    lam = float(lam)
+    _, nu = power_iterate(op.matrix.T.tocsr())
     h = h / (nu @ h)
     if np.min(h) <= 0.0:
         raise ValueError("eigenfunction is not strictly positive on the grid")
@@ -615,30 +573,6 @@ def cone_membership(
     return ConeReport(
         worst_margin=margin, nu_h_error=nu_h_error, passed=margin <= tol
     )
-
-
-# ---------------------------------------------------------------------------
-# pointwise normalized / coupled operator
-
-
-def eval_coupled_L(
-    phi: Potential,
-    eigen: EigenData,
-    x: FiniteState,
-    k: int,
-    node_map: NodeMap,
-    coupling: Coupling,
-) -> float:
-    """Branch sum of the normalized operator at the coupling preimage of x."""
-    from .lattice import invert_coupling
-
-    if x.k != k:
-        x = embed(x, k, node_map) if x.k < k else project(x, k)
-    y = invert_coupling(x, coupling, node_map)
-    vals = _branch_values(y, k, node_map)
-    gv = eigen.g_at(vals, k)
-    pv = phi.on_array(vals, k)
-    return float(np.mean(np.exp(gv) * pv))
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +747,6 @@ def random_admissible_box(
     grid: Grid,
     node_map: NodeMap,
     rng: np.random.Generator,
-    max_bins: int | None = None,
     min_bins: int = 1,
 ) -> list[tuple[int, int]]:
     """A random grid-aligned box on which the nodewise map is injective:
@@ -830,10 +763,9 @@ def random_admissible_box(
         hi_bin = math.floor(domains[j + 1] * grid.n_bins)
         if hi_bin <= lo_bin:
             raise ValueError("grid too coarse to fit a box inside a branch domain")
-        width_cap = hi_bin - lo_bin if max_bins is None else min(max_bins, hi_bin - lo_bin)
-        if min_bins > width_cap:
+        if min_bins > hi_bin - lo_bin:
             raise ValueError("min_bins exceeds the widest box fitting a branch domain")
-        w = int(rng.integers(min_bins, width_cap + 1))
+        w = int(rng.integers(min_bins, hi_bin - lo_bin + 1))
         start = int(rng.integers(lo_bin, hi_bin - w + 1))
         box.append((start, start + w))
     return box
@@ -890,7 +822,6 @@ def check_conformality(
     box: Sequence[tuple[int, int]],
     node_map: NodeMap,
     coupling: Coupling | None = None,
-    nu: np.ndarray | None = None,
     mc_samples: int = 200_000,
     rng: np.random.Generator | None = None,
 ) -> ConformalityResult:
@@ -906,9 +837,8 @@ def check_conformality(
     rng = np.random.default_rng(0) if rng is None else rng
     grid = eigen.operator.grid
     coupling = coupling or Coupling(kind="diffusive", epsilon=0.0)
-    weights = nu if nu is not None else eigen.nu
     mask = _box_cell_mask(grid, box)
-    lhs = float(np.sum(np.exp(-eigen.g[mask]) * weights[mask]))
+    lhs = float(np.sum(np.exp(-eigen.g[mask]) * eigen.nu[mask]))
 
     # injectivity probe on uniform samples of the whole cube
     probe = rng.uniform(0.0, _ONE_MINUS, (grid.d, 2000))
@@ -920,7 +850,7 @@ def check_conformality(
         raise ValueError("dynamics is not injective on the supplied box")
 
     # Monte Carlo image counting for nu(T box)
-    cells = rng.choice(grid.n_cells, size=mc_samples, p=weights / weights.sum())
+    cells = rng.choice(grid.n_cells, size=mc_samples, p=eigen.nu / eigen.nu.sum())
     bins = np.array(np.unravel_index(cells, (grid.n_bins,) * grid.d))
     x = (bins + rng.uniform(0.0, 1.0, bins.shape)) / grid.n_bins
     y = coupling.invert_on_array(x.T, grid.k, node_map.p_tau).T
@@ -936,7 +866,7 @@ def check_conformality(
 
 
 # ---------------------------------------------------------------------------
-# operator and eigen-data export
+# operator export
 
 
 def save_operator(op: UlamOperator, path: str) -> None:
@@ -972,12 +902,3 @@ def load_operator(path: str) -> UlamOperator:
     return UlamOperator(
         kind=fields["kind"], grid=grid, quad=int(fields["quad"]), matrix=matrix
     )
-
-
-def save_eigen_data(eigen: EigenData, path: str) -> None:
-    """Structured text export: the eigenvalue and the cell arrays."""
-    with open(path, "w") as fh:
-        fh.write(f"# eigen-data {eigen.operator.fingerprint()}\n")
-        fh.write(f"lambda {float(eigen.lam)!r}\n")
-        for name, arr in (("h", eigen.h), ("nu", eigen.nu), ("g", eigen.g), ("mu", eigen.mu)):
-            fh.write(f"{name} " + " ".join(repr(float(v)) for v in arr) + "\n")

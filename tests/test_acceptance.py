@@ -37,9 +37,7 @@ def coupled_setup():
     op = cl.ulam_matrix(
         "coupled", 1, 16, nm, eigen=eigen, coupling=coupling, quad=8
     )
-    ce = cl.estimate_coupling_constant(
-        coupling, nm, m, samples=4000, k=1, rng=np.random.default_rng(2)
-    ).value
+    ce = cl.estimate_coupling_constant(coupling, nm, m, k=1).value
     return dict(m=m, nm=nm, f=f, eigen=eigen, coupling=coupling, op=op, ce=ce)
 
 

@@ -46,6 +46,35 @@ experiments = eigen
 output_dir = {out}
 """
 
+FLAT_CONFORMALITY = """
+[map]
+kind = doubling
+
+[coupling]
+epsilon = 0.0
+
+[potential]
+kind = zero
+
+[operator]
+k = 1
+n_bins = 16
+
+[run]
+experiments = conformality
+seed = 7
+output_dir = {out}
+"""
+
+# Names perfbench/child.py wraps through getattr(cli, name).
+BENCHMARK_HOOKS = (
+    "leading_eigenpair", "check_conformality", "check_lasota_yorke",
+    "spectral_gap", "stationary_distribution", "variance_green_kubo",
+    "operator_correlation", "check_twisted_bound", "estimate_coupling_constant",
+    "parse_config", "emit_report", "ulam_matrix", "simulate_ensemble",
+    "doubling_map", "perturbed_doubling_map", "main",
+)
+
 
 class TestParsing:
     def test_minimal_config_parses_with_defaults(self, tmp_path):
@@ -106,10 +135,17 @@ class TestValidation:
             dict(n_bins=1),
             dict(burn_in=10_000),
             dict(experiments=("eigen", "alchemy")),
-            dict(epsilon=0.26),  # contraction pre-flight: C_E bound * eta >= 1
+            dict(epsilon=0.26),  # contraction pre-flight: C_E * eta >= 1
         ]
         for kw in bad:
             assert validate_config(cl.ExperimentConfig(**kw)), kw
+
+    def test_preflight_uses_exact_coupling_constant(self):
+        # C_E * eta = 1.148 at eps = 0.2, k = 1, a = 0.05; the bound
+        # 1/(1 - 2 eps) gave 0.989 and let this config through
+        v = validate_config(cl.ExperimentConfig(epsilon=0.2))
+        assert len(v) == 1 and "contraction pre-flight" in v[0]
+        assert validate_config(cl.ExperimentConfig(epsilon=0.15)) == []
 
     def test_fingerprint_tracks_config(self):
         a = cl.ExperimentConfig()
@@ -160,6 +196,14 @@ class TestRunner:
         match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
         assert mismatch == [] and errors == []
 
+    def test_conformality_target_is_per_branch_constant(self, tmp_path):
+        # on the flat k=1 system each of the b^d = 8 branches carries 1/8
+        out = os.path.join(tmp_path, "rep")
+        cfg = cl.parse_config(write_cfg(tmp_path, FLAT_CONFORMALITY.format(out=out)))
+        entry = cl.run_experiment(cfg).results["conformality"]["ratio_mean"]
+        assert entry["target"] == "1/b^d = 0.125"
+        assert entry["passed"], entry
+
     def test_summary_contains_fingerprint(self, tmp_path):
         out = os.path.join(tmp_path, "rep")
         cfg = cl.parse_config(write_cfg(tmp_path, EIGEN_ONLY.format(out=out)))
@@ -205,6 +249,15 @@ class TestMain:
         sums = np.asarray(op.matrix.sum(axis=1)).ravel()
         support = sums > 0.0
         assert np.max(np.abs(sums[support] - 1.0)) < 1e-12
+
+
+class TestBenchmarkHooks:
+    def test_wrapped_names_are_callable_on_cli(self):
+        from cml_lab import cli
+
+        for name in BENCHMARK_HOOKS:
+            assert callable(getattr(cli, name)), name
+        assert set(cli._EXPERIMENT_STEPS) == set(cli.EXPERIMENTS)
 
 
 class TestThreadCap:

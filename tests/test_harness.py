@@ -92,8 +92,28 @@ class TestSimulation:
                     [doubling.inverse_branches[c](v) for c, v in zip(choice, x)]
                 )
                 path[step] = x
-            ref[r] = cfg.observable.on_array(path[::-1][cfg.burn_in:].T, 1)
+            ref[r] = cfg.observable.on_array(path[cfg.burn_in:][::-1].T, 1)
         assert np.array_equal(cl.simulate_ensemble(cfg), ref)
+
+    def test_pullback_burns_in_the_transient(self):
+        # the first kept step must be as well mixed as the last: with the
+        # transient kept, P(x < 0.1) differs between them by about 7
+        # standard errors on this perturbed map
+        cfg = cl.EnsembleConfig(
+            node_map=cl.perturbed_doubling_map(0.15),
+            coupling=cl.Coupling(epsilon=0.0),
+            observable=cl.node_coordinate(),
+            k_sim=0,
+            n_steps=300,
+            n_replicas=20_000,
+            burn_in=100,
+            seed=7,
+            method="pullback",
+        )
+        out = cl.simulate_ensemble(cfg)
+        first, last = np.mean(out[:, 0] < 0.1), np.mean(out[:, -1] < 0.1)
+        se = math.sqrt((first * (1 - first) + last * (1 - last)) / cfg.n_replicas)
+        assert abs(first - last) < 4.0 * se
 
     def test_mean_matches_operator_measure(self, perturbed, perturbed_eigen_k0):
         cfg = make_cfg(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import cml_lab as cl
 
@@ -51,6 +52,20 @@ class TestSpectralGap:
         assert l_op.n_cells > 2048  # above the dense limit: the Arnoldi path
         first = cl.spectral_gap(l_op).eigenvalues
         assert cl.spectral_gap(l_op).eigenvalues == first
+
+    def test_cut_through_conjugate_pair_keeps_positive_member(self):
+        # real block-diagonal matrix on the dense path: eigenvalues 1, 0.9,
+        # 0.8, 0.7, 0.6, then the pair 0.5 +- 0.3i (modulus 0.583) that the
+        # six-value cut splits, then 0.1
+        blocks = [np.array([[v]]) for v in (1.0, 0.9, 0.8, 0.7, 0.6)]
+        blocks += [np.array([[0.5, -0.3], [0.3, 0.5]]), np.array([[0.1]])]
+        op = cl.UlamOperator(
+            kind="L", grid=cl.Grid(k=0, n_bins=8), quad=1,
+            matrix=sp.block_diag(blocks, format="csr"),
+        )
+        vals = cl.spectral_gap(op).eigenvalues
+        assert len(vals) == 6
+        assert vals[-1] == pytest.approx(0.5 + 0.3j, abs=1e-12)
 
     def test_rejects_raw_kind(self, perturbed_eigen_k0):
         with pytest.raises(ValueError):
@@ -107,20 +122,28 @@ class TestCorrelations:
 class TestTwistedOperators:
     def test_zero_twist_is_the_base(self, perturbed_L):
         tw = cl.twisted_matrix(perturbed_L, cl.node_coordinate(), 0.0)
-        diff = (tw.matrix - perturbed_L.matrix.astype(complex)).tocoo()
+        diff = (tw - perturbed_L.matrix.astype(complex)).tocoo()
         assert diff.nnz == 0
 
     def test_entrywise_modulus_is_the_base(self, perturbed_L):
         tw = cl.twisted_matrix(perturbed_L, cl.node_coordinate(), 0.1)
         assert np.allclose(
-            np.abs(tw.matrix.toarray()), perturbed_L.matrix.toarray(), atol=1e-14
+            np.abs(tw.toarray()), perturbed_L.matrix.toarray(), atol=1e-14
         )
 
     def test_opposite_twists_are_conjugate(self, perturbed_L):
         phi = cl.node_coordinate()
-        a = cl.twisted_matrix(perturbed_L, phi, 0.1).matrix
-        b = cl.twisted_matrix(perturbed_L, phi, -0.1).matrix
+        a = cl.twisted_matrix(perturbed_L, phi, 0.1)
+        b = cl.twisted_matrix(perturbed_L, phi, -0.1)
         assert np.allclose(a.toarray(), np.conj(b.toarray()), atol=1e-15)
+
+    def test_power_iteration_on_twisted_operator(self, perturbed_L):
+        tw = cl.twisted_matrix(perturbed_L, cl.node_coordinate(), 0.1)
+        lam, v = cl.power_iterate(tw)
+        w = np.linalg.eigvals(tw.toarray())
+        ref = w[np.argmax(np.abs(w))]
+        assert abs(lam - ref) < 1e-12
+        assert np.max(np.abs(tw @ v - lam * v)) < 1e-12 * np.max(np.abs(v))
 
     def test_bound_holds_on_small_twists(self, perturbed_L, perturbed_eigen_k0, metric):
         rep = cl.check_twisted_bound(

@@ -137,6 +137,24 @@ class TestPMatrix:
             cl.leading_eigenpair(op)
 
 
+class TestPowerIteration:
+    def test_positive_matrix_matches_dense_solver(self):
+        a = np.random.default_rng(3).uniform(0.1, 1.0, (50, 50))
+        lam, v = cl.power_iterate(a)
+        w, vecs = np.linalg.eig(a)
+        i = np.argmax(np.abs(w))
+        assert lam == pytest.approx(float(w[i].real), rel=1e-12)
+        ref = vecs[:, i].real / vecs[:, i].real.sum()
+        assert np.max(np.abs(v - ref)) < 1e-12
+        assert v.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_equal_moduli_do_not_converge(self, monkeypatch):
+        # dominant eigenvalues +-sqrt(2): the iterates alternate forever
+        monkeypatch.setattr(transfer, "_POWER_STEPS", 1000)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            cl.power_iterate(np.array([[0.0, 2.0], [1.0, 0.0]]))
+
+
 class TestNormalizedMatrix:
     def test_rows_sum_exactly_to_one(self, perturbed_eigen_k0, perturbed):
         op = cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0)
@@ -163,32 +181,6 @@ class TestConeMembership:
         cone = cl.ConeParams(f_beta=2.0, eta=perturbed.eta, beta=metric.beta)
         z = np.linspace(0.0, 1.0, 50)
         assert cone.scaling_identity_defect(z) < 1e-12
-
-
-class TestCoupledEvaluation:
-    def test_normalized_operator_fixes_constants(self, doubling):
-        # with the doubling map and zero potential, h is constant and the
-        # normalized branch sum of 1 is exactly 1 at any coupling preimage
-        op = cl.ulam_matrix("P", 1, 8, doubling, potential=cl.zero_potential())
-        eigen = cl.leading_eigenpair(op)
-        e = cl.Coupling(epsilon=0.1)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            vals = e.apply_to_array(
-                rng.uniform(0.0, 1.0, 3) * 0.999, 1, doubling.p_tau
-            )
-            x = cl.state(vals)
-            val = cl.eval_coupled_L(ONE, eigen, x, 1, doubling, e)
-            assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_rejects_points_off_the_coupling_range(self, doubling):
-        op = cl.ulam_matrix("P", 1, 8, doubling, potential=cl.zero_potential())
-        eigen = cl.leading_eigenpair(op)
-        e = cl.Coupling(epsilon=0.2)
-        with pytest.raises(ValueError):
-            cl.eval_coupled_L(
-                ONE, eigen, cl.state([0.999, 0.0, 0.999]), 1, doubling, e
-            )
 
 
 class TestSeminormEstimators:
@@ -460,9 +452,3 @@ class TestPersistence:
         assert back.quad == coupled_op_k1.quad
         diff = (back.matrix - coupled_op_k1.matrix).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
-
-    def test_eigen_export_contains_exact_values(self, doubling_eigen_k0, tmp_path):
-        path = os.path.join(tmp_path, "eigen.txt")
-        cl.save_eigen_data(doubling_eigen_k0, path)
-        text = open(path).read()
-        assert repr(float(doubling_eigen_k0.lam)) in text
