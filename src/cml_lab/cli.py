@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -303,7 +304,8 @@ class RunReport:
     tolerance it was tested against (and the pass flag when a target is
     defined).  ``arrays`` holds plot-ready columnar data, ``errors`` the
     experiments that failed, ``wall_times`` the (non-deterministic)
-    per-experiment durations in seconds.
+    per-experiment durations in seconds and ``peak_rss_mb`` the process's
+    resident-set high-water mark in MB after each experiment.
     """
 
     fingerprint: str
@@ -312,6 +314,14 @@ class RunReport:
     arrays: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
+    peak_rss_mb: dict = field(default_factory=dict)
+
+
+def _peak_rss_mb() -> float:
+    """The process's resident-set high-water mark so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _entry(value, tol=None, target=None, passed=None):
@@ -346,6 +356,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         except Exception as exc:  # recorded, run continues
             report.errors[name] = f"{type(exc).__name__}: {exc}"
         report.wall_times[name] = time.perf_counter() - start
+        report.peak_rss_mb[name] = _peak_rss_mb()
     return report
 
 
@@ -602,7 +613,8 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
     returns the paths written.
 
     Output is byte-stable for equal (config, version): the per-experiment
-    wall-times go to timing.txt, which is excluded from that guarantee.
+    wall times and peak RSS go to timing.txt, which is excluded from that
+    guarantee.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -622,7 +634,10 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
         save(f"{name}.csv", "\n".join(rows) + "\n")
     save(
         "timing.txt",
-        "".join(f"{k}: {v:.3f} s\n" for k, v in report.wall_times.items()),
+        "".join(
+            f"{k}: {v:.3f} s  peak RSS {report.peak_rss_mb[k]:.1f} MB\n"
+            for k, v in report.wall_times.items()
+        ),
     )
     return written
 

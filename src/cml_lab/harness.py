@@ -85,21 +85,24 @@ def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
     if cfg.method == "pullback":
         return _simulate_pullback(cfg)
     d = 2 * cfg.k_sim + 1
-    states = np.empty((cfg.n_replicas, d))
+    # node-major states (d, n_replicas): each node's values are contiguous,
+    # so the coupling shifts whole rows
+    states = np.empty((d, cfg.n_replicas))
     for r in range(cfg.n_replicas):
-        states[r] = _replica_rng(cfg.seed, r).uniform(0.0, _ONE_MINUS, d)
+        states[:, r] = _replica_rng(cfg.seed, r).uniform(0.0, _ONE_MINUS, d)
     n_keep = cfg.n_steps - cfg.burn_in
     out = np.empty((cfg.n_replicas, n_keep))
     clamped = 0
     for step in range(cfg.n_steps):
         states = cfg.node_map.forward(states)
-        states = cfg.coupling.apply_to_array(states, cfg.k_sim, cfg.node_map.p_tau)
-        bad = (states < 0.0) | (states >= 1.0)
-        if np.any(bad):
-            clamped += int(bad.sum())
+        states = cfg.coupling.apply_to_array(
+            states.T, cfg.k_sim, cfg.node_map.p_tau
+        ).T
+        if states.min() < 0.0 or states.max() >= 1.0:
+            clamped += int(np.count_nonzero((states < 0.0) | (states >= 1.0)))
             np.clip(states, 0.0, _ONE_MINUS, out=states)
         if step >= cfg.burn_in:
-            out[:, step - cfg.burn_in] = cfg.observable.on_array(states.T, cfg.k_sim)
+            out[:, step - cfg.burn_in] = cfg.observable.on_array(states, cfg.k_sim)
     if clamped > 1e-4 * cfg.n_steps * cfg.n_replicas * d:
         raise RuntimeError(
             f"trajectories left [0,1) at {clamped} node updates; "

@@ -136,7 +136,12 @@ def perturbed_doubling_map(a: float = 0.05) -> NodeMap:
 
     def forward(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.mod(2.0 * x + a * np.sin(two_pi * x), 1.0)
+        y = np.sin(two_pi * x)
+        y *= a
+        y += 2.0 * x
+        # y - floor(y) is np.mod(y, 1.0) to the bit, at half its cost
+        y -= np.floor(y)
+        return y
 
     def inverse(y: np.ndarray, branch: int) -> np.ndarray:
         # Solve 2x + a sin(2 pi x) = y + branch on the branch domain.
@@ -288,29 +293,40 @@ class Coupling:
         c[-1] += self.epsilon / 2.0 * p_tau
         return c
 
+    def inverse_matrix(self, k: int) -> np.ndarray:
+        """E^-1 of the linear part on the 2k+1 window values."""
+        return np.linalg.inv(self.dense_matrix(k))
+
     def apply_to_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
-        """Apply the coupling to values of shape (..., 2k+1)."""
+        """Apply the coupling to values of shape (..., 2k+1).
+
+        The result has the memory layout of ``vals``; node-major values
+        (the transpose of a C-ordered (2k+1, ...) array) are the fast case,
+        where every neighbour shift runs on contiguous rows.
+        """
         vals = np.asarray(vals, dtype=float)
         if self.epsilon == 0.0:
             return vals
-        left = np.concatenate(
-            [np.full(vals.shape[:-1] + (1,), p_tau), vals[..., :-1]], axis=-1
-        )
-        right = np.concatenate(
-            [vals[..., 1:], np.full(vals.shape[:-1] + (1,), p_tau)], axis=-1
-        )
-        return (1.0 - self.epsilon) * vals + 0.5 * self.epsilon * (left + right)
+        # left + right neighbours, p_tau beyond the window, in one buffer
+        pair = np.empty_like(vals)
+        pair[..., 0] = p_tau
+        pair[..., 1:] = vals[..., :-1]
+        pair[..., :-1] += vals[..., 1:]
+        pair[..., -1] += p_tau
+        pair *= 0.5 * self.epsilon
+        out = vals * (1.0 - self.epsilon)
+        out += pair
+        return out
 
     def invert_on_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
-        """Solve E(x) = vals for values of shape (..., 2k+1); boundary terms
-        from the p_tau tail move to the right-hand side."""
+        """E^-1 (vals - c) for values of shape (..., 2k+1), where c holds
+        the boundary terms of the p_tau tail: one product with the
+        precomputed inverse, not one solve per point."""
         if self.epsilon == 0.0:
-            # E is the identity: a solve would return the right-hand side
+            # E is the identity: the product would return the right-hand side
             return np.asarray(vals, dtype=float)
-        a = self.dense_matrix(k)
-        c = self.boundary_offset(k, p_tau)
-        rhs = np.asarray(vals, dtype=float) - c
-        return np.linalg.solve(a, rhs[..., None])[..., 0]
+        rhs = np.asarray(vals, dtype=float) - self.boundary_offset(k, p_tau)
+        return rhs @ self.inverse_matrix(k).T
 
 
 def apply_coupling(x: FiniteState, coupling: Coupling, node_map: NodeMap) -> FiniteState:
@@ -396,7 +412,7 @@ def estimate_coupling_constant(
     ratio's supremum is the operator norm |D_s E^-1 D_s^-1|_inf, the
     largest absolute row sum, attained by x - y = D_s^-1 sign(that row).
     """
-    e_inv = np.linalg.inv(coupling.dense_matrix(k))
+    e_inv = coupling.inverse_matrix(k)
     nodes = _node_indices(k)
     # weights[s, j] = theta^|j - s| re-centres the metric on node s
     weights = m.theta ** np.abs(nodes[None, :] - nodes[:, None])

@@ -18,7 +18,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import MetricParams, Potential
-from .transfer import UlamOperator, grid_holder_seminorm, power_iterate
+from .transfer import (
+    UlamOperator,
+    _iterate_passes,
+    grid_holder_seminorm,
+    power_iterate,
+)
 
 __all__ = [
     "SpectrumReport",
@@ -189,6 +194,12 @@ def check_twisted_bound(
     The comparison value is a computed candidate assembled from measured
     seminorms (the theory only asserts existence of a bound); |t| beyond
     0.2 is outside the small-twist regime and rejected.
+
+    The constant and the probe are iterated together as one two-column
+    block, whose iterates come in passes of at most _SLAB_POINTS values;
+    each pass's probe iterates go to one stacked
+    :func:`grid_holder_seminorm` call, which draws each iterate's pairs
+    in the order of one call per iterate.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grid = base.grid
@@ -212,17 +223,16 @@ def check_twisted_bound(
         # in the contraction regime ce * eta < 1
         factor = max(1.0, ce_eta)
         c9 = max((probe_beta + c2 * probe_sup) * factor + c6, 1.0)
-        ones = np.ones(grid.n_cells, dtype=complex)
-        w = probe_vec.copy()
+        # column 0 iterates the constant, column 1 the probe
+        start = np.column_stack([np.ones(grid.n_cells, dtype=complex), probe_vec])
         sup_max = 0.0
         holder_max = 0.0
-        for _ in range(n_max):
-            ones = tw @ ones
-            w = tw @ w
-            sup_max = max(sup_max, float(np.max(np.abs(ones))))
-            holder_max = max(
-                holder_max, grid_holder_seminorm(w, grid, m, samples, rng, mask=support)
+        for block in _iterate_passes(tw, start, n_max):
+            sup_max = max(sup_max, float(np.max(np.abs(block[:, :, 0]))))
+            holder = grid_holder_seminorm(
+                block[:, :, 1], grid, m, samples, rng, mask=support
             )
+            holder_max = max(holder_max, float(np.max(holder)))
         rows.append(
             TwistedBoundRow(
                 t=t,

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import subprocess
 import sys
 
@@ -239,6 +240,33 @@ class TestMain:
         assert main(["run", path]) == 0
         assert os.path.exists(os.path.join(override, "summary.txt"))
         assert not os.path.exists(out)
+
+    def test_timing_records_peak_rss(self, tmp_path, monkeypatch, capsys):
+        # each timing line carries the RSS high-water mark after its step;
+        # timing.txt stays out of the byte-identity promise, the rest not
+        text = EIGEN_ONLY.replace(
+            "experiments = eigen", "experiments = eigen, spectral, correlation"
+        )
+        path = write_cfg(tmp_path, text.format(out=os.path.join(tmp_path, "r")))
+        dirs = [os.path.join(tmp_path, name) for name in ("a", "b")]
+        for out in dirs:
+            monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+            assert main(["run", path]) == 0
+        for out in dirs:
+            lines = open(os.path.join(out, "timing.txt")).read().splitlines()
+            assert [line.split(":")[0] for line in lines] == [
+                "eigen", "spectral", "correlation"
+            ]
+            peaks = []
+            for line in lines:
+                match = re.fullmatch(r"\w+: \d+\.\d{3} s  peak RSS (\d+\.\d) MB", line)
+                assert match, line
+                peaks.append(float(match.group(1)))
+            assert 0.0 < peaks[0] and peaks == sorted(peaks)
+        names = sorted(n for n in os.listdir(dirs[0]) if n != "timing.txt")
+        assert sorted(os.listdir(dirs[1])) == sorted(names + ["timing.txt"])
+        match, mismatch, errors = filecmp.cmpfiles(*dirs, names, shallow=False)
+        assert sorted(match) == names and mismatch == [] and errors == []
 
     def test_export_operator_roundtrip(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")

@@ -44,6 +44,35 @@ class TestSimulation:
         out = cl.simulate_ensemble(make_cfg(perturbed))
         assert np.all((out >= 0.0) & (out < 1.0))
 
+    @pytest.mark.parametrize("k_sim", [1, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_forward_matches_per_step_loop(self, k_sim, eps, perturbed):
+        # reference: replica-major states, the node map and a coupling
+        # built from concatenated neighbour arrays, one step at a time
+        cfg = make_cfg(
+            perturbed, coupling=cl.Coupling(epsilon=eps), k_sim=k_sim,
+            n_steps=300, n_replicas=6, burn_in=40,
+        )
+        d = 2 * k_sim + 1
+        x = np.array([
+            harness._replica_rng(cfg.seed, r).uniform(0.0, harness._ONE_MINUS, d)
+            for r in range(cfg.n_replicas)
+        ])
+        pad = np.full((cfg.n_replicas, 1), perturbed.p_tau)
+        ref = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
+        for step in range(cfg.n_steps):
+            x = perturbed.forward(x)
+            if eps:
+                left = np.concatenate([pad, x[:, :-1]], axis=1)
+                right = np.concatenate([x[:, 1:], pad], axis=1)
+                x = (1.0 - eps) * x + 0.5 * eps * (left + right)
+            x = np.clip(x, 0.0, harness._ONE_MINUS)
+            if step >= cfg.burn_in:
+                ref[:, step - cfg.burn_in] = cfg.observable.on_array(x.T, k_sim)
+        got = cl.simulate_ensemble(cfg)
+        assert np.array_equal(got, ref)
+        assert got.flags.c_contiguous
+
     def test_forward_doubling_refused(self, doubling):
         with pytest.raises(ValueError):
             make_cfg(doubling)

@@ -125,6 +125,26 @@ class TestNodeMaps:
         for nm in (doubling, perturbed):
             assert abs(nm.forward(np.array([nm.p_tau]))[0] - nm.p_tau) < 1e-12
 
+    @pytest.mark.parametrize("a", [0.05, 0.15])
+    def test_perturbed_forward_is_np_mod_to_the_bit(self, a):
+        # y - floor(y) replaces np.mod(y, 1.0); the two agree bit for bit,
+        # including on branch ends, at the fixed point and where y < 0
+        rng = np.random.default_rng(8)
+        x = np.concatenate([
+            rng.uniform(0.0, 1.0, 100_000),
+            [0.0, 0.5, 1.0 - 1e-17, np.nextafter(1.0, 0.0), 5e-324, 0.75],
+            np.nextafter(0.5, [0.0, 1.0]),
+            rng.uniform(0.0, 1e-3, 1000) + 0.5,
+        ])
+        got = cl.perturbed_doubling_map(a).forward(x)
+        ref = np.mod(2.0 * x + a * np.sin(2.0 * math.pi * x), 1.0)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        grid_pts = rng.uniform(0.0, 1.0, (3, 500))
+        assert np.array_equal(
+            cl.perturbed_doubling_map(a).forward(grid_pts),
+            np.mod(2.0 * grid_pts + a * np.sin(2.0 * math.pi * grid_pts), 1.0),
+        )
+
 
 class TestCoupling:
     def test_identity_at_zero(self, doubling):
@@ -170,6 +190,39 @@ class TestCoupling:
         ref = np.linalg.solve(np.eye(3), vals[..., None])[..., 0]
         assert np.array_equal(got, ref)
         assert np.array_equal(got, vals)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_apply_matches_concatenated_neighbours(self, k, eps):
+        # reference: left and right neighbour arrays built by concatenation,
+        # p_tau beyond the window; replica-major, node-major and 1-d inputs
+        d = 2 * k + 1
+        p_tau = 0.25
+        vals = np.random.default_rng(9).uniform(0.0, 1.0, (400, d))
+        pad = np.full((400, 1), p_tau)
+        left = np.concatenate([pad, vals[:, :-1]], axis=1)
+        right = np.concatenate([vals[:, 1:], pad], axis=1)
+        ref = (1.0 - eps) * vals + 0.5 * eps * (left + right)
+        e = cl.Coupling(epsilon=eps)
+        assert np.array_equal(e.apply_to_array(vals, k, p_tau), ref)
+        node_major = np.ascontiguousarray(vals.T)
+        got = e.apply_to_array(node_major.T, k, p_tau)
+        assert np.array_equal(got, ref) and got.T.flags.c_contiguous
+        assert np.array_equal(e.apply_to_array(vals[7], k, p_tau), ref[7])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.45])
+    def test_invert_matches_solve(self, k, eps):
+        # one product with E^-1 against one LU solve per point, on images
+        # E(x) of states x in the cube, whose solutions lie in [0, 1)
+        e = cl.Coupling(epsilon=eps)
+        x = np.random.default_rng(10).uniform(0.0, 1.0, (20_000, 2 * k + 1))
+        vals = e.apply_to_array(x, k, 0.0)
+        got = e.invert_on_array(vals, k, 0.0)
+        rhs = vals - e.boundary_offset(k, 0.0)
+        ref = np.linalg.solve(e.dense_matrix(k), rhs[..., None])[..., 0]
+        assert got.shape == vals.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15
 
     def test_rejects_epsilon_half(self):
         with pytest.raises(ValueError):
@@ -249,6 +302,21 @@ class TestCouplingConstant:
     def test_contraction_flag(self, doubling, metric):
         est = cl.estimate_coupling_constant(cl.Coupling(epsilon=0.1), doubling, metric)
         assert est.contracts  # C_E * eta < 1 at eta = 1/2
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_shared_inverse_leaves_value_unchanged(self, k, eps, doubling, metric):
+        # C_E from the coupling's shared E^-1 equals, to the byte, the
+        # value from an inverse formed here
+        e = cl.Coupling(epsilon=eps)
+        e_inv = np.linalg.inv(e.dense_matrix(k))
+        assert np.array_equal(e.inverse_matrix(k), e_inv)
+        nodes = np.arange(-k, k + 1)
+        weights = metric.theta ** np.abs(nodes[None, :] - nodes[:, None])
+        scaled = weights[:, :, None] * e_inv[None, :, :] / weights[:, None, :]
+        ref = float(np.max(np.sum(np.abs(scaled), axis=2)))
+        got = cl.estimate_coupling_constant(e, doubling, metric, k=k).value
+        assert got.hex() == ref.hex()
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])

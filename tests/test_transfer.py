@@ -195,6 +195,129 @@ class TestSeminormEstimators:
         assert 0.9 * 2 * math.pi * 0.25 <= est <= phi.declared_beta_norm + 1e-9
 
 
+def reference_seminorm(vec, grid, m, samples, rng, mask=None):
+    """grid_holder_seminorm for one vector, written out pair set by pair
+    set: distances from (d, n) gathers of the cell midpoints, and the
+    engineered pairs through unravel and ravel of the altered bins."""
+    n = grid.n_cells
+    a = rng.integers(0, n, samples)
+    b = rng.integers(0, n, samples)
+    shape = (grid.n_bins,) * grid.d
+    multi = np.array(np.unravel_index(rng.integers(0, n, samples), shape))
+    axis = rng.integers(0, grid.d, samples)
+    alt = multi.copy()
+    alt[axis, np.arange(samples)] = rng.integers(0, grid.n_bins, samples)
+    a2 = np.ravel_multi_index(tuple(multi), shape)
+    b2 = np.ravel_multi_index(tuple(alt), shape)
+    reps = grid.reps()
+    weights = grid.node_weights(m)[:, None]
+    best = 0.0
+    for ca, cb in ((a, b), (a2, b2)):
+        dist = np.max(weights * m.node_distance(reps[:, ca], reps[:, cb]), axis=0)
+        ok = dist > 0.0
+        if mask is not None:
+            ok &= mask[ca] & mask[cb]
+        if np.any(ok):
+            quot = np.abs(vec[ca] - vec[cb])[ok] / dist[ok] ** m.beta
+            best = max(best, float(np.max(quot)))
+    return best
+
+
+class TestStackedSeminorm:
+    SAMPLES = 300
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rows_match_per_vector_calls(self, masked, dtype, metric):
+        grid = transfer.Grid(k=1, n_bins=8)
+        rng = np.random.default_rng(12)
+        stack = rng.normal(size=(7, grid.n_cells)).astype(dtype)
+        if dtype is complex:
+            stack += 1j * rng.normal(size=stack.shape)
+        mask = rng.uniform(size=grid.n_cells) < 0.7 if masked else None
+        got = transfer.grid_holder_seminorm(
+            stack, grid, metric, self.SAMPLES, np.random.default_rng(5), mask=mask
+        )
+        ref_rng = np.random.default_rng(5)
+        ref = [
+            reference_seminorm(row, grid, metric, self.SAMPLES, ref_rng, mask)
+            for row in stack
+        ]
+        assert got.shape == (7,) and got.tolist() == ref
+        one = transfer.grid_holder_seminorm(
+            stack[2], grid, metric, self.SAMPLES, np.random.default_rng(5), mask=mask
+        )
+        assert type(one) is float
+        assert one == reference_seminorm(
+            stack[2], grid, metric, self.SAMPLES, np.random.default_rng(5), mask
+        )
+
+    # one pass, and passes of 2 iterates (5 = 2 + 2 + 1)
+    @pytest.mark.parametrize("budget", [None, 2 * 256])
+    def test_lasota_yorke_rows_match_per_iterate_loop(
+        self, budget, perturbed_eigen_k0, perturbed, metric, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(transfer, "_SLAB_POINTS", budget)
+        op = cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0)
+        obs = [cl.node_coordinate(), cl.node_sine_potential(0.2)]
+        rep = cl.check_lasota_yorke(
+            op, perturbed_eigen_k0, obs, n_max=5, m=metric, ce=1.0,
+            samples=self.SAMPLES, rng=np.random.default_rng(3),
+        )
+        rng = np.random.default_rng(3)
+        reference_seminorm(perturbed_eigen_k0.h, op.grid, metric, self.SAMPLES, rng)
+        cl.estimate_holder_seminorm(
+            op.potential, metric, 0, samples=self.SAMPLES, rng=rng
+        )
+        measured = []
+        for phi in obs:
+            v = phi.on_array(op.grid.reps(), 0)
+            for _ in range(5):
+                v = op.matrix @ v
+                measured.append(
+                    reference_seminorm(v, op.grid, metric, self.SAMPLES, rng)
+                )
+        assert [r.measured for r in rep.rows] == measured
+        assert [r.n for r in rep.rows] == [1, 2, 3, 4, 5] * 2
+
+    # one pass, and passes of 5 iterates (12 = 5 + 5 + 2)
+    @pytest.mark.parametrize("budget", [None, 5 * 2 * 4096])
+    def test_twisted_rows_match_per_iterate_loop(
+        self, budget, coupled_op_k1, metric, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(transfer, "_SLAB_POINTS", budget)
+        obs = cl.node_coordinate()
+        probe = cl.node_sine_potential(0.1)
+        t_grid, n_max = [0.05, -0.1], 12
+        rep = cl.check_twisted_bound(
+            coupled_op_k1, obs, probe, t_grid, n_max=n_max, m=metric,
+            c6=1.0, ce=1.0, samples=self.SAMPLES, rng=np.random.default_rng(4),
+        )
+        grid = coupled_op_k1.grid
+        reps = grid.reps()
+        support = np.asarray(coupled_op_k1.matrix.sum(axis=1)).ravel() > 0.0
+        rng = np.random.default_rng(4)
+        args = (grid, metric, self.SAMPLES, rng, support)
+        reference_seminorm(obs.on_array(reps, 1), *args)
+        probe_vec = probe.on_array(reps, 1).astype(complex)
+        reference_seminorm(probe_vec, *args)
+        ref = []
+        for t in t_grid:
+            tw = cl.twisted_matrix(coupled_op_k1, obs, t)
+            ones = np.ones(grid.n_cells, dtype=complex)
+            w = probe_vec
+            sup_max = holder_max = 0.0
+            for _ in range(n_max):
+                ones = tw @ ones
+                w = tw @ w
+                sup_max = max(sup_max, float(np.max(np.abs(ones))))
+                holder_max = max(holder_max, reference_seminorm(w, *args))
+            ref.append((sup_max, holder_max))
+        assert [(r.sup_norm_max, r.holder_max) for r in rep.rows] == ref
+
+
 class TestLasotaYorke:
     def test_iterated_seminorms_below_bound(self, perturbed_eigen_k0, perturbed, metric):
         op = cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0)
