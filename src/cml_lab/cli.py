@@ -276,6 +276,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append(f"unknown experiments {unknown}; valid: {EXPERIMENTS}")
     if cfg.burn_in >= cfg.n_steps:
         v.append(f"burn_in={cfg.burn_in} must be smaller than n_steps={cfg.n_steps}")
+    if cfg.burn_in < 0:
+        v.append(f"burn_in={cfg.burn_in} must be nonnegative")
+    if cfg.seed < 0:
+        v.append(f"seed={cfg.seed} must be nonnegative")
     if min(cfg.n_replicas, cfg.n_lags) < 1:
         v.append("n_replicas and n_lags must be positive")
     # pre-flight contraction check with the exact C_E at the configured k;

@@ -59,6 +59,8 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.burn_in >= self.n_steps:
             raise ValueError("burn_in must be smaller than n_steps")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
         if self.n_replicas < 1:
             raise ValueError("need at least one replica")
         if self.method not in ("forward", "pullback"):

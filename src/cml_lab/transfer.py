@@ -178,10 +178,20 @@ class Grid:
         return self._reps
 
     @cached_property
+    def _bins(self) -> np.ndarray:
+        """Per-axis bin of every cell, shape (d, n_cells), read-only.  The
+        smallest unsigned type that holds n_bins, so box bounds compare in
+        range; the midpoints, box masks and conformality samples share it."""
+        bins = np.stack(
+            np.unravel_index(np.arange(self.n_cells), (self.n_bins,) * self.d)
+        ).astype(np.min_scalar_type(self.n_bins))
+        bins.setflags(write=False)
+        return bins
+
+    @cached_property
     def _reps(self) -> np.ndarray:
         # computed once per grid: the seminorm samplers ask for it per call
-        bins = np.unravel_index(np.arange(self.n_cells), (self.n_bins,) * self.d)
-        reps = (np.stack(bins) + 0.5) / self.n_bins
+        reps = (self._bins + 0.5) / self.n_bins
         reps.setflags(write=False)
         return reps
 
@@ -502,6 +512,11 @@ class EigenData:
     mu: np.ndarray
     operator: UlamOperator
 
+    @cached_property
+    def _nu_sampler(self) -> "_CellSampler":
+        # built once: every conformality box draws its cells from nu
+        return _CellSampler(self.nu / self.nu.sum())
+
 
 def leading_eigenpair(op: UlamOperator) -> EigenData:
     """Power iteration on the matrix (for lam and h) and its transpose (for
@@ -812,10 +827,9 @@ def random_admissible_box(
 
 
 def _box_cell_mask(grid: Grid, box: Sequence[tuple[int, int]]) -> np.ndarray:
-    bins = np.unravel_index(np.arange(grid.n_cells), (grid.n_bins,) * grid.d)
     mask = np.ones(grid.n_cells, dtype=bool)
-    for axis, (lo, hi) in enumerate(box):
-        mask &= (bins[axis] >= lo) & (bins[axis] < hi)
+    for bins, (lo, hi) in zip(grid._bins, box):
+        mask &= (bins >= lo) & (bins < hi)
     return mask
 
 
@@ -824,6 +838,58 @@ def _points_in_box(pts: np.ndarray, grid: Grid, box: Sequence[tuple[int, int]]) 
     for axis, (lo, hi) in enumerate(box):
         inside &= (pts[axis] >= lo / grid.n_bins) & (pts[axis] < hi / grid.n_bins)
     return inside
+
+
+# numpy's tolerance on the sum of Generator.choice's probabilities
+_P_ATOL = math.sqrt(np.finfo(float).eps)
+
+
+class _CellSampler:
+    """Draws indices from a probability vector p exactly as
+    ``rng.choice(p.size, size, p=p)`` does, without its binary search of
+    the whole CDF.
+
+    choice draws ``rng.random(size)`` and binary-searches each uniform u in
+    the CDF ``p.cumsum() / p.cumsum()[-1]``: the index is the count of CDF
+    entries <= u.  This sampler builds the same CDF, raises ValueError with
+    choice's message for NaN, negative or non-unit-sum p, draws the same
+    uniforms and returns the same indices through a guide table (Chen &
+    Asau 1974; Devroye 1986, III.2.4).
+
+    It cuts [0, 1) into m equal buckets, m a power of two at least 4
+    p.size, so u*m and j/m are exact and u lies in bucket floor(u*m).  The
+    count of entries <= j/m starts every answer in bucket j; the entries
+    inside the bucket that are <= u are added by binary lifting, one
+    vectorised pass per bit of the largest such count: at most
+    ceil(log2 p.size) passes whatever p is.
+    """
+
+    def __init__(self, p: np.ndarray) -> None:
+        p = np.asarray(p, dtype=float)
+        p_sum = float(np.sum(p))
+        if math.isnan(p_sum):
+            raise ValueError("Probabilities contain NaN")
+        if np.any(p < 0.0):
+            raise ValueError("Probabilities are not non-negative")
+        if abs(p_sum - 1.0) > _P_ATOL:
+            raise ValueError("Probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.m = 1 << (4 * p.size - 1).bit_length()
+        edges = np.arange(self.m + 1) / self.m
+        self.start = cdf.searchsorted(edges[:-1], side="right")
+        widest = int(np.max(cdf.searchsorted(edges[1:], side="left") - self.start))
+        self.steps = [1 << bit for bit in reversed(range(widest.bit_length()))]
+        # a lifted index runs at most widest - 1 past the last entry; the
+        # padding reads 1, above every u
+        self.cdf = np.concatenate([cdf, np.ones(widest)])
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        idx = self.start[(u * self.m).astype(np.intp)]
+        for step in self.steps:
+            idx += (self.cdf[idx + (step - 1)] <= u) * step
+        return idx
 
 
 def _preimage_meets_box(
@@ -869,12 +935,15 @@ def check_conformality(
     of the forward image of the box.
 
     The left side is evaluated on grid cells; the right by drawing samples
-    from nu (cells by weight, uniform within), pulling them back through
-    the coupling with one product by the precomputed E^-1
-    (:meth:`Coupling.invert_on_array`), and counting those whose nodewise
-    preimage meets the box (:func:`_preimage_meets_box`, no Newton solve).
-    Injectivity of the dynamics on the box is verified by checking that no
-    sampled point has two branch preimages inside it.
+    from nu (cells by weight, uniform within) and counting those whose
+    pull-back through the coupling -- one product by the precomputed E^-1,
+    :meth:`Coupling.invert_on_array` -- lies in [0, 1)^d and has a nodewise
+    preimage in the box (:func:`_preimage_meets_box`, no Newton solve).
+    Cells are drawn by the eigen-data's guide-table sampler, built once,
+    which returns ``rng.choice``'s cells from the same draws; the samples
+    then run node-major, one contiguous row per axis.  Injectivity of the
+    dynamics on the box is verified by checking that no sampled point has
+    two branch preimages inside it.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grid = eigen.operator.grid
@@ -892,16 +961,21 @@ def check_conformality(
         raise ValueError("dynamics is not injective on the supplied box")
 
     # Monte Carlo image counting for nu(T box)
-    cells = rng.choice(grid.n_cells, size=mc_samples, p=eigen.nu / eigen.nu.sum())
-    bins = np.array(np.unravel_index(cells, (grid.n_bins,) * grid.d))
-    x = (bins + rng.uniform(0.0, 1.0, bins.shape)) / grid.n_bins
-    y = coupling.invert_on_array(x.T, grid.k, node_map.p_tau).T
-    valid = np.all((y >= 0.0) & (y < 1.0), axis=0)
-    hit = np.zeros(mc_samples, dtype=bool)
-    if np.any(valid):
-        hit[valid] = _preimage_meets_box(
-            np.clip(y[:, valid], 0.0, _ONE_MINUS), grid, box, node_map
-        )
+    cells = eigen._nu_sampler.draw(rng, mc_samples)
+    x = rng.uniform(0.0, 1.0, (grid.d, mc_samples))
+    for row, bins in zip(x, grid._bins):
+        row += bins[cells]
+    x /= grid.n_bins
+    y = np.ascontiguousarray(
+        coupling.invert_on_array(x.T, grid.k, node_map.p_tau).T
+    )
+    valid = np.ones(mc_samples, dtype=bool)
+    for row in y:
+        valid &= row >= 0.0
+        valid &= row < 1.0
+    # a valid y is below 1, so at most _ONE_MINUS: the box test needs no clip
+    hit = _preimage_meets_box(y, grid, box, node_map)
+    hit &= valid
     rhs = float(np.mean(hit))
     ratio = lhs / rhs if rhs > 0.0 else math.inf
     return ConformalityResult(lhs=lhs, rhs=rhs, ratio=ratio)

@@ -141,6 +141,16 @@ class TestValidation:
         for kw in bad:
             assert validate_config(cl.ExperimentConfig(**kw)), kw
 
+    def test_negative_burn_in_and_seed_rejected(self, tmp_path):
+        # a negative burn_in left uninitialised columns in the CLT series;
+        # a negative seed failed later, inside the experiments
+        v = validate_config(cl.ExperimentConfig(burn_in=-3, seed=-1, n_steps=10))
+        assert v == ["burn_in=-3 must be nonnegative", "seed=-1 must be nonnegative"]
+        path = write_cfg(tmp_path, "[run]\nseed = -1\nburn_in = -3\nn_steps = 10\n")
+        with pytest.raises(cl.ConfigError) as err:
+            cl.parse_config(path)
+        assert "burn_in=-3" in str(err.value) and "seed=-1" in str(err.value)
+
     def test_preflight_uses_exact_coupling_constant(self):
         # C_E * eta = 1.148 at eps = 0.2, k = 1, a = 0.05; the bound
         # 1/(1 - 2 eps) gave 0.989 and let this config through

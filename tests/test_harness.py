@@ -163,6 +163,11 @@ class TestSimulation:
         with pytest.raises(ValueError):
             make_cfg(perturbed, burn_in=400)
 
+    def test_negative_burn_in_rejected(self, perturbed):
+        # it used to return burn_in uninitialised leading columns
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_cfg(perturbed, burn_in=-1)
+
 
 class TestAutocorrelationFit:
     def test_ar1_rate_recovery(self):

@@ -410,6 +410,203 @@ class TestConformality:
             cl.check_conformality(doubling_eigen_k0, [(0, 256)], doubling)
 
 
+class _PrescribedUniforms(np.random.Generator):
+    """A generator whose random() returns the given values: rng.choice and
+    the guide-table sampler both draw their uniforms through it."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def _zeros_at_ends_and_middle():
+    p = np.random.default_rng(1).random(64)
+    p[:3] = p[30:35] = p[-4:] = 0.0
+    return p / p.sum()
+
+
+def _one_cell_holds_most():
+    p = np.full(4096, 0.001 / 4095)
+    p[1234] = 0.999
+    return p
+
+
+def _last_cell_holds_almost_all():
+    # every other CDF entry crowds into the first bucket
+    p = np.full(4096, 1e-12)
+    p[-1] = 1.0 - 4095e-12
+    return p
+
+
+def _not_a_power_of_two():
+    p = np.random.default_rng(2).random(24 ** 3) ** 4
+    return p / p.sum()
+
+
+_WEIGHTS = {
+    "zeros": _zeros_at_ends_and_middle,
+    "one_cell_99.9%": _one_cell_holds_most,
+    "last_cell_all": _last_cell_holds_almost_all,
+    "single_cell": lambda: np.ones(1),
+    "24^3_cells": _not_a_power_of_two,
+}
+
+
+class TestCellSampler:
+    """The guide-table sampler against rng.choice itself."""
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    def test_draws_match_choice(self, name):
+        p = _WEIGHTS[name]()
+        sampler = transfer._CellSampler(p)
+        # a power of two, so u*m and j/m are exact
+        assert sampler.m >= 4 * p.size and sampler.m & (sampler.m - 1) == 0
+        assert len(sampler.steps) <= math.ceil(math.log2(p.size)) + 1
+        for seed in (0, 7):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref = a.choice(p.size, 100_000, p=p)
+            got = sampler.draw(b, 100_000)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    def test_edge_uniforms_match_choice(self, name):
+        p = _WEIGHTS[name]()
+        sampler = transfer._CellSampler(p)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(sampler.m) / sampler.m
+        on_cdf = cdf[cdf < 1.0]
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            on_cdf, np.nextafter(on_cdf, 0.0), np.nextafter(on_cdf, 1.0),
+            edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+        ])
+        assert u.min() == 0.0 and u.max() < 1.0
+        ref = _PrescribedUniforms(u).choice(p.size, u.size, p=p)
+        got = sampler.draw(_PrescribedUniforms(u), u.size)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("nu", [
+        [0.2, np.nan, 0.3],
+        [0.2, np.inf, 0.3],
+        [0.5, -0.1, 0.6],
+        [0.0, 0.0, 0.0],
+    ])
+    def test_invalid_weights_raise_like_choice(self, nu):
+        # check_conformality hands the sampler nu / nu.sum(), as it handed
+        # rng.choice: the same ValueError, with choice's message
+        nu = np.array(nu)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = nu / nu.sum()
+        with pytest.raises(ValueError) as ref:
+            np.random.default_rng(0).choice(p.size, 10, p=p)
+        with pytest.raises(ValueError) as got:
+            transfer._CellSampler(p)
+        assert str(ref.value).startswith(str(got.value))
+        # raw weights raise too (choice's Kahan sum may name another fault)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(nu.size, 10, p=nu)
+        with pytest.raises(ValueError):
+            transfer._CellSampler(nu)
+
+
+def _reference_box_cell_mask(grid, box):
+    bins = np.unravel_index(np.arange(grid.n_cells), (grid.n_bins,) * grid.d)
+    mask = np.ones(grid.n_cells, dtype=bool)
+    for axis, (lo, hi) in enumerate(box):
+        mask &= (bins[axis] >= lo) & (bins[axis] < hi)
+    return mask
+
+
+def reference_check_conformality(
+    eigen, box, node_map, coupling=None, mc_samples=200_000, rng=None
+):
+    """check_conformality as it was with rng.choice, kept as a reference."""
+    _ONE_MINUS = np.nextafter(1.0, 0.0)
+    rng = np.random.default_rng(0) if rng is None else rng
+    grid = eigen.operator.grid
+    coupling = coupling or cl.Coupling(kind="diffusive", epsilon=0.0)
+    mask = _reference_box_cell_mask(grid, box)
+    lhs = float(np.sum(np.exp(-eigen.g[mask]) * eigen.nu[mask]))
+
+    # injectivity probe on uniform samples of the whole cube
+    probe = rng.uniform(0.0, _ONE_MINUS, (grid.d, 2000))
+    table = cl.lattice.branch_preimage_table(probe, node_map)
+    counts = np.zeros(probe.shape[1], dtype=int)
+    for branch in range(table.shape[0]):
+        counts += transfer._points_in_box(table[branch], grid, box)
+    if np.any(counts >= 2):
+        raise ValueError("dynamics is not injective on the supplied box")
+
+    # Monte Carlo image counting for nu(T box)
+    cells = rng.choice(grid.n_cells, size=mc_samples, p=eigen.nu / eigen.nu.sum())
+    bins = np.array(np.unravel_index(cells, (grid.n_bins,) * grid.d))
+    x = (bins + rng.uniform(0.0, 1.0, bins.shape)) / grid.n_bins
+    y = coupling.invert_on_array(x.T, grid.k, node_map.p_tau).T
+    valid = np.all((y >= 0.0) & (y < 1.0), axis=0)
+    hit = np.zeros(mc_samples, dtype=bool)
+    if np.any(valid):
+        hit[valid] = transfer._preimage_meets_box(
+            np.clip(y[:, valid], 0.0, _ONE_MINUS), grid, box, node_map
+        )
+    rhs = float(np.mean(hit))
+    ratio = lhs / rhs if rhs > 0.0 else math.inf
+    return transfer.ConformalityResult(lhs=lhs, rhs=rhs, ratio=ratio)
+
+
+@pytest.fixture(scope="module")
+def perturbed_eigen_k1(perturbed, metric):
+    pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+    return cl.leading_eigenpair(cl.ulam_matrix("P", 1, 16, perturbed, potential=pot))
+
+
+@pytest.fixture(scope="module")
+def doubling_eigen_k1(doubling):
+    return cl.leading_eigenpair(
+        cl.ulam_matrix("P", 1, 16, doubling, potential=cl.zero_potential())
+    )
+
+
+class TestConformalityReference:
+    @pytest.mark.parametrize("case, epsilon", [
+        ("perturbed_eigen_k1", 0.05),  # desk
+        ("doubling_eigen_k1", 0.0),  # flat
+        ("doubling_eigen_k0", 0.0),  # criterion 8
+    ])
+    def test_matches_choice_implementation(self, case, epsilon, request):
+        eigen = request.getfixturevalue(case)
+        node_map = eigen.operator.node_map
+        grid = eigen.operator.grid
+        coupling = cl.Coupling(epsilon=epsilon)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            box = cl.random_admissible_box(
+                grid, node_map, a, min_bins=max(1, grid.n_bins // 8)
+            )
+            assert cl.random_admissible_box(
+                grid, node_map, b, min_bins=max(1, grid.n_bins // 8)
+            ) == box
+            ref = reference_check_conformality(
+                eigen, box, node_map, coupling=coupling, rng=a
+            )
+            got = cl.check_conformality(
+                eigen, box, node_map, coupling=coupling, rng=b
+            )
+            for field in ("lhs", "rhs", "ratio"):
+                assert (
+                    np.float64(getattr(got, field)).tobytes()
+                    == np.float64(getattr(ref, field)).tobytes()
+                ), field
+            assert a.bit_generator.state == b.bit_generator.state
+            assert 0.0 < got.rhs < 1.0
+
+
 class TestCoupledMatrix:
     def test_active_rows_sum_to_one(self, coupled_op_k1):
         sums = np.asarray(coupled_op_k1.matrix.sum(axis=1)).ravel()
