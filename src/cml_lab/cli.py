@@ -306,8 +306,9 @@ class RunReport:
     ``results`` maps experiment name to a dict of named scalar entries;
     each numeric entry is a dict holding the value together with the
     tolerance it was tested against (and the pass flag when a target is
-    defined).  ``arrays`` holds plot-ready columnar data, ``errors`` the
-    experiments that failed, ``wall_times`` the (non-deterministic)
+    defined).  ``diagnostics`` maps a solve to how it ran (deterministic,
+    never a verdict); ``arrays`` holds plot-ready columnar data, ``errors``
+    the experiments that failed, ``wall_times`` the (non-deterministic)
     per-experiment durations in seconds and ``peak_rss_mb`` the process's
     resident-set high-water mark in MB after each experiment.
     """
@@ -315,6 +316,7 @@ class RunReport:
     fingerprint: str
     config: ExperimentConfig
     results: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     arrays: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
@@ -423,6 +425,12 @@ def _step_spectral(cfg, state, report):
         ),
         "sigma_hat": _entry(sigma_hat, target="< 1", passed=sigma_hat < 1.0),
         "gap": _entry(spec.gap),
+    }
+    report.diagnostics["spectral"] = {
+        "solver": spec.solver,
+        "cells_solved": spec.cells_solved,
+        "n_cells": op.n_cells,
+        "operator_applications": spec.operator_applications,
     }
     eigs = np.asarray(spec.eigenvalues)
     report.arrays["spectrum"] = np.column_stack([eigs.real, eigs.imag])
@@ -579,6 +587,7 @@ def _json_payload(report: RunReport) -> str:
         "version": __version__,
         "config": cfg_dict,
         "results": report.results,
+        "diagnostics": report.diagnostics,
         "errors": report.errors,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

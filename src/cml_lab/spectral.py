@@ -37,9 +37,11 @@ __all__ = [
     "variance_from_twisted_curvature",
 ]
 
-# Eigenvalues spectral_gap reports, and the largest matrix it solves densely.
+# Eigenvalues spectral_gap reports, the largest matrix it solves densely,
+# and the Krylov dimension (ARPACK's ncv) of its Arnoldi solve.
 _SPECTRUM_SIZE = 6
 _DENSE_LIMIT = 2048
+_ARNOLDI_NCV = 30
 
 # Green-Kubo truncation: relative tail tolerance and lag cap.
 _GK_TAIL_TOL = 1e-6
@@ -49,11 +51,16 @@ _GK_MAX_LAG = 500
 @dataclass(frozen=True)
 class SpectrumReport:
     """Top eigenvalues of a normalized operator, sorted by modulus
-    (ties broken by argument, documented for reproducibility)."""
+    (ties broken by argument, documented for reproducibility), with how
+    the solve ran: the solver ('dense' or 'arnoldi'), the cells of the
+    block it solved, and its operator applications (0 when dense)."""
 
     eigenvalues: tuple[complex, ...]
     lambda1: float
     lambda2_modulus: float
+    solver: str
+    cells_solved: int
+    operator_applications: int
 
     @property
     def gap(self) -> float:
@@ -69,24 +76,40 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
     """Top eigenvalues by modulus: dense solver at small dimension,
     implicitly restarted Arnoldi above it.
 
-    Arnoldi starts from a fixed vector that is no eigenvector: from the
-    constant vector, the leading eigenvector of every normalized operator,
-    the Krylov space breaks down at once and ARPACK restarts from a vector
-    of its own that differs per process.  When the cut splits a conjugate
-    pair, the kept member is the one with positive imaginary part, so the
-    report depends on the spectrum alone, not on which member the solver
-    returned.
+    Both solve the block of the non-empty rows, where every non-zero of a
+    normalized operator lies (a coupled operator's unreachable cells have
+    empty rows and columns), so the spectrum differs from the whole
+    matrix's only by zeros.  Arnoldi runs with _ARNOLDI_NCV Krylov
+    vectors and starts from a fixed vector on the whole grid, restricted to
+    the block, that is no eigenvector: from the constant vector, the
+    leading eigenvector of every normalized operator, the Krylov space
+    breaks down at once and ARPACK restarts from a vector of its own that
+    differs per process.  When the cut
+    splits a conjugate pair, the kept member is the one with positive
+    imaginary part, so the report depends on the spectrum alone, not on
+    which member the solver returned.
     """
     if op.kind not in ("L", "coupled"):
         raise ValueError("spectral gap is defined for normalized operator kinds")
-    n = op.n_cells
-    if n <= _DENSE_LIMIT:
-        vals = np.linalg.eigvals(op.matrix.toarray())
+    active = np.flatnonzero(np.diff(op.matrix.indptr))
+    block = op.matrix[active][:, active]
+    n = active.size
+    dense = n <= _DENSE_LIMIT
+    applications = 0
+    if dense:
+        vals = np.linalg.eigvals(block.toarray())
     else:
-        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            nonlocal applications
+            applications += 1
+            return block @ v
+
+        lin = spla.LinearOperator(block.shape, matvec=matvec, dtype=block.dtype)
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n_cells)[active]
         try:
             vals = spla.eigs(
-                op.matrix, k=min(_SPECTRUM_SIZE, n - 2), which="LM", v0=v0,
+                lin, k=_SPECTRUM_SIZE, which="LM", v0=v0, ncv=_ARNOLDI_NCV,
                 return_eigenvectors=False,
             )
         except spla.ArpackNoConvergence as exc:
@@ -107,6 +130,9 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
         eigenvalues=tuple(complex(v) for v in vals),
         lambda1=lam1,
         lambda2_modulus=lam2,
+        solver="dense" if dense else "arnoldi",
+        cells_solved=n,
+        operator_applications=applications,
     )
 
 

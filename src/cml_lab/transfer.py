@@ -10,9 +10,10 @@ eigen-measure, normalized potential) are extracted by power iteration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -167,11 +168,15 @@ class Grid:
     def n_cells(self) -> int:
         return self.n_bins ** self.d
 
-    def cell_of(self, values: np.ndarray) -> np.ndarray:
-        """Flat cell index of points given as a (d, n) array."""
+    def bin_of(self, values: np.ndarray) -> np.ndarray:
+        """Bin index of each coordinate, elementwise."""
         bins = np.floor(np.asarray(values) * self.n_bins).astype(np.int64)
         np.clip(bins, 0, self.n_bins - 1, out=bins)
-        return np.ravel_multi_index(bins, (self.n_bins,) * self.d)
+        return bins
+
+    def cell_of(self, values: np.ndarray) -> np.ndarray:
+        """Flat cell index of points given as a (d, n) array."""
+        return np.ravel_multi_index(self.bin_of(values), (self.n_bins,) * self.d)
 
     def reps(self) -> np.ndarray:
         """Cell midpoints, shape (d, n_cells), read-only."""
@@ -194,31 +199,6 @@ class Grid:
         reps = (self._bins + 0.5) / self.n_bins
         reps.setflags(write=False)
         return reps
-
-    def quad_slabs(
-        self, quad: int, max_points: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Midpoint-refined quadrature, quad**d points per cell, in slabs.
-
-        A slab is a run of consecutive first-axis bins, as many as fit in
-        ``max_points`` points (at least one), so it holds whole cells.  The
-        first axis varies slowest, so the slabs are consecutive ranges of
-        the C-order enumeration of all points, yielded in that order.  Each
-        slab is its points (d, M) with their parent cell indices (M,).
-        """
-        fine = self.n_bins * quad
-        per_bin = quad * fine ** (self.d - 1)
-        step = max(1, max_points // per_bin)
-        for lo in range(0, self.n_bins, step):
-            hi = min(lo + step, self.n_bins)
-            bins = np.unravel_index(
-                np.arange(lo * per_bin, hi * per_bin), (fine,) * self.d
-            )
-            pts = (np.stack(bins) + 0.5) / fine
-            parent = np.ravel_multi_index(
-                tuple(b // quad for b in bins), (self.n_bins,) * self.d
-            )
-            yield pts, parent
 
     def node_weights(self, m: MetricParams) -> np.ndarray:
         return m.theta ** np.abs(np.arange(-self.k, self.k + 1, dtype=float))
@@ -297,6 +277,10 @@ def ulam_matrix(
     smaller parallelepiped -- so cells outside its range have no preimages:
     their rows stay empty and the normalization runs on the reachable cells
     only.
+
+    Both assemblies run the node map once per quadrature axis and read its
+    values at the quadrature points, slab by slab, from those per-axis
+    tables; the matrices are those of one all-at-once assembly, to the byte.
     """
     grid = Grid(k=k, n_bins=n_bins)
     if grid.n_cells > cell_budget:
@@ -337,30 +321,82 @@ def ulam_matrix(
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+def _quad_axis(grid: Grid, quad: int) -> np.ndarray:
+    """The 1-d quadrature axis: midpoints of n_bins*quad equal intervals."""
+    fine = grid.n_bins * quad
+    return (np.arange(fine) + 0.5) / fine
+
+
+def _quad_slabs(
+    grid: Grid, quad: int, max_points: int
+) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+    """Midpoint-refined quadrature, quad**d points per cell, in slabs.
+
+    The points are the C-order product of d copies of the quadrature axis.
+    A slab is a run of first-axis bins, as many as fit in ``max_points``
+    points (at least one), yielded as its per-axis slices of the axis with
+    the parent cells (M,) of its points; the slabs run in point order.
+    """
+    d, fine = grid.d, grid.n_bins * quad
+    step = max(1, max_points // (quad * fine ** (d - 1)))
+    # an axis point's bin times the axis's stride in the flat cell index
+    strided = [np.arange(fine) // quad * grid.n_bins ** (d - 1 - a) for a in range(d)]
+    for lo in range(0, grid.n_bins, step):
+        axes = (slice(lo * quad, (lo + step) * quad),) + (slice(0, fine),) * (d - 1)
+        yield axes, _axis_sum(strided, axes)
+
+
+def _axis_views(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> list:
+    """tables[a][axes[a]], shaped to broadcast along axis a of a slab."""
+    return [
+        t[s].reshape((-1,) + (1,) * (len(axes) - 1 - a))
+        for a, (t, s) in enumerate(zip(tables, axes))
+    ]
+
+
+def _on_slab(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> np.ndarray:
+    """Per-axis tables read at a slab's points, shape (d, M)."""
+    views = np.broadcast_arrays(*_axis_views(tables, axes))
+    return np.stack(views).reshape(len(axes), -1)
+
+
+def _axis_sum(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> np.ndarray:
+    """Per-axis tables read at a slab's points and summed first axis to
+    last, shape (M,): np.sum(_on_slab(...), axis=0) without the (d, M) array."""
+    return reduce(np.add, _axis_views(tables, axes)).reshape(-1)
+
+
 def _assemble_p_matrix(
     grid: Grid, node_map: NodeMap, potential: Potential, quad: int
 ) -> sp.csr_matrix:
     """Raw branch-weight matrix, stacked from the row blocks of slabs.
 
-    A slab's quadrature points are its rows' points, so every row gets the
-    same entries in the same order as from one all-at-once assembly, and
-    the same bytes after the per-row sort and duplicate sum.  That takes
-    the same branch values: Newton branches stop on the largest step of
-    the call, and for d >= 2 every slab holds the whole 1-d grid on its
-    other axes, so each call takes the same steps.
+    Each inverse branch runs once, on the quadrature axis; a point's
+    branch preimages and their bins are read from those tables, in the
+    order of :func:`branch_preimage_table`, and its potential is evaluated
+    per point.  A slab's points are its rows' points, so every row gets
+    the entries of one all-at-once assembly in the same order, and the
+    same bytes after the per-row sort and duplicate sum.  Newton branches
+    stop on the largest step of the call, and the axis holds exactly the
+    distinct coordinates of all points, so they take the same steps too.
     """
-    b_k = node_map.b ** grid.d
-    weight = 1.0 / (b_k * quad ** grid.d)
+    d = grid.d
+    b_k = node_map.b ** d
+    weight = 1.0 / (b_k * quad ** d)
+    inverse = [br(_quad_axis(grid, quad)) for br in node_map.inverse_branches]
+    # bins[c][a]: the bin of branch c's value times axis a's stride
+    bins = [[grid.bin_of(v) * grid.n_bins ** (d - 1 - a) for a in range(d)]
+            for v in inverse]
+    choices = list(itertools.product(range(node_map.b), repeat=d))
     blocks = []
-    # the (b_k, d, n) branch table is the largest array of a slab
-    for pts, rows in grid.quad_slabs(quad, _SLAB_POINTS // b_k):
+    # a slab's b_k weight and column arrays are its largest
+    for axes, rows in _quad_slabs(grid, quad, _SLAB_POINTS // b_k):
         first = rows[0]
-        table = branch_preimage_table(pts, node_map)  # (b_k, d, n)
         data, col_idx = [], []
-        for pre in table:
-            fv = potential.on_array(pre, grid.k)
-            data.append(np.exp(fv) * weight)
-            col_idx.append(grid.cell_of(pre))
+        for choice in choices:
+            pre = _on_slab([inverse[c] for c in choice], axes)
+            data.append(np.exp(potential.on_array(pre, grid.k)) * weight)
+            col_idx.append(_axis_sum([bins[c][a] for a, c in enumerate(choice)], axes))
         blocks.append(
             sp.coo_matrix(
                 (
@@ -400,6 +436,10 @@ def _assemble_coupled_matrix(
     divided out as an exact similarity transform, as for kind 'L'; the
     right eigenfunction vanishes off the coupling range, which kills the
     unreachable columns as well.
+
+    The node map and its log-derivative run once, on the quadrature axis,
+    and are read from those tables; the potential, the coupling step and
+    the image cells are evaluated per point.
     """
     if node_map.forward_deriv is None:
         raise ValueError(
@@ -416,16 +456,20 @@ def _assemble_coupled_matrix(
     cols = np.empty(n_pts, dtype=np.int32)
     weight = np.empty(n_pts)
     log_det_e = math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
+    axis = _quad_axis(grid, quad)
+    forward = node_map.forward(axis)
+    log_deriv = np.log(node_map.forward_deriv(axis))
     start = 0
-    for pts, parent in grid.quad_slabs(quad, _SLAB_POINTS):
+    for axes, parent in _quad_slabs(grid, quad, _SLAB_POINTS):
         stop = start + parent.size
-        fwd = node_map.forward(pts)
+        fwd = _on_slab([forward] * grid.d, axes)
         images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
         np.clip(images, 0.0, _ONE_MINUS, out=images)
         rows[start:stop] = grid.cell_of(images)
         cols[start:stop] = parent
-        log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
+        log_det = _axis_sum([log_deriv] * grid.d, axes)
         log_det += log_det_e
+        pts = _on_slab([axis] * grid.d, axes)
         np.divide(
             np.exp(potential.on_array(pts, grid.k) + log_det),
             quad ** grid.d,

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import os
 import re
 import subprocess
@@ -277,6 +278,42 @@ class TestMain:
         assert sorted(os.listdir(dirs[1])) == sorted(names + ["timing.txt"])
         match, mismatch, errors = filecmp.cmpfiles(*dirs, names, shallow=False)
         assert sorted(match) == names and mismatch == [] and errors == []
+
+    def test_spectral_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
+        # how each spectral solve ran goes to report.json's diagnostics key:
+        # deterministic (two runs give the same bytes), no verdict, and
+        # nothing of it in summary.txt
+        coupled = MINIMAL.replace("epsilon = 0.05", "epsilon = 0.1") + (
+            "\n[operator]\nk = 1\nn_bins = 16\n\n[run]\nexperiments = spectral\n"
+        )
+        dense = EIGEN_ONLY.replace("experiments = eigen", "experiments = spectral")
+        expected = {
+            "coupled": {"solver": "arnoldi", "cells_solved": 3378, "n_cells": 4096},
+            "dense": {
+                "solver": "dense", "cells_solved": 64, "n_cells": 64,
+                "operator_applications": 0,
+            },
+        }
+        for name, text in (("coupled", coupled), ("dense", dense)):
+            path = write_cfg(
+                tmp_path, text.format(out=os.path.join(tmp_path, "unused")), f"{name}.cfg"
+            )
+            docs = []
+            for run in ("a", "b"):
+                out = os.path.join(tmp_path, name + run)
+                monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+                assert main(["run", path]) == 0
+                with open(os.path.join(out, "report.json"), "rb") as fh:
+                    docs.append(fh.read())
+                with open(os.path.join(out, "summary.txt")) as fh:
+                    assert "cells_solved" not in fh.read()
+            assert docs[0] == docs[1]
+            diag = json.loads(docs[0])["diagnostics"]
+            assert list(diag) == ["spectral"]
+            assert diag["spectral"].items() >= expected[name].items()
+            assert "passed" not in diag["spectral"]
+            arnoldi = diag["spectral"]["solver"] == "arnoldi"
+            assert (diag["spectral"]["operator_applications"] > 0) == arnoldi
 
     def test_export_operator_roundtrip(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")

@@ -717,22 +717,31 @@ class TestSlabAssembly:
     @pytest.mark.parametrize("slab_bins", SLAB_BINS)
     @pytest.mark.parametrize("k,n_bins", CASES)
     def test_slabs_enumerate_all_points_in_order(self, k, n_bins, slab_bins):
+        # the axis tables read at each slab's slices, concatenated, are all
+        # quadrature points in C order, with their parent cells
         grid = cl.Grid(k=k, n_bins=n_bins)
         per_bin = self._points_per_bin(grid, 4)
-        slabs = list(grid.quad_slabs(4, (slab_bins or n_bins) * per_bin))
+        axis = transfer._quad_axis(grid, 4)
+        slabs = list(transfer._quad_slabs(grid, 4, (slab_bins or n_bins) * per_bin))
         assert len(slabs) == -(-n_bins // (slab_bins or n_bins))
         pts, parent = _all_quad_points(grid, 4)
-        assert np.array_equal(np.concatenate([s[0] for s in slabs], axis=1), pts)
+        got = [transfer._on_slab([axis] * grid.d, axes) for axes, _ in slabs]
+        assert np.array_equal(np.concatenate(got, axis=1), pts)
         assert np.array_equal(np.concatenate([s[1] for s in slabs]), parent)
+        assert np.concatenate([s[1] for s in slabs]).dtype == parent.dtype
+        sums = [transfer._axis_sum([axis] * grid.d, axes) for axes, _ in slabs]
+        assert np.concatenate(sums).tobytes() == np.sum(pts, axis=0).tobytes()
 
     # The Newton branches of the perturbed map stop on the largest step of
-    # the whole call.  For d >= 2 every slab holds the whole 1-d grid on its
-    # other axes, so each call takes the same steps as one all-at-once
-    # call; for d = 1 a slab holds part of it, so k=0 uses the closed-form
-    # branches of the doubling map (see CHANGES.md).
+    # the whole call.  Each branch runs once on the 1-d quadrature axis,
+    # which holds exactly the distinct coordinates of all points, so it
+    # takes the steps of one all-at-once call whatever the slab size, at
+    # k=0 as well as for d >= 2.
     @pytest.mark.parametrize("slab_bins", SLAB_BINS)
     @pytest.mark.parametrize(
-        "k,n_bins,map_name", [(0, 64, "doubling"), (1, 6, "perturbed")]
+        "k,n_bins,map_name",
+        [(0, 64, "doubling"), (0, 64, "perturbed"), (1, 6, "perturbed"),
+         (2, 2, "perturbed")],
     )
     def test_p_matrix_matches_monolithic(
         self, k, n_bins, map_name, slab_bins, metric, monkeypatch, request
@@ -744,6 +753,20 @@ class TestSlabAssembly:
         pot = cl.node_sine_potential(0.1, 0, metric)
         op = cl.ulam_matrix("P", k, n_bins, node_map, potential=pot)
         _assert_same_bytes(op.matrix, _monolithic_p(grid, node_map, pot, 4))
+
+    # node_sine reads one node, so it cannot tell which axis a branch
+    # preimage was read on; the SRB potential sums over every node
+    @pytest.mark.parametrize("slab_bins", [1, None])
+    @pytest.mark.parametrize("k,n_bins", [(1, 6), (2, 2)])
+    def test_p_matrix_with_every_node_potential(
+        self, k, n_bins, slab_bins, perturbed, metric, monkeypatch
+    ):
+        grid = cl.Grid(k=k, n_bins=n_bins)
+        budget = (slab_bins or n_bins) * self._points_per_bin(grid, 4)
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", budget * perturbed.b ** grid.d)
+        pot = cl.srb_potential(perturbed, max_k=k, metric=metric)
+        op = cl.ulam_matrix("P", k, n_bins, perturbed, potential=pot)
+        _assert_same_bytes(op.matrix, _monolithic_p(grid, perturbed, pot, 4))
 
     @pytest.mark.parametrize("slab_bins", SLAB_BINS)
     @pytest.mark.parametrize("k,n_bins", CASES)
