@@ -54,7 +54,7 @@ from .spectral import (
     stationary_distribution,
     variance_green_kubo,
 )
-from .harness import EnsembleConfig, clt_test, simulate_ensemble
+from .harness import CLT_MIN_REPLICAS, EnsembleConfig, clt_test, simulate_ensemble
 
 __all__ = [
     "ExperimentConfig",
@@ -265,6 +265,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             )
     if cfg.potential_kind not in POTENTIAL_KINDS:
         v.append(f"potential kind {cfg.potential_kind!r} not in {POTENTIAL_KINDS}")
+    elif cfg.potential_kind == "decaying_sine" and not cfg.base > 1.0:
+        v.append(f"base={cfg.base} must exceed 1 for the decaying_sine potential")
     if cfg.k < 0:
         v.append(f"k={cfg.k} must be nonnegative")
     if cfg.n_bins < 2:
@@ -282,6 +284,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append(f"seed={cfg.seed} must be nonnegative")
     if min(cfg.n_replicas, cfg.n_lags) < 1:
         v.append("n_replicas and n_lags must be positive")
+    if "clt" in cfg.experiments and cfg.n_replicas < CLT_MIN_REPLICAS:
+        v.append(
+            f"n_replicas={cfg.n_replicas} is below the {CLT_MIN_REPLICAS} "
+            "replicas the clt experiment needs"
+        )
     # pre-flight contraction check with the exact C_E at the configured k;
     # skipped when the map parameters are themselves invalid
     if not v:
@@ -489,9 +496,7 @@ def _step_conformality(cfg, state, report):
         box = random_admissible_box(
             grid, node_map, rng, min_bins=max(1, cfg.n_bins // 8)
         )
-        res = check_conformality(
-            eigen, box, node_map, coupling=cfg.coupling(), rng=rng
-        )
+        res = check_conformality(eigen, box, node_map, coupling=cfg.coupling())
         ratios.append(res.ratio)
     ratios = np.array(ratios)
     mean = float(np.mean(ratios))

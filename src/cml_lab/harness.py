@@ -35,6 +35,9 @@ _ONE_MINUS = np.nextafter(1.0, 0.0)
 # Most path values the pull-back sampler holds at once.
 _PULLBACK_POINTS = 1 << 20
 
+# Fewest replicas clt_test accepts; config validation reads it too.
+CLT_MIN_REPLICAS = 500
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -238,8 +241,8 @@ def clt_test(sums: np.ndarray, n: int, sigma2: float) -> CltResult:
     if sigma2 <= 0.0:
         raise ValueError("sigma^2 must be positive; the observable is degenerate")
     sums = np.asarray(sums, dtype=float)
-    if sums.size < 500:
-        raise ValueError("CLT test needs at least 500 replicas")
+    if sums.size < CLT_MIN_REPLICAS:
+        raise ValueError(f"CLT test needs at least {CLT_MIN_REPLICAS} replicas")
     z = sums / math.sqrt(n * sigma2)
     ks = ks_distance_to_normal(z)
     crit = 1.63 / math.sqrt(sums.size)

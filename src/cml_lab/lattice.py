@@ -437,7 +437,6 @@ class Potential:
     evaluator: Callable[[np.ndarray, int], np.ndarray]
     declared_sup_norm: float
     declared_beta_norm: float
-    declared_Valpha: float
 
     def __call__(self, x: FiniteState) -> float:
         return float(self.evaluator(x.values[:, None], x.k)[0])

@@ -38,7 +38,6 @@ def constant_potential(c: float, name: str | None = None) -> Potential:
         evaluator=lambda vals, k: np.full(np.asarray(vals).shape[1], float(c)),
         declared_sup_norm=abs(c),
         declared_beta_norm=0.0,
-        declared_Valpha=0.0,
     )
 
 
@@ -60,7 +59,6 @@ def node_sine_potential(
         evaluator=evaluate,
         declared_sup_norm=abs(amplitude),
         declared_beta_norm=_TWO_PI * abs(amplitude) * m.theta ** (-m.beta * abs(node)),
-        declared_Valpha=0.0 if node == 0 else 2.0 * abs(amplitude) / m.alpha ** (abs(node) - 1),
     )
 
 
@@ -80,10 +78,6 @@ def decaying_sine_potential(
     lip = _TWO_PI * abs(amplitude) * sum(
         base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in range(-60, 61)
     )
-    valpha = max(
-        2.0 * abs(amplitude) * (2.0 * base ** -(k + 1) / (1.0 - 1.0 / base)) / m.alpha ** k
-        for k in range(0, 200)
-    )
 
     def evaluate(vals: np.ndarray, k: int) -> np.ndarray:
         vals = np.asarray(vals, dtype=float)
@@ -95,7 +89,6 @@ def decaying_sine_potential(
         evaluator=evaluate,
         declared_sup_norm=sup,
         declared_beta_norm=lip if not math.isinf(lip) else float("inf"),
-        declared_Valpha=valpha,
     )
 
 
@@ -134,9 +127,6 @@ def srb_potential(
         evaluator=evaluate,
         declared_sup_norm=sup,
         declared_beta_norm=per_node_lip * width_weight,
-        declared_Valpha=per_node_sup * max(
-            (2.0 * (j + 1)) / m.alpha ** j for j in range(0, 50)
-        ),
     )
 
 
@@ -157,7 +147,6 @@ def node_coordinate(
         evaluator=evaluate,
         declared_sup_norm=max(abs(offset), abs(1.0 - offset)),
         declared_beta_norm=m.theta ** (-m.beta * abs(node)),
-        declared_Valpha=0.0 if node == 0 else 1.0 / m.alpha ** (abs(node) - 1),
     )
 
 
@@ -195,14 +184,9 @@ def random_trig_observable(
         abs(amp) * _TWO_PI * freq * m.theta ** (-m.beta * abs(node))
         for amp, node, freq, _ in terms
     )
-    valpha = sum(
-        0.0 if node == 0 else 2.0 * abs(amp) / m.alpha ** (abs(node) - 1)
-        for amp, node, freq, _ in terms
-    )
     return Potential(
         name="random_trig",
         evaluator=evaluate,
         declared_sup_norm=sup,
         declared_beta_norm=beta_norm,
-        declared_Valpha=valpha,
     )

@@ -18,12 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import MetricParams, Potential
-from .transfer import (
-    UlamOperator,
-    _iterate_passes,
-    grid_holder_seminorm,
-    power_iterate,
-)
+from .transfer import UlamOperator, grid_holder_seminorm, power_iterate
 
 __all__ = [
     "SpectrumReport",
@@ -222,10 +217,7 @@ def check_twisted_bound(
     0.2 is outside the small-twist regime and rejected.
 
     The constant and the probe are iterated together as one two-column
-    block, whose iterates come in passes of at most _SLAB_POINTS values;
-    each pass's probe iterates go to one stacked
-    :func:`grid_holder_seminorm` call, which draws each iterate's pairs
-    in the order of one call per iterate.
+    block, and each probe iterate is sampled as it comes.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grid = base.grid
@@ -250,15 +242,15 @@ def check_twisted_bound(
         factor = max(1.0, ce_eta)
         c9 = max((probe_beta + c2 * probe_sup) * factor + c6, 1.0)
         # column 0 iterates the constant, column 1 the probe
-        start = np.column_stack([np.ones(grid.n_cells, dtype=complex), probe_vec])
+        block = np.column_stack([np.ones(grid.n_cells, dtype=complex), probe_vec])
         sup_max = 0.0
         holder_max = 0.0
-        for block in _iterate_passes(tw, start, n_max):
-            sup_max = max(sup_max, float(np.max(np.abs(block[:, :, 0]))))
-            holder = grid_holder_seminorm(
-                block[:, :, 1], grid, m, samples, rng, mask=support
-            )
-            holder_max = max(holder_max, float(np.max(holder)))
+        for _ in range(n_max):
+            block = tw @ block
+            sup_max = max(sup_max, float(np.max(np.abs(block[:, 0]))))
+            holder_max = max(holder_max, grid_holder_seminorm(
+                block[:, 1], grid, m, samples, rng, mask=support
+            ))
         rows.append(
             TwistedBoundRow(
                 t=t,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -186,7 +186,7 @@ class Grid:
     def _bins(self) -> np.ndarray:
         """Per-axis bin of every cell, shape (d, n_cells), read-only.  The
         smallest unsigned type that holds n_bins, so box bounds compare in
-        range; the midpoints, box masks and conformality samples share it."""
+        range; the midpoints and box masks share it."""
         bins = np.stack(
             np.unravel_index(np.arange(self.n_cells), (self.n_bins,) * self.d)
         ).astype(np.min_scalar_type(self.n_bins))
@@ -301,6 +301,11 @@ def ulam_matrix(
             raise ValueError("kind 'L' needs eigen-data of the 'P' operator")
         if eigen.operator.grid != grid:
             raise ValueError("eigen-data grid does not match the requested grid")
+        if eigen.operator.quad != quad:
+            raise ValueError(
+                f"eigen-data quad={eigen.operator.quad} does not match the "
+                f"requested quad={quad}"
+            )
         return UlamOperator(
             kind="L", grid=grid, quad=quad,
             matrix=_similarity(eigen.operator.matrix, eigen.h, eigen.lam),
@@ -556,11 +561,6 @@ class EigenData:
     mu: np.ndarray
     operator: UlamOperator
 
-    @cached_property
-    def _nu_sampler(self) -> "_CellSampler":
-        # built once: every conformality box draws its cells from nu
-        return _CellSampler(self.nu / self.nu.sum())
-
 
 def leading_eigenpair(op: UlamOperator) -> EigenData:
     """Power iteration on the matrix (for lam and h) and its transpose (for
@@ -690,23 +690,13 @@ def grid_holder_seminorm(
     samples: int = 4000,
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
-) -> float | np.ndarray:
+) -> float:
     """Sampled lower bound on the Hoelder seminorm of a cell function,
     using cell midpoints as representatives (complex values allowed).
     ``mask`` restricts the pairs to a subset of cells, e.g. the support
     of a coupled operator.
-
-    ``vec`` may also be a stack (rows, n_cells) of cell functions: the
-    result is then one value per row, and row i draws its pairs from
-    ``rng`` exactly as the i-th of as many one-vector calls would.  Rows
-    are sampled one at a time: on the desk grid, batches of 2 to 8 rows
-    ran no faster and kept up to 6 MB of temporaries resident.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    if np.ndim(vec) == 2:
-        return np.array([
-            grid_holder_seminorm(row, grid, m, samples, rng, mask) for row in vec
-        ])
     n = grid.n_cells
     a = rng.integers(0, n, samples)
     b = rng.integers(0, n, samples)
@@ -727,20 +717,6 @@ def grid_holder_seminorm(
             quot = np.abs(vec[ca] - vec[cb])[ok] / dist[ok] ** m.beta
             best = max(best, float(np.max(quot)))
     return best
-
-
-def _iterate_passes(matrix, v: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
-    """The iterates matrix^n v for n = 1..n_max of a vector or a column
-    block v, in passes: arrays (rows, *v.shape) of consecutive iterates,
-    each of at most _SLAB_POINTS values (at least one iterate)."""
-    per_pass = max(1, _SLAB_POINTS // v.size)
-    dtype = np.result_type(matrix.dtype, v.dtype)
-    for lo in range(0, n_max, per_pass):
-        block = np.empty((min(per_pass, n_max - lo),) + v.shape, dtype=dtype)
-        for i in range(block.shape[0]):
-            v = matrix @ v
-            block[i] = v
-        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +758,6 @@ def check_lasota_yorke(
     3|h|_beta + eta^beta/(1-eta^beta) |f|_beta; measured lower bounds sit
     on the left and declared upper bounds on the right, the conservative
     direction.  A violation beyond tol (relative) fails the row.
-
-    Each observable's n_max iterates are stacked, in passes of at most
-    _SLAB_POINTS cell values, and sampled by one stacked
-    :func:`grid_holder_seminorm` call per pass; the rng draws each
-    iterate's pairs in the order of one call per iterate.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grid = op.grid
@@ -807,12 +778,9 @@ def check_lasota_yorke(
     rows = []
     for phi in observables:
         v = phi.on_array(reps, grid.k)
-        measured = [
-            value
-            for block in _iterate_passes(op.matrix, v, n_max)
-            for value in grid_holder_seminorm(block, grid, m, samples, rng).tolist()
-        ]
-        for n, value in enumerate(measured, start=1):
+        for n in range(1, n_max + 1):
+            v = op.matrix @ v
+            value = grid_holder_seminorm(v, grid, m, samples, rng)
             bound = (
                 phi.declared_beta_norm * ce_eta_b ** n
                 + c6 * phi.declared_sup_norm * ce ** m.beta * geom
@@ -851,8 +819,7 @@ def random_admissible_box(
     """A random grid-aligned box on which the nodewise map is injective:
     each axis interval sits inside a single monotone branch domain.
 
-    ``min_bins`` keeps the box from being so small that a Monte Carlo
-    image-mass estimate is noise-dominated.
+    ``min_bins`` is the narrowest axis interval drawn, in bins.
     """
     domains = node_map.branch_domains()
     box = []
@@ -877,94 +844,30 @@ def _box_cell_mask(grid: Grid, box: Sequence[tuple[int, int]]) -> np.ndarray:
     return mask
 
 
-def _points_in_box(pts: np.ndarray, grid: Grid, box: Sequence[tuple[int, int]]) -> np.ndarray:
-    inside = np.ones(pts.shape[1], dtype=bool)
-    for axis, (lo, hi) in enumerate(box):
-        inside &= (pts[axis] >= lo / grid.n_bins) & (pts[axis] < hi / grid.n_bins)
-    return inside
+def _box_image(
+    grid: Grid, box: Sequence[tuple[int, int]], node_map: NodeMap
+) -> list[tuple[float, float]]:
+    """The nodewise image of a box, one interval [F(lo), F(hi)) per axis.
 
-
-# numpy's tolerance on the sum of Generator.choice's probabilities
-_P_ATOL = math.sqrt(np.finfo(float).eps)
-
-
-class _CellSampler:
-    """Draws indices from a probability vector p exactly as
-    ``rng.choice(p.size, size, p=p)`` does, without its binary search of
-    the whole CDF.
-
-    choice draws ``rng.random(size)`` and binary-searches each uniform u in
-    the CDF ``p.cumsum() / p.cumsum()[-1]``: the index is the count of CDF
-    entries <= u.  This sampler builds the same CDF, raises ValueError with
-    choice's message for NaN, negative or non-unit-sum p, draws the same
-    uniforms and returns the same indices through a guide table (Chen &
-    Asau 1974; Devroye 1986, III.2.4).
-
-    It cuts [0, 1) into m equal buckets, m a power of two at least 4
-    p.size, so u*m and j/m are exact and u lies in bucket floor(u*m).  The
-    count of entries <= j/m starts every answer in bucket j; the entries
-    inside the bucket that are <= u are added by binary lifting, one
-    vectorised pass per bit of the largest such count: at most
-    ceil(log2 p.size) passes whatever p is.
+    Each axis interval [lo, hi) must lie in one monotone branch domain
+    [left, right), where the map is injective: otherwise ValueError.  The
+    branch's inverse is an increasing bijection from [0,1) onto the
+    domain, so the interval's image is [F(lo), F(hi)), read as 0 at a cut
+    at left and 1 at a cut at right.
     """
-
-    def __init__(self, p: np.ndarray) -> None:
-        p = np.asarray(p, dtype=float)
-        p_sum = float(np.sum(p))
-        if math.isnan(p_sum):
-            raise ValueError("Probabilities contain NaN")
-        if np.any(p < 0.0):
-            raise ValueError("Probabilities are not non-negative")
-        if abs(p_sum - 1.0) > _P_ATOL:
-            raise ValueError("Probabilities do not sum to 1")
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        self.m = 1 << (4 * p.size - 1).bit_length()
-        edges = np.arange(self.m + 1) / self.m
-        self.start = cdf.searchsorted(edges[:-1], side="right")
-        widest = int(np.max(cdf.searchsorted(edges[1:], side="left") - self.start))
-        self.steps = [1 << bit for bit in reversed(range(widest.bit_length()))]
-        # a lifted index runs at most widest - 1 past the last entry; the
-        # padding reads 1, above every u
-        self.cdf = np.concatenate([cdf, np.ones(widest)])
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = self.start[(u * self.m).astype(np.intp)]
-        for step in self.steps:
-            idx += (self.cdf[idx + (step - 1)] <= u) * step
-        return idx
-
-
-def _preimage_meets_box(
-    pts: np.ndarray, grid: Grid, box: Sequence[tuple[int, int]], node_map: NodeMap
-) -> np.ndarray:
-    """Whether some nodewise branch preimage of each point (d, n) lies in
-    the box.
-
-    The preimages are the full product of per-axis branch choices, so one
-    lies in the box exactly when every axis has a branch value inside the
-    box's interval on that axis.  A branch is an increasing bijection from
-    [0,1) onto its domain [left, right), so its value lies in [lo_x, hi_x)
-    exactly when the point lies in the forward image of that interval cut
-    to the domain: [F(lo_x), F(hi_x)), with 0 for a cut at left and 1 for
-    a cut at right.  Only branches whose domain meets the interval count:
-    one per axis on an admissible box.
-    """
-    lefts = [float(br(np.array(0.0))) for br in node_map.inverse_branches]
-    domains = np.array(sorted(lefts) + [1.0])
-    rights = domains[np.searchsorted(domains, lefts, side="right")]
-    inside = np.ones(pts.shape[1], dtype=bool)
-    for axis, (lo, hi) in enumerate(box):
+    domains = node_map.branch_domains()
+    image = []
+    for lo, hi in box:
+        if not lo < hi:
+            raise ValueError(f"box axis interval [{lo}, {hi}) is empty")
         lo_x, hi_x = lo / grid.n_bins, hi / grid.n_bins
-        on_axis = np.zeros(pts.shape[1], dtype=bool)
-        for left, right in zip(lefts, rights):
-            if left < hi_x and lo_x < right:
-                y_lo = 0.0 if lo_x <= left else float(node_map.forward(np.array(lo_x)))
-                y_hi = 1.0 if hi_x >= right else float(node_map.forward(np.array(hi_x)))
-                on_axis |= (pts[axis] >= y_lo) & (pts[axis] < y_hi)
-        inside &= on_axis
-    return inside
+        j = int(np.searchsorted(domains, lo_x, side="right")) - 1
+        if not (0 <= j < node_map.b and hi_x <= domains[j + 1]):
+            raise ValueError("dynamics is not injective on the supplied box")
+        y_lo = 0.0 if lo_x == domains[j] else float(node_map.forward(np.array(lo_x)))
+        y_hi = 1.0 if hi_x == domains[j + 1] else float(node_map.forward(np.array(hi_x)))
+        image.append((y_lo, y_hi))
+    return image
 
 
 def check_conformality(
@@ -972,55 +875,46 @@ def check_conformality(
     box: Sequence[tuple[int, int]],
     node_map: NodeMap,
     coupling: Coupling | None = None,
-    mc_samples: int = 200_000,
-    rng: np.random.Generator | None = None,
 ) -> ConformalityResult:
-    """Compare sum over the box of exp(-g) d nu with the Monte Carlo mass
-    of the forward image of the box.
+    """Compare sum over the box of exp(-g) d nu with the nu-mass of the
+    image of the box under the coupled step.
 
-    The left side is evaluated on grid cells; the right by drawing samples
-    from nu (cells by weight, uniform within) and counting those whose
-    pull-back through the coupling -- one product by the precomputed E^-1,
-    :meth:`Coupling.invert_on_array` -- lies in [0, 1)^d and has a nodewise
-    preimage in the box (:func:`_preimage_meets_box`, no Newton solve).
-    Cells are drawn by the eigen-data's guide-table sampler, built once,
-    which returns ``rng.choice``'s cells from the same draws; the samples
-    then run node-major, one contiguous row per axis.  Injectivity of the
-    dynamics on the box is verified by checking that no sampled point has
-    two branch preimages inside it.
+    The left side is evaluated on grid cells.  The right side is the
+    change of variables x = E y + c of the coupling, as in the coupled
+    assembly: nu(T B) = |det E| * integral over tau B of rho(E y + c) dy,
+    where rho = n_cells * nu_c / sum(nu) on cell c and tau B is the
+    product of the per-axis images of :func:`_box_image`.  The integral
+    is a midpoint rule on n_bins * quad points per unit length of each
+    axis, quad being the eigen-data operator's, taken in passes of at most
+    _SLAB_POINTS points.  A NaN, infinite, negative or zero-sum nu raises
+    ValueError.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     grid = eigen.operator.grid
     coupling = coupling or Coupling(kind="diffusive", epsilon=0.0)
+    nu_sum = float(np.sum(eigen.nu))
+    if not (math.isfinite(nu_sum) and nu_sum > 0.0) or np.any(eigen.nu < 0.0):
+        raise ValueError("nu must be finite and non-negative, with a positive sum")
     mask = _box_cell_mask(grid, box)
     lhs = float(np.sum(np.exp(-eigen.g[mask]) * eigen.nu[mask]))
 
-    # injectivity probe on uniform samples of the whole cube
-    probe = rng.uniform(0.0, _ONE_MINUS, (grid.d, 2000))
-    table = branch_preimage_table(probe, node_map)
-    counts = np.zeros(probe.shape[1], dtype=int)
-    for branch in range(table.shape[0]):
-        counts += _points_in_box(table[branch], grid, box)
-    if np.any(counts >= 2):
-        raise ValueError("dynamics is not injective on the supplied box")
-
-    # Monte Carlo image counting for nu(T box)
-    cells = eigen._nu_sampler.draw(rng, mc_samples)
-    x = rng.uniform(0.0, 1.0, (grid.d, mc_samples))
-    for row, bins in zip(x, grid._bins):
-        row += bins[cells]
-    x /= grid.n_bins
-    y = np.ascontiguousarray(
-        coupling.invert_on_array(x.T, grid.k, node_map.p_tau).T
-    )
-    valid = np.ones(mc_samples, dtype=bool)
-    for row in y:
-        valid &= row >= 0.0
-        valid &= row < 1.0
-    # a valid y is below 1, so at most _ONE_MINUS: the box test needs no clip
-    hit = _preimage_meets_box(y, grid, box, node_map)
-    hit &= valid
-    rhs = float(np.mean(hit))
+    fine = grid.n_bins * eigen.operator.quad
+    weight = abs(np.linalg.det(coupling.dense_matrix(grid.k)))
+    axes = []
+    for y_lo, y_hi in _box_image(grid, box, node_map):
+        n = math.ceil((y_hi - y_lo) * fine)
+        step = (y_hi - y_lo) / n
+        axes.append(y_lo + (np.arange(n) + 0.5) * step)
+        weight *= step
+    rho = eigen.nu * (grid.n_cells / nu_sum)
+    shape = tuple(a.size for a in axes)
+    n_pts = math.prod(shape)
+    total = 0.0
+    for lo in range(0, n_pts, _SLAB_POINTS):
+        idx = np.unravel_index(np.arange(lo, min(lo + _SLAB_POINTS, n_pts)), shape)
+        y = np.stack([a[i] for a, i in zip(axes, idx)])
+        x = coupling.apply_to_array(y.T, grid.k, node_map.p_tau).T
+        total += float(np.sum(rho[grid.cell_of(x)]))
+    rhs = weight * total
     ratio = lhs / rhs if rhs > 0.0 else math.inf
     return ConformalityResult(lhs=lhs, rhs=rhs, ratio=ratio)
 

@@ -10,6 +10,7 @@ import pytest
 
 import cml_lab as cl
 from cml_lab.cli import main, validate_config
+from cml_lab.harness import CLT_MIN_REPLICAS
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -159,6 +160,28 @@ class TestValidation:
         assert len(v) == 1 and "contraction pre-flight" in v[0]
         assert validate_config(cl.ExperimentConfig(epsilon=0.15)) == []
 
+    def test_decaying_sine_base_must_exceed_one(self):
+        # base = 1 divided by zero in the declared sup norm; below 1 that
+        # norm is negative
+        for base in (1.0, 0.5):
+            v = validate_config(
+                cl.ExperimentConfig(potential_kind="decaying_sine", base=base)
+            )
+            assert v == [f"base={base} must exceed 1 for the decaying_sine potential"]
+        assert validate_config(cl.ExperimentConfig(base=1.0)) == []
+
+    def test_clt_needs_its_replica_floor(self):
+        v = validate_config(cl.ExperimentConfig(n_replicas=100))
+        assert v == [
+            f"n_replicas=100 is below the {CLT_MIN_REPLICAS} replicas "
+            "the clt experiment needs"
+        ]
+        no_clt = tuple(e for e in cl.ExperimentConfig().experiments if e != "clt")
+        assert validate_config(
+            cl.ExperimentConfig(n_replicas=100, experiments=no_clt)
+        ) == []
+        assert validate_config(cl.ExperimentConfig(n_replicas=CLT_MIN_REPLICAS)) == []
+
     def test_fingerprint_tracks_config(self):
         a = cl.ExperimentConfig()
         b = cl.ExperimentConfig(seed=43)
@@ -190,7 +213,7 @@ class TestRunner:
         # step must record an error without crashing the run
         text = EIGEN_ONLY.replace("experiments = eigen", "experiments = clt")
         text = text.replace("epsilon = 0.0", "epsilon = 0.05")
-        text += "n_steps = 300\nn_replicas = 10\nburn_in = 100\n"
+        text += "n_steps = 300\nn_replicas = 500\nburn_in = 100\n"
         cfg = cl.parse_config(
             write_cfg(tmp_path, text.format(out=os.path.join(tmp_path, "r")))
         )
