@@ -34,9 +34,6 @@ def main() -> None:
     print(f"  eigenfunction range [{eigen.h.min():.4f}, {eigen.h.max():.4f}],"
           f"  nu(h) = {eigen.nu @ eigen.h:.12f}")
 
-    cone = cl.ConeParams(f_beta=f.declared_beta_norm, eta=nm.eta, beta=m.beta)
-    print("  regularity cone membership:", cl.cone_membership(eigen, cone, m).passed)
-
     coupling = cl.Coupling(epsilon=0.05)
     op = cl.ulam_matrix("coupled", 1, 16, nm, eigen=eigen, coupling=coupling)
     sums = np.asarray(op.matrix.sum(axis=1)).ravel()

@@ -44,14 +44,12 @@ from .observables import (
     zero_potential,
 )
 from .transfer import (
-    ConeParams,
     EigenData,
     Grid,
     UlamOperator,
     check_conformality,
     check_lasota_yorke,
     check_Pk_cauchy,
-    cone_membership,
     estimate_holder_seminorm,
     eval_Pk,
     leading_eigenpair,

@@ -32,7 +32,8 @@ __all__ = [
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 
-# Most path values the pull-back sampler holds at once.
+# Most branch choices the pull-back sampler holds at once; its path holds
+# no more values than that.
 _PULLBACK_POINTS = 1 << 20
 
 # Fewest replicas clt_test accepts; config validation reads it too.
@@ -128,14 +129,14 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
     the uniform start, are dropped, and the rest are reversed into forward
     time.  All replicas of a chunk step together, each branch applied to
     the entries that chose it; a chunk holds at most ``_PULLBACK_POINTS``
-    path values.
+    branch choices, and as many path values or fewer.
     """
     if cfg.coupling.epsilon != 0.0:
         raise ValueError("pullback sampling supports the uncoupled system only")
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
     out = np.empty((cfg.n_replicas, n_keep))
-    chunk = max(1, _PULLBACK_POINTS // (n_keep * d))
+    chunk = max(1, _PULLBACK_POINTS // (cfg.n_steps * d))
     for lo in range(0, cfg.n_replicas, chunk):
         replicas = range(lo, min(lo + chunk, cfg.n_replicas))
         x = np.empty((len(replicas), d))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -425,22 +426,30 @@ def estimate_coupling_constant(
 
 @dataclass(frozen=True)
 class Potential:
-    """An observable/potential on lattice states with declared norm bounds.
+    """An observable/potential on lattice states: a sum of node terms, with
+    declared norm bounds.
 
-    ``evaluator`` maps node-value arrays of shape (d, n) (rows ordered from
-    node -k to node k) to length-n arrays; it must be consistent across
-    window widths under the p_tau tail convention.  The declared seminorms
-    are a priori upper bounds; sampling estimators must stay below them.
+    ``node_term(j, x, k)`` maps the values x (a 1-d array) of node j of a
+    window of half-width k to that node's term; the potential is the sum
+    of the terms from node -k to node k, in that order.  It must be
+    consistent across window widths under the p_tau tail convention.  The
+    declared seminorms are a priori upper bounds; sampling estimators must
+    stay below them.
     """
 
     name: str
-    evaluator: Callable[[np.ndarray, int], np.ndarray]
+    node_term: Callable[[int, np.ndarray, int], np.ndarray]
     declared_sup_norm: float
     declared_beta_norm: float
 
     def __call__(self, x: FiniteState) -> float:
-        return float(self.evaluator(x.values[:, None], x.k)[0])
+        return float(self.on_array(x.values[:, None], x.k)[0])
 
     def on_array(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Evaluate on (d, n) arrays of window values, d = 2k+1."""
-        return np.asarray(self.evaluator(values, k), dtype=float)
+        """Evaluate on (d, n) arrays of window values, d = 2k+1, rows
+        ordered from node -k to node k."""
+        terms = (
+            self.node_term(j, x, k)
+            for j, x in zip(range(-k, k + 1), np.asarray(values, dtype=float))
+        )
+        return np.asarray(reduce(np.add, terms), dtype=float)

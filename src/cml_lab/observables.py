@@ -1,10 +1,10 @@
 """Named potentials and observables on lattice windows.
 
-Evaluators operate on arrays of window values with rows ordered from node
--k to node k.  Declared seminorm bounds are computed for a given metric
-(theta, beta) and are upper bounds; the sampling estimators in
-:mod:`cml_lab.transfer` produce lower bounds, so declared >= measured is
-the consistency check.
+Each is a sum of node terms: a term maps the values of node j (a 1-d
+array) to that node's contribution, nodes running from -k to k.
+Declared seminorm bounds are computed for a given metric (theta, beta)
+and are upper bounds; the sampling estimators in :mod:`cml_lab.transfer`
+produce lower bounds, so declared >= measured is the consistency check.
 """
 
 from __future__ import annotations
@@ -33,9 +33,13 @@ def zero_potential() -> Potential:
 
 
 def constant_potential(c: float, name: str | None = None) -> Potential:
+    # the constant is the centre node's term, the one node of every window
+    def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
+        return np.full(x.shape, float(c) if j == 0 else 0.0)
+
     return Potential(
         name=name or f"const({c})",
-        evaluator=lambda vals, k: np.full(np.asarray(vals).shape[1], float(c)),
+        node_term=term,
         declared_sup_norm=abs(c),
         declared_beta_norm=0.0,
     )
@@ -48,15 +52,12 @@ def node_sine_potential(
     the window (consistent with a p_tau = 0 tail)."""
     m = metric or MetricParams()
 
-    def evaluate(vals: np.ndarray, k: int) -> np.ndarray:
-        vals = np.asarray(vals, dtype=float)
-        if abs(node) > k:
-            return np.zeros(vals.shape[1])
-        return amplitude * np.sin(_TWO_PI * vals[node + k])
+    def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
+        return amplitude * np.sin(_TWO_PI * x) if j == node else np.zeros(x.shape)
 
     return Potential(
         name=f"sine(node={node}, c={amplitude})",
-        evaluator=evaluate,
+        node_term=term,
         declared_sup_norm=abs(amplitude),
         declared_beta_norm=_TWO_PI * abs(amplitude) * m.theta ** (-m.beta * abs(node)),
     )
@@ -79,14 +80,12 @@ def decaying_sine_potential(
         base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in range(-60, 61)
     )
 
-    def evaluate(vals: np.ndarray, k: int) -> np.ndarray:
-        vals = np.asarray(vals, dtype=float)
-        weights = abs(amplitude) * base ** -np.abs(np.arange(-k, k + 1, dtype=float))
-        return np.sign(amplitude) * weights @ np.sin(_TWO_PI * vals)
+    def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
+        return amplitude * base ** -abs(j) * np.sin(_TWO_PI * x)
 
     return Potential(
         name=f"decaying_sine(c={amplitude}, base={base})",
-        evaluator=evaluate,
+        node_term=term,
         declared_sup_norm=sup,
         declared_beta_norm=lip if not math.isinf(lip) else float("inf"),
     )
@@ -116,15 +115,12 @@ def srb_potential(
     width_weight = sum(m.theta ** (-m.beta * abs(j)) for j in range(-max_k, max_k + 1))
     sup = per_node_sup * (2 * max_k + 1)
 
-    def evaluate(vals: np.ndarray, k: int) -> np.ndarray:
-        vals = np.asarray(vals, dtype=float)
-        return np.sum(
-            np.log(node_map.b) - np.log(node_map.forward_deriv(vals)), axis=0
-        )
+    def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
+        return np.log(node_map.b) - np.log(node_map.forward_deriv(x))
 
     return Potential(
         name=f"srb({node_map.name})",
-        evaluator=evaluate,
+        node_term=term,
         declared_sup_norm=sup,
         declared_beta_norm=per_node_lip * width_weight,
     )
@@ -136,15 +132,14 @@ def node_coordinate(
     """phi(x) = x_node - offset (p_tau - offset when outside the window)."""
     m = metric or MetricParams()
 
-    def evaluate(vals: np.ndarray, k: int) -> np.ndarray:
-        vals = np.asarray(vals, dtype=float)
+    def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
         if abs(node) > k:
             raise ValueError(f"node {node} outside window of half-width {k}")
-        return vals[node + k] - offset
+        return x - offset if j == node else np.zeros(x.shape)
 
     return Potential(
         name=f"coord(node={node}, offset={offset})",
-        evaluator=evaluate,
+        node_term=term,
         declared_sup_norm=max(abs(offset), abs(1.0 - offset)),
         declared_beta_norm=m.theta ** (-m.beta * abs(node)),
     )
@@ -171,12 +166,11 @@ def random_trig_observable(
             )
         )
 
-    def evaluate(vals: np.ndarray, k: int) -> np.ndarray:
-        vals = np.asarray(vals, dtype=float)
-        out = np.zeros(vals.shape[1])
+    def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
+        out = np.zeros(x.shape)
         for amp, node, freq, phase in terms:
-            if abs(node) <= k:
-                out += amp * np.cos(_TWO_PI * freq * vals[node + k] + phase)
+            if node == j:
+                out += amp * np.cos(_TWO_PI * freq * x + phase)
         return out
 
     sup = sum(abs(amp) for amp, *_ in terms)
@@ -186,7 +180,7 @@ def random_trig_observable(
     )
     return Potential(
         name="random_trig",
-        evaluator=evaluate,
+        node_term=term,
         declared_sup_norm=sup,
         declared_beta_norm=beta_norm,
     )

@@ -10,7 +10,6 @@ eigen-measure, normalized potential) are extracted by power iteration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -34,14 +33,12 @@ __all__ = [
     "Grid",
     "UlamOperator",
     "EigenData",
-    "ConeParams",
     "eval_Pk",
     "check_Pk_cauchy",
     "CauchyReport",
     "ulam_matrix",
     "leading_eigenpair",
     "power_iterate",
-    "cone_membership",
     "estimate_holder_seminorm",
     "grid_holder_seminorm",
     "check_lasota_yorke",
@@ -53,9 +50,9 @@ __all__ = [
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 
-# Most quadrature points an assembly holds at once (counting each branch
-# preimage of a point for 'P').  It bounds the slab temporaries, so peak
-# memory scales with cells and non-zeros, not with the quadrature cloud.
+# Most quadrature points the coupled assembly and the conformality
+# integral hold at once.  It bounds their temporaries, so peak memory
+# scales with cells and non-zeros, not with the quadrature cloud.
 _SLAB_POINTS = 1 << 16
 
 
@@ -278,9 +275,11 @@ def ulam_matrix(
     their rows stay empty and the normalization runs on the reachable cells
     only.
 
-    Both assemblies run the node map once per quadrature axis and read its
-    values at the quadrature points, slab by slab, from those per-axis
-    tables; the matrices are those of one all-at-once assembly, to the byte.
+    Both assemblies run the node map once per quadrature axis.  'P' is the
+    Kronecker product of one 1-d factor per node; 'coupled' reads the node
+    map and the potential's node terms at the quadrature points, slab by
+    slab, from per-axis tables, and its matrix is that of one all-at-once
+    assembly, to the byte.
     """
     grid = Grid(k=k, n_bins=n_bins)
     if grid.n_cells > cell_budget:
@@ -338,17 +337,23 @@ def _quad_slabs(
     """Midpoint-refined quadrature, quad**d points per cell, in slabs.
 
     The points are the C-order product of d copies of the quadrature axis.
-    A slab is a run of first-axis bins, as many as fit in ``max_points``
-    points (at least one), yielded as its per-axis slices of the axis with
-    the parent cells (M,) of its points; the slabs run in point order.
+    A slab holds at most ``max_points`` points (at least one): it fixes
+    every axis before a cut axis to one point, takes a run of the cut axis
+    and all of every later axis, the cut being the first axis whose later
+    axes fit.  Slabs are yielded in point order, as their per-axis slices
+    of the axis with the parent cells (M,) of their points.
     """
     d, fine = grid.d, grid.n_bins * quad
-    step = max(1, max_points // (quad * fine ** (d - 1)))
+    cut = next(a for a in range(d) if fine ** (d - 1 - a) <= max_points)
+    step = max(1, max_points // fine ** (d - 1 - cut))
+    rest = (slice(0, fine),) * (d - 1 - cut)
     # an axis point's bin times the axis's stride in the flat cell index
     strided = [np.arange(fine) // quad * grid.n_bins ** (d - 1 - a) for a in range(d)]
-    for lo in range(0, grid.n_bins, step):
-        axes = (slice(lo * quad, (lo + step) * quad),) + (slice(0, fine),) * (d - 1)
-        yield axes, _axis_sum(strided, axes)
+    for lead in np.ndindex((fine,) * cut):
+        fixed = tuple(slice(i, i + 1) for i in lead)
+        for lo in range(0, fine, step):
+            axes = fixed + (slice(lo, lo + step),) + rest
+            yield axes, _axis_sum(strided, axes)
 
 
 def _axis_views(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> list:
@@ -374,44 +379,32 @@ def _axis_sum(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> np.ndarr
 def _assemble_p_matrix(
     grid: Grid, node_map: NodeMap, potential: Potential, quad: int
 ) -> sp.csr_matrix:
-    """Raw branch-weight matrix, stacked from the row blocks of slabs.
+    """Raw branch-weight matrix: the Kronecker product of one 1-d Ulam
+    factor per node, node -k the slowest axis as in the C-order cell index.
 
-    Each inverse branch runs once, on the quadrature axis; a point's
-    branch preimages and their bins are read from those tables, in the
-    order of :func:`branch_preimage_table`, and its potential is evaluated
-    per point.  A slab's points are its rows' points, so every row gets
-    the entries of one all-at-once assembly in the same order, and the
-    same bytes after the per-row sort and duplicate sum.  Newton branches
-    stop on the largest step of the call, and the axis holds exactly the
-    distinct coordinates of all points, so they take the same steps too.
+    The potential is a sum of node terms, so a point's branch weight
+    exp(f(pre)) / (b**d quad**d) is the product over nodes of
+    exp(term_j(pre_j)) / (b quad), and the sum over the b**d branch
+    choices factors node by node.  Factor j's rows are the bins of the
+    quadrature axis points, its columns the bins of their preimages under
+    each inverse branch, which runs once, on the axis.  The result is in
+    canonical CSR form: sorted indices, duplicates summed.
     """
-    d = grid.d
-    b_k = node_map.b ** d
-    weight = 1.0 / (b_k * quad ** d)
-    inverse = [br(_quad_axis(grid, quad)) for br in node_map.inverse_branches]
-    # bins[c][a]: the bin of branch c's value times axis a's stride
-    bins = [[grid.bin_of(v) * grid.n_bins ** (d - 1 - a) for a in range(d)]
-            for v in inverse]
-    choices = list(itertools.product(range(node_map.b), repeat=d))
-    blocks = []
-    # a slab's b_k weight and column arrays are its largest
-    for axes, rows in _quad_slabs(grid, quad, _SLAB_POINTS // b_k):
-        first = rows[0]
-        data, col_idx = [], []
-        for choice in choices:
-            pre = _on_slab([inverse[c] for c in choice], axes)
-            data.append(np.exp(potential.on_array(pre, grid.k)) * weight)
-            col_idx.append(_axis_sum([bins[c][a] for a, c in enumerate(choice)], axes))
-        blocks.append(
-            sp.coo_matrix(
-                (
-                    np.concatenate(data),
-                    (np.tile(rows - first, b_k), np.concatenate(col_idx)),
-                ),
-                shape=(rows[-1] - first + 1, grid.n_cells),
-            ).tocsr()
-        )
-    return sp.vstack(blocks, format="csr")
+    axis = _quad_axis(grid, quad)
+    pre = np.concatenate([br(axis) for br in node_map.inverse_branches])
+    rows = np.tile(np.arange(axis.size) // quad, node_map.b)
+    cols = grid.bin_of(pre)
+    weight = 1.0 / (node_map.b * quad)
+    factors = [
+        sp.coo_matrix(
+            (np.exp(potential.node_term(j, pre, grid.k)) * weight, (rows, cols)),
+            shape=(grid.n_bins, grid.n_bins),
+        ).tocsr()
+        for j in range(-grid.k, grid.k + 1)
+    ]
+    matrix = reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+    matrix.sum_duplicates()
+    return matrix
 
 
 def _similarity(matrix: sp.csr_matrix, h: np.ndarray, lam: float) -> sp.csr_matrix:
@@ -442,9 +435,10 @@ def _assemble_coupled_matrix(
     right eigenfunction vanishes off the coupling range, which kills the
     unreachable columns as well.
 
-    The node map and its log-derivative run once, on the quadrature axis,
-    and are read from those tables; the potential, the coupling step and
-    the image cells are evaluated per point.
+    The node map, its log-derivative and the potential's node terms run
+    once, on the quadrature axis, and are read from those tables, summed
+    from node -k to node k as :meth:`Potential.on_array` sums them; the
+    coupling step and the image cells are evaluated per point.
     """
     if node_map.forward_deriv is None:
         raise ValueError(
@@ -464,6 +458,7 @@ def _assemble_coupled_matrix(
     axis = _quad_axis(grid, quad)
     forward = node_map.forward(axis)
     log_deriv = np.log(node_map.forward_deriv(axis))
+    terms = [potential.node_term(j, axis, grid.k) for j in range(-grid.k, grid.k + 1)]
     start = 0
     for axes, parent in _quad_slabs(grid, quad, _SLAB_POINTS):
         stop = start + parent.size
@@ -474,9 +469,8 @@ def _assemble_coupled_matrix(
         cols[start:stop] = parent
         log_det = _axis_sum([log_deriv] * grid.d, axes)
         log_det += log_det_e
-        pts = _on_slab([axis] * grid.d, axes)
         np.divide(
-            np.exp(potential.on_array(pts, grid.k) + log_det),
+            np.exp(_axis_sum(terms, axes) + log_det),
             quad ** grid.d,
             out=weight[start:stop],
         )
@@ -581,65 +575,6 @@ def leading_eigenpair(op: UlamOperator) -> EigenData:
     mu = h * nu
     mu = mu / mu.sum()
     return EigenData(lam=lam, h=h, nu=nu, g=g, mu=mu, operator=op)
-
-
-# ---------------------------------------------------------------------------
-# cone membership
-
-
-@dataclass(frozen=True)
-class ConeParams:
-    """The regularity cone envelope B(z) = exp(f_beta eta^beta/(1-eta^beta) z^beta)."""
-
-    f_beta: float
-    eta: float
-    beta: float
-
-    def envelope(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        coeff = self.f_beta * self.eta ** self.beta / (1.0 - self.eta ** self.beta)
-        return np.exp(coeff * z ** self.beta)
-
-    def scaling_identity_defect(self, z: np.ndarray) -> float:
-        """Max defect of B(eta z) exp(f_beta eta^beta z^beta) = B(z)."""
-        z = np.asarray(z, dtype=float)
-        lhs = self.envelope(self.eta * z) * np.exp(
-            self.f_beta * self.eta ** self.beta * z ** self.beta
-        )
-        return float(np.max(np.abs(lhs - self.envelope(z))))
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    worst_margin: float
-    nu_h_error: float
-    passed: bool
-
-
-def cone_membership(
-    eigen: EigenData,
-    cone: ConeParams,
-    m: MetricParams,
-    samples: int = 2000,
-    tol: float = 1e-3,
-    rng: np.random.Generator | None = None,
-) -> ConeReport:
-    """Check h(x) <= B(d(x,y)) h(y) (1+tol) over sampled cell-midpoint pairs.
-
-    Reports the worst relative margin instead of failing; a positive
-    margin beyond tol indicates the grid is too coarse for the cone.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    grid = eigen.operator.grid
-    a = rng.integers(0, grid.n_cells, samples)
-    b = rng.integers(0, grid.n_cells, samples)
-    dist = grid.rep_distance(a, b, m)
-    bound = cone.envelope(dist) * eigen.h[b]
-    margin = float(np.max(eigen.h[a] / bound - 1.0))
-    nu_h_error = float(abs(eigen.nu @ eigen.h - 1.0))
-    return ConeReport(
-        worst_margin=margin, nu_h_error=nu_h_error, passed=margin <= tol
-    )
 
 
 # ---------------------------------------------------------------------------

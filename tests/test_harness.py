@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,8 +94,9 @@ class TestSimulation:
         assert abs(out.mean() - 0.5) < 0.01
         assert abs(out.var() - 1.0 / 12.0) < 0.005
 
-    # one chunk, one replica per chunk, and chunks of 4 replicas out of 6
-    @pytest.mark.parametrize("chunk_points", [None, 1, 4 * 180 * 3])
+    # one chunk, one replica per chunk, and chunks of 2 and of 4 replicas
+    # out of 6 (a chunk holds at most chunk_points // (n_steps * d) replicas)
+    @pytest.mark.parametrize("chunk_points", [None, 1, 4 * 180 * 3, 4 * 300 * 3])
     def test_pullback_matches_per_step_loop(self, chunk_points, doubling, monkeypatch):
         # reference: one replica at a time, one branch draw per step
         if chunk_points is not None:
@@ -123,6 +125,31 @@ class TestSimulation:
                 path[step] = x
             ref[r] = cfg.observable.on_array(path[cfg.burn_in:][::-1].T, 1)
         assert np.array_equal(cl.simulate_ensemble(cfg), ref)
+
+    def test_pullback_choice_table_holds_the_chunk_bound(self, doubling):
+        # every step's branch choices are drawn up front, so the chunk is
+        # sized by n_steps, not by the kept steps: one table for all 2,000
+        # replicas would take 2000 * 2000 * 3 * 8 bytes = 96 MB here for a
+        # 48 KB path.  A chunk's int64 table holds at most _PULLBACK_POINTS
+        # entries, and two are alive while the next replaces the last.
+        cfg = cl.EnsembleConfig(
+            node_map=doubling,
+            coupling=cl.Coupling(epsilon=0.0),
+            observable=cl.node_coordinate(),
+            k_sim=1,
+            n_steps=2000,
+            n_replicas=2000,
+            burn_in=1999,
+            seed=7,
+            method="pullback",
+        )
+        tracemalloc.start()
+        try:
+            cl.simulate_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * harness._PULLBACK_POINTS * 8
 
     def test_pullback_burns_in_the_transient(self):
         # the first kept step must be as well mixed as the last: with the

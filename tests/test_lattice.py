@@ -355,6 +355,72 @@ class TestCouplingConstant:
         assert np.max(ratios[1000:]) == pytest.approx(got, rel=1e-12)
 
 
+# The (d, n) evaluators of the six potentials before each became a sum of
+# node terms, kept as references for Potential.on_array.
+_TWO_PI = 2.0 * math.pi
+
+
+def _ref_constant(c):
+    return lambda vals, k: np.full(np.asarray(vals).shape[1], float(c))
+
+
+def _ref_node_sine(amplitude, node):
+    def evaluate(vals, k):
+        vals = np.asarray(vals, dtype=float)
+        if abs(node) > k:
+            return np.zeros(vals.shape[1])
+        return amplitude * np.sin(_TWO_PI * vals[node + k])
+    return evaluate
+
+
+def _ref_decaying_sine(amplitude, base):
+    def evaluate(vals, k):
+        vals = np.asarray(vals, dtype=float)
+        weights = abs(amplitude) * base ** -np.abs(np.arange(-k, k + 1, dtype=float))
+        return np.sign(amplitude) * weights @ np.sin(_TWO_PI * vals)
+    return evaluate
+
+
+def _ref_srb(node_map):
+    def evaluate(vals, k):
+        vals = np.asarray(vals, dtype=float)
+        return np.sum(
+            np.log(node_map.b) - np.log(node_map.forward_deriv(vals)), axis=0
+        )
+    return evaluate
+
+
+def _ref_node_coordinate(node, offset):
+    def evaluate(vals, k):
+        vals = np.asarray(vals, dtype=float)
+        if abs(node) > k:
+            raise ValueError(f"node {node} outside window of half-width {k}")
+        return vals[node + k] - offset
+    return evaluate
+
+
+def _ref_random_trig(rng, max_node=1, max_freq=2, n_terms=3):
+    terms = []
+    for _ in range(n_terms):
+        terms.append(
+            (
+                float(rng.uniform(-1.0, 1.0)),
+                int(rng.integers(-max_node, max_node + 1)),
+                int(rng.integers(1, max_freq + 1)),
+                float(rng.uniform(0.0, _TWO_PI)),
+            )
+        )
+
+    def evaluate(vals, k):
+        vals = np.asarray(vals, dtype=float)
+        out = np.zeros(vals.shape[1])
+        for amp, node, freq, phase in terms:
+            if abs(node) <= k:
+                out += amp * np.cos(_TWO_PI * freq * vals[node + k] + phase)
+        return out
+    return evaluate
+
+
 class TestPotential:
     def test_declared_bounds_hold(self, metric):
         rng = np.random.default_rng(2)
@@ -363,6 +429,47 @@ class TestPotential:
         assert np.all(np.abs(pot.on_array(x, 1)) <= pot.declared_sup_norm + 1e-12)
         est = cl.estimate_holder_seminorm(pot, metric, k=1, samples=2000)
         assert est <= pot.declared_beta_norm + 1e-9
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_node_terms_sum_to_the_evaluators(self, k, doubling, perturbed, metric):
+        # summed from node -k to node k, the terms give the evaluators'
+        # bytes wherever the evaluator summed in that order or read one node
+        x = np.random.default_rng(k).uniform(0.0, 1.0, (2 * k + 1, 2000)) * 0.999
+        exact = [
+            (cl.zero_potential(), _ref_constant(0.0)),
+            (cl.constant_potential(-0.7), _ref_constant(-0.7)),
+            (cl.node_sine_potential(0.1, 0, metric), _ref_node_sine(0.1, 0)),
+            (cl.node_sine_potential(-0.3, 1, metric), _ref_node_sine(-0.3, 1)),
+            (cl.srb_potential(perturbed, max_k=k), _ref_srb(perturbed)),
+            (cl.srb_potential(doubling, max_k=k), _ref_srb(doubling)),
+            (cl.node_coordinate(0, 0.25), _ref_node_coordinate(0, 0.25)),
+        ]
+        if k >= 1:
+            exact.append((cl.node_coordinate(-1), _ref_node_coordinate(-1, 0.0)))
+        for pot, ref in exact:
+            assert pot.on_array(x, k).tobytes() == ref(x, k).tobytes(), pot.name
+        # decaying_sine's evaluator was a BLAS product, random_trig's summed
+        # in the order its terms were drawn: both may differ in the last bits
+        close = [
+            (cl.decaying_sine_potential(0.1, 4.0), _ref_decaying_sine(0.1, 4.0)),
+            (cl.decaying_sine_potential(-0.3, 2.5), _ref_decaying_sine(-0.3, 2.5)),
+            (
+                cl.random_trig_observable(np.random.default_rng(5), n_terms=6),
+                _ref_random_trig(np.random.default_rng(5), n_terms=6),
+            ),
+        ]
+        for pot, ref in close:
+            got, want = pot.on_array(x, k), ref(x, k)
+            assert np.max(np.abs(got - want)) <= 1e-15 * pot.declared_sup_norm, pot.name
+
+    def test_state_call_matches_on_array(self, perturbed):
+        pot = cl.srb_potential(perturbed, max_k=1)
+        x = cl.state([0.2, 0.5, 0.9])
+        assert pot(x) == pot.on_array(x.values[:, None], 1)[0]
+
+    def test_coordinate_outside_the_window_raises(self):
+        with pytest.raises(ValueError, match="outside window"):
+            cl.node_coordinate(2).on_array(np.full((3, 4), 0.5), 1)
 
     def test_state_rejects_bad_values(self):
         with pytest.raises(ValueError):

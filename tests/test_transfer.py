@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 
@@ -176,22 +177,6 @@ class TestNormalizedMatrix:
         op = cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0)
         mu = perturbed_eigen_k0.mu
         assert np.max(np.abs(op.matrix.T @ mu - mu)) < 1e-12
-
-
-class TestConeMembership:
-    def test_uncoupled_srb_in_cone(self, perturbed_eigen_k0, perturbed, metric):
-        pot = perturbed_eigen_k0.operator.potential
-        cone = cl.ConeParams(
-            f_beta=pot.declared_beta_norm, eta=perturbed.eta, beta=metric.beta
-        )
-        rep = cl.cone_membership(perturbed_eigen_k0, cone, metric)
-        assert rep.passed
-        assert rep.nu_h_error < 1e-10
-
-    def test_scaling_identity(self, perturbed, metric):
-        cone = cl.ConeParams(f_beta=2.0, eta=perturbed.eta, beta=metric.beta)
-        z = np.linspace(0.0, 1.0, 50)
-        assert cone.scaling_identity_defect(z) < 1e-12
 
 
 class TestSeminormEstimators:
@@ -644,35 +629,46 @@ def _monolithic_coupled(grid, node_map, potential, coupling, quad):
     return transfer._normalize_on_reachable(raw)
 
 
-def _assert_same_bytes(got, ref):
-    for name in ("indptr", "indices", "data"):
+def _assert_same_bytes(got, ref, names=("indptr", "indices", "data")):
+    for name in names:
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
 
 
+def _assert_same_pattern(got, ref, rtol):
+    """Identical sparsity pattern, data within rtol of the reference's."""
+    _assert_same_bytes(got, ref, ("indptr", "indices"))
+    assert np.max(np.abs(got.data - ref.data) / np.abs(ref.data)) <= rtol
+
+
 class TestSlabAssembly:
-    """Slab-wise assembly gives the all-at-once matrices bit for bit,
-    whatever the slab size: one bin per slab, a size that does not divide
-    n_bins, and a single slab."""
+    """Each assembly against its all-at-once reference.  The slabs of the
+    coupled assembly give its matrix bit for bit at every point budget:
+    one point, a run that does not divide an axis, whole rows and planes,
+    and a single slab.  'P', the Kronecker product of 1-d factors, keeps
+    the reference's sparsity pattern, and its data agree to roundoff."""
 
     CASES = [(0, 64), (1, 6)]
-    SLAB_BINS = [1, 5, None]
+    BUDGETS = [1, 5, 50, 1200, None]
 
     @staticmethod
-    def _points_per_bin(grid, quad):
-        return quad ** grid.d * grid.n_bins ** (grid.d - 1)
+    def _budget(grid, quad, budget):
+        return budget or grid.n_cells * quad ** grid.d
 
-    @pytest.mark.parametrize("slab_bins", SLAB_BINS)
-    @pytest.mark.parametrize("k,n_bins", CASES)
-    def test_slabs_enumerate_all_points_in_order(self, k, n_bins, slab_bins):
+    @pytest.mark.parametrize(
+        "k,n_bins,budget",
+        [(k, n, b) for (k, n), b in itertools.product(CASES, BUDGETS)]
+        + [(2, 2, 50), (2, 2, 1200), (2, 2, None)],  # d = 5
+    )
+    def test_slabs_enumerate_all_points_in_order(self, k, n_bins, budget):
         # the axis tables read at each slab's slices, concatenated, are all
         # quadrature points in C order, with their parent cells
         grid = cl.Grid(k=k, n_bins=n_bins)
-        per_bin = self._points_per_bin(grid, 4)
+        max_points = self._budget(grid, 4, budget)
         axis = transfer._quad_axis(grid, 4)
-        slabs = list(transfer._quad_slabs(grid, 4, (slab_bins or n_bins) * per_bin))
-        assert len(slabs) == -(-n_bins // (slab_bins or n_bins))
+        slabs = list(transfer._quad_slabs(grid, 4, max_points))
+        assert max(s[1].size for s in slabs) <= max_points
         pts, parent = _all_quad_points(grid, 4)
         got = [transfer._on_slab([axis] * grid.d, axes) for axes, _ in slabs]
         assert np.array_equal(np.concatenate(got, axis=1), pts)
@@ -681,57 +677,101 @@ class TestSlabAssembly:
         sums = [transfer._axis_sum([axis] * grid.d, axes) for axes, _ in slabs]
         assert np.concatenate(sums).tobytes() == np.sum(pts, axis=0).tobytes()
 
-    # The Newton branches of the perturbed map stop on the largest step of
-    # the whole call.  Each branch runs once on the 1-d quadrature axis,
-    # which holds exactly the distinct coordinates of all points, so it
-    # takes the steps of one all-at-once call whatever the slab size, at
-    # k=0 as well as for d >= 2.
-    @pytest.mark.parametrize("slab_bins", SLAB_BINS)
+    def test_slabs_hold_the_budget_at_five_nodes(self):
+        # at k=2, N=8 one first-axis bin holds 4 * 32**4 = 4,194,304 points;
+        # the slabs cut inside it and fill the budget exactly
+        grid = cl.Grid(k=2, n_bins=8)
+        sizes = {
+            parent.size
+            for _, parent in transfer._quad_slabs(grid, 4, transfer._SLAB_POINTS)
+        }
+        assert sizes == {transfer._SLAB_POINTS}
+
+    # The reference sums exp(f) over each point's b**d branch preimages.
+    # At k=0 'P' is its one factor, built from the reference's triplets in
+    # the same order, so its data are the same bytes; for d >= 2 a product
+    # of per-node exponentials rounds differently from the exponential of
+    # the sum.  quad=1 puts one point in each bin, quad=5 an odd number.
+    @pytest.mark.parametrize("quad", [1, 5, None])
     @pytest.mark.parametrize(
         "k,n_bins,map_name",
         [(0, 64, "doubling"), (0, 64, "perturbed"), (1, 6, "perturbed"),
          (2, 2, "perturbed")],
     )
     def test_p_matrix_matches_monolithic(
-        self, k, n_bins, map_name, slab_bins, metric, monkeypatch, request
+        self, k, n_bins, map_name, quad, metric, request
     ):
         node_map = request.getfixturevalue(map_name)
         grid = cl.Grid(k=k, n_bins=n_bins)
-        budget = (slab_bins or n_bins) * self._points_per_bin(grid, 4)
-        monkeypatch.setattr(transfer, "_SLAB_POINTS", budget * node_map.b ** grid.d)
+        quad = quad or 4
         pot = cl.node_sine_potential(0.1, 0, metric)
-        op = cl.ulam_matrix("P", k, n_bins, node_map, potential=pot)
-        _assert_same_bytes(op.matrix, _monolithic_p(grid, node_map, pot, 4))
+        op = cl.ulam_matrix("P", k, n_bins, node_map, potential=pot, quad=quad)
+        ref = _monolithic_p(grid, node_map, pot, quad)
+        if k == 0:
+            _assert_same_bytes(op.matrix, ref)
+        _assert_same_pattern(op.matrix, ref, 1e-13)
 
-    # node_sine reads one node, so it cannot tell which axis a branch
-    # preimage was read on; the SRB potential sums over every node
-    @pytest.mark.parametrize("slab_bins", [1, None])
-    @pytest.mark.parametrize("k,n_bins", [(1, 6), (2, 2)])
+    # node_sine at the centre node cannot tell which axis a branch preimage
+    # was read on, nor the order of the factors; srb and decaying_sine
+    # have a term on every node, node_sine at node 1 breaks the symmetry
+    # between node -k and node k
+    @pytest.mark.parametrize("quad", [1, None])
+    @pytest.mark.parametrize("k,n_bins", [(0, 64), (1, 6), (2, 2)])
     def test_p_matrix_with_every_node_potential(
-        self, k, n_bins, slab_bins, perturbed, metric, monkeypatch
+        self, k, n_bins, quad, perturbed, metric
     ):
         grid = cl.Grid(k=k, n_bins=n_bins)
-        budget = (slab_bins or n_bins) * self._points_per_bin(grid, 4)
-        monkeypatch.setattr(transfer, "_SLAB_POINTS", budget * perturbed.b ** grid.d)
-        pot = cl.srb_potential(perturbed, max_k=k, metric=metric)
-        op = cl.ulam_matrix("P", k, n_bins, perturbed, potential=pot)
-        _assert_same_bytes(op.matrix, _monolithic_p(grid, perturbed, pot, 4))
+        quad = quad or 4
+        for pot in (
+            cl.srb_potential(perturbed, max_k=k, metric=metric),
+            cl.decaying_sine_potential(0.1, 4.0, metric),
+            cl.node_sine_potential(0.1, 1, metric),
+        ):
+            op = cl.ulam_matrix("P", k, n_bins, perturbed, potential=pot, quad=quad)
+            _assert_same_pattern(op.matrix, _monolithic_p(grid, perturbed, pot, quad), 1e-13)
 
-    @pytest.mark.parametrize("slab_bins", SLAB_BINS)
+    # flat: every factor weight is 1/(b quad) = 1/8 and every product and
+    # sum of them is exact
+    @pytest.mark.parametrize("k,n_bins", [(0, 64), (1, 6), (2, 2)])
+    def test_flat_p_matrix_is_byte_identical(self, k, n_bins, doubling):
+        grid = cl.Grid(k=k, n_bins=n_bins)
+        pot = cl.zero_potential()
+        op = cl.ulam_matrix("P", k, n_bins, doubling, potential=pot)
+        _assert_same_bytes(op.matrix, _monolithic_p(grid, doubling, pot, 4))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("k,n_bins", CASES)
     def test_coupled_matrix_matches_monolithic(
-        self, k, n_bins, slab_bins, perturbed, metric, monkeypatch
+        self, k, n_bins, budget, perturbed, metric, monkeypatch
     ):
         grid = cl.Grid(k=k, n_bins=n_bins)
-        budget = (slab_bins or n_bins) * self._points_per_bin(grid, 4)
-        monkeypatch.setattr(transfer, "_SLAB_POINTS", budget)
-        pot = cl.srb_potential(perturbed, max_k=k, metric=metric)
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", self._budget(grid, 4, budget))
         coupling = cl.Coupling(epsilon=0.05)
-        op = cl.ulam_matrix(
-            "coupled", k, n_bins, perturbed, potential=pot, coupling=coupling
-        )
-        ref = _monolithic_coupled(grid, perturbed, pot, coupling, 4)
-        _assert_same_bytes(op.matrix, ref)
+        # srb has the same term on every node; node_sine at node 1 tells
+        # which axis a node's term table is read on
+        for pot in (
+            cl.srb_potential(perturbed, max_k=k, metric=metric),
+            cl.node_sine_potential(0.1, 1, metric),
+        ):
+            op = cl.ulam_matrix(
+                "coupled", k, n_bins, perturbed, potential=pot, coupling=coupling
+            )
+            ref = _monolithic_coupled(grid, perturbed, pot, coupling, 4)
+            _assert_same_bytes(op.matrix, ref)
+
+
+class TestKroneckerEigenData:
+    def test_eigen_data_is_the_product_of_the_node_factor(self, perturbed, metric):
+        # 'P' at k=1 is F (x) F (x) F for the 1-d factor F, so its leading
+        # pair is (lam0**3, h0 (x) h0 (x) h0)
+        pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+        eig = cl.leading_eigenpair(cl.ulam_matrix("P", 1, 16, perturbed, potential=pot))
+        eig0 = cl.leading_eigenpair(cl.ulam_matrix("P", 0, 16, perturbed, potential=pot))
+        assert eig.lam == pytest.approx(eig0.lam ** 3, rel=1e-12, abs=0.0)
+        h = eig.h / eig.h.sum()
+        h_prod = np.kron(np.kron(eig0.h, eig0.h), eig0.h)
+        h_prod /= h_prod.sum()
+        assert np.max(np.abs(h - h_prod)) <= 1e-12 * np.max(h_prod)
 
 
 class TestPersistence:
