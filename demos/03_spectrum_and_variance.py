@@ -45,12 +45,9 @@ def main() -> None:
     print(f"  sigma^2: Green-Kubo {gk:.4f} vs twisted-eigenvalue curvature "
           f"{curv:.4f}")
 
-    tw = cl.twisted_matrix(op, phi, 0.1)
-    ones = np.ones(op.n_cells, dtype=complex)
-    for _ in range(50):
-        ones = tw @ ones
-    print(f"  twisted operator, t=0.1: sup |M_t^50 1| = "
-          f"{np.max(np.abs(ones)):.6f} <= 1")
+    for row in cl.check_twisted_bound(op, phi, [0.01, 0.1]):
+        print(f"  twisted operator, t={row.t}: |lambda(t)| = {row.modulus:.8f} "
+              f"< 1, -2 log|lambda(t)|/t^2 = {row.sigma2:.4f}")
 
 
 if __name__ == "__main__":

@@ -136,11 +136,14 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
     out = np.empty((cfg.n_replicas, n_keep))
-    chunk = max(1, _PULLBACK_POINTS // (cfg.n_steps * d))
+    chunk = min(cfg.n_replicas, max(1, _PULLBACK_POINTS // (cfg.n_steps * d)))
+    # one table for the run, so no chunk's table is allocated while the
+    # last one's is alive
+    table = np.empty((chunk, cfg.n_steps, d), dtype=np.int64)
     for lo in range(0, cfg.n_replicas, chunk):
         replicas = range(lo, min(lo + chunk, cfg.n_replicas))
         x = np.empty((len(replicas), d))
-        choice = np.empty((len(replicas), cfg.n_steps, d), dtype=np.int64)
+        choice = table[: len(replicas)]
         for i, r in enumerate(replicas):
             rng = _replica_rng(cfg.seed, r)
             x[i] = rng.uniform(0.0, _ONE_MINUS, d)

@@ -586,7 +586,6 @@ def estimate_holder_seminorm(
     m: MetricParams,
     k: int,
     samples: int = 2000,
-    node_map: NodeMap | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Sampled lower bound on the Hoelder seminorm at window half-width k.
@@ -624,12 +623,9 @@ def grid_holder_seminorm(
     m: MetricParams,
     samples: int = 4000,
     rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
 ) -> float:
     """Sampled lower bound on the Hoelder seminorm of a cell function,
     using cell midpoints as representatives (complex values allowed).
-    ``mask`` restricts the pairs to a subset of cells, e.g. the support
-    of a coupled operator.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     n = grid.n_cells
@@ -646,8 +642,6 @@ def grid_holder_seminorm(
     for ca, cb in ((a, b), (a2, b2)):
         dist = grid.rep_distance(ca, cb, m)
         ok = dist > 0.0
-        if mask is not None:
-            ok &= mask[ca] & mask[cb]
         if np.any(ok):
             quot = np.abs(vec[ca] - vec[cb])[ok] / dist[ok] ** m.beta
             best = max(best, float(np.max(quot)))

@@ -239,6 +239,16 @@ class TestRunner:
         assert entry["target"] == "1/b^d = 0.125"
         assert entry["passed"], entry
 
+    @pytest.mark.parametrize("experiment", ["twisted", "clt"])
+    def test_each_experiment_writes_only_its_own_section(self, tmp_path, experiment):
+        # twisted and clt read the Green-Kubo variance without running the
+        # correlation experiment, and twisted does not run ly
+        run = f"[run]\nexperiments = {experiment}\nn_steps = 300\nn_replicas = 500\n"
+        cfg = cl.parse_config(write_cfg(tmp_path, MINIMAL + run))
+        report = cl.run_experiment(cfg)
+        assert report.errors == {}
+        assert set(report.results) == {experiment}
+
     def test_summary_contains_fingerprint(self, tmp_path):
         out = os.path.join(tmp_path, "rep")
         cfg = cl.parse_config(write_cfg(tmp_path, EIGEN_ONLY.format(out=out)))

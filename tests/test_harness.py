@@ -131,7 +131,7 @@ class TestSimulation:
         # sized by n_steps, not by the kept steps: one table for all 2,000
         # replicas would take 2000 * 2000 * 3 * 8 bytes = 96 MB here for a
         # 48 KB path.  A chunk's int64 table holds at most _PULLBACK_POINTS
-        # entries, and two are alive while the next replaces the last.
+        # entries, and one table serves every chunk.
         cfg = cl.EnsembleConfig(
             node_map=doubling,
             coupling=cl.Coupling(epsilon=0.0),
@@ -149,7 +149,7 @@ class TestSimulation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * harness._PULLBACK_POINTS * 8
+        assert peak < 1.25 * harness._PULLBACK_POINTS * 8
 
     def test_pullback_burns_in_the_transient(self):
         # the first kept step must be as well mixed as the last: with the

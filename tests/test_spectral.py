@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cml_lab as cl
+from cml_lab import cli
 
 
 @pytest.fixture(scope="module")
@@ -168,27 +171,66 @@ class TestTwistedOperators:
         assert abs(lam - ref) < 1e-12
         assert np.max(np.abs(tw @ v - lam * v)) < 1e-12 * np.max(np.abs(v))
 
-    def test_bound_holds_on_small_twists(self, perturbed_L, perturbed_eigen_k0, metric):
-        rep = cl.check_twisted_bound(
-            perturbed_L,
-            cl.node_coordinate(),
-            cl.node_coordinate(),
-            t_grid=[0.0, 0.05, 0.1, 0.2],
-            n_max=8,
-            m=metric,
-            c6=1.0,
-            ce=1.0,
-        )
-        assert rep.all_ok
-        t0 = rep.rows[0]
-        assert t0.sup_norm_max == pytest.approx(1.0, abs=1e-12)
+    def test_bound_holds_on_small_twists(self, perturbed_L):
+        # |lambda(t)| < 1 off t = 0, and -2 log|lambda(t)| / t^2 is the
+        # Green-Kubo variance up to a bias of order t^2 (the log modulus is
+        # even in t)
+        phi = cl.node_coordinate()
+        gk = cl.variance_green_kubo(phi, perturbed_L)
+        rows = cl.check_twisted_bound(perturbed_L, phi, [0.01, -0.05, 0.1, 0.2])
+        assert [r.t for r in rows] == [0.01, -0.05, 0.1, 0.2]
+        moduli = [r.modulus for r in rows]
+        assert moduli == sorted(moduli, reverse=True) and moduli[0] < 1.0
+        for r in rows:
+            assert abs(r.sigma2 / gk - 1.0) <= 0.05 * r.t ** 2, r
 
-    def test_large_twist_rejected(self, perturbed_L, metric):
-        with pytest.raises(ValueError):
-            cl.check_twisted_bound(
-                perturbed_L, cl.node_coordinate(), cl.node_coordinate(),
-                t_grid=[0.5], n_max=2, m=metric, c6=1.0, ce=1.0,
-            )
+    def test_large_twist_rejected(self, perturbed_L):
+        for t in (0.5, -0.21, 0.0):
+            with pytest.raises(ValueError, match="small-twist regime"):
+                cl.check_twisted_bound(perturbed_L, cl.node_coordinate(), [0.1, t])
+
+
+class TestTwistedGates:
+    """The twisted experiment's three gates on desk's coupled operator,
+    against the Green-Kubo variance of the unaltered operator."""
+
+    @pytest.fixture(scope="class")
+    def target(self, coupled_op_k1):
+        nu = cl.stationary_distribution(coupled_op_k1)
+        return nu, cl.variance_green_kubo(cl.node_coordinate(), coupled_op_k1, nu=nu)
+
+    @staticmethod
+    def verdicts(op, target):
+        cfg = cl.ExperimentConfig()
+        state = {"coupled": op, "nu": target[0], "sigma2": target[1]}
+        report = cli.RunReport(fingerprint="", config=cfg)
+        cli._step_twisted(cfg, state, report)
+        return {k: e["passed"] for k, e in report.results["twisted"].items()}
+
+    def test_desk_operator_passes(self, coupled_op_k1, target):
+        assert self.verdicts(coupled_op_k1, target) == {
+            "max_modulus": True, "small_twist_sigma2": True, "curvature_sigma2": True,
+        }
+
+    def test_scaled_row_fails(self, coupled_op_k1, target):
+        # 1.01 times the first reachable row: the small-twist variance is
+        # 32% low and the curvature reads -4.9
+        matrix = coupled_op_k1.matrix.copy()
+        row = int(np.flatnonzero(np.diff(matrix.indptr))[0])
+        matrix.data[matrix.indptr[row]:matrix.indptr[row + 1]] *= 1.01
+        op = dataclasses.replace(coupled_op_k1, matrix=matrix)
+        verdicts = self.verdicts(op, target)
+        assert not verdicts["small_twist_sigma2"] and not verdicts["curvature_sigma2"]
+
+    def test_twist_by_another_node_fails(self, coupled_op_k1, target, monkeypatch):
+        # the twist phase read from node 1, the window's edge: both variance
+        # estimates are 2.5e-3 low
+        coordinate = cli.node_coordinate
+        monkeypatch.setattr(
+            cli, "node_coordinate", lambda j, metric=None: coordinate(1, metric=metric)
+        )
+        verdicts = self.verdicts(coupled_op_k1, target)
+        assert not verdicts["small_twist_sigma2"] and not verdicts["curvature_sigma2"]
 
 
 class TestVariance:

@@ -191,7 +191,7 @@ class TestSeminormEstimators:
         assert 0.9 * 2 * math.pi * 0.25 <= est <= phi.declared_beta_norm + 1e-9
 
 
-def reference_seminorm(vec, grid, m, samples, rng, mask=None):
+def reference_seminorm(vec, grid, m, samples, rng):
     """grid_holder_seminorm for one vector, written out pair set by pair
     set: distances from (d, n) gathers of the cell midpoints, and the
     engineered pairs through unravel and ravel of the altered bins."""
@@ -211,8 +211,6 @@ def reference_seminorm(vec, grid, m, samples, rng, mask=None):
     for ca, cb in ((a, b), (a2, b2)):
         dist = np.max(weights * m.node_distance(reps[:, ca], reps[:, cb]), axis=0)
         ok = dist > 0.0
-        if mask is not None:
-            ok &= mask[ca] & mask[cb]
         if np.any(ok):
             quot = np.abs(vec[ca] - vec[cb])[ok] / dist[ok] ** m.beta
             best = max(best, float(np.max(quot)))
@@ -220,26 +218,24 @@ def reference_seminorm(vec, grid, m, samples, rng, mask=None):
 
 
 class TestStackedSeminorm:
-    """The seminorm sampler, and the rows of the LY and twisted checks,
-    against per-iterate references."""
+    """The seminorm sampler, and the rows of the LY check, against
+    per-iterate references."""
 
     SAMPLES = 300
 
-    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_rows_match_per_vector_calls(self, masked, dtype, metric):
+    def test_rows_match_per_vector_calls(self, dtype, metric):
         grid = transfer.Grid(k=1, n_bins=8)
         rng = np.random.default_rng(12)
         vec = rng.normal(size=grid.n_cells).astype(dtype)
         if dtype is complex:
             vec += 1j * rng.normal(size=vec.shape)
-        mask = rng.uniform(size=grid.n_cells) < 0.7 if masked else None
         one = transfer.grid_holder_seminorm(
-            vec, grid, metric, self.SAMPLES, np.random.default_rng(5), mask=mask
+            vec, grid, metric, self.SAMPLES, np.random.default_rng(5)
         )
         assert type(one) is float
         assert one == reference_seminorm(
-            vec, grid, metric, self.SAMPLES, np.random.default_rng(5), mask
+            vec, grid, metric, self.SAMPLES, np.random.default_rng(5)
         )
 
     def test_lasota_yorke_rows_match_per_iterate_loop(
@@ -266,36 +262,6 @@ class TestStackedSeminorm:
                 )
         assert [r.measured for r in rep.rows] == measured
         assert [r.n for r in rep.rows] == [1, 2, 3, 4, 5] * 2
-
-    def test_twisted_rows_match_per_iterate_loop(self, coupled_op_k1, metric):
-        obs = cl.node_coordinate()
-        probe = cl.node_sine_potential(0.1)
-        t_grid, n_max = [0.05, -0.1], 12
-        rep = cl.check_twisted_bound(
-            coupled_op_k1, obs, probe, t_grid, n_max=n_max, m=metric,
-            c6=1.0, ce=1.0, samples=self.SAMPLES, rng=np.random.default_rng(4),
-        )
-        grid = coupled_op_k1.grid
-        reps = grid.reps()
-        support = np.asarray(coupled_op_k1.matrix.sum(axis=1)).ravel() > 0.0
-        rng = np.random.default_rng(4)
-        args = (grid, metric, self.SAMPLES, rng, support)
-        reference_seminorm(obs.on_array(reps, 1), *args)
-        probe_vec = probe.on_array(reps, 1).astype(complex)
-        reference_seminorm(probe_vec, *args)
-        ref = []
-        for t in t_grid:
-            tw = cl.twisted_matrix(coupled_op_k1, obs, t)
-            ones = np.ones(grid.n_cells, dtype=complex)
-            w = probe_vec
-            sup_max = holder_max = 0.0
-            for _ in range(n_max):
-                ones = tw @ ones
-                w = tw @ w
-                sup_max = max(sup_max, float(np.max(np.abs(ones))))
-                holder_max = max(holder_max, reference_seminorm(w, *args))
-            ref.append((sup_max, holder_max))
-        assert [(r.sup_norm_max, r.holder_max) for r in rep.rows] == ref
 
 
 class TestLasotaYorke:
