@@ -37,10 +37,9 @@ def main() -> None:
     print(f"  lambda_2 = {lam2.real:+.4f}{lam2.imag:+.4f}j "
           "(complex pair -> oscillating correlations)")
 
-    nu = cl.stationary_distribution(op)
-    cc = cl.operator_correlation(phi, phi, op, 8, nu=nu)
+    cc = cl.operator_correlation(phi, phi, op, 8)
     print("  coordinate autocovariance:", np.round(cc, 5))
-    gk = cl.variance_green_kubo(phi, op, nu=nu)
+    gk = cl.variance_green_kubo(phi, op)
     curv = cl.variance_from_twisted_curvature(op, phi)
     print(f"  sigma^2: Green-Kubo {gk:.4f} vs twisted-eigenvalue curvature "
           f"{curv:.4f}")

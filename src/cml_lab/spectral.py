@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import Potential
-from .transfer import UlamOperator, power_iterate
+from .transfer import UlamOperator, _require_eigen, power_iterate
 
 __all__ = [
     "SpectrumReport",
@@ -133,40 +133,37 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
 
 
 def stationary_distribution(op: UlamOperator) -> np.ndarray:
-    """The probability vector fixed by the adjoint of a normalized operator."""
-    return power_iterate(op.matrix.T.tocsr())[1]
+    """The probability vector fixed by the adjoint of a normalized operator:
+    mu = h*nu of the triple it was normalized by.  An operator without one
+    (from load_operator, or built by hand) raises ValueError."""
+    return _require_eigen(op).mu
 
 
 def _correlation_terms(
-    phi1: Potential, phi2: Potential, op: UlamOperator, nu: np.ndarray | None
+    phi1: Potential, phi2: Potential, op: UlamOperator
 ) -> Iterator[float]:
     """C_0, C_1, ... of :func:`operator_correlation`, one operator
     application per term, without end."""
     grid = op.grid
     reps = grid.reps()
-    if nu is None:
-        nu = stationary_distribution(op)
+    mu = stationary_distribution(op)
     v1 = phi1.on_array(reps, grid.k)
     v2 = phi2.on_array(reps, grid.k)
-    v = v2 - float(nu @ v2)
+    v = v2 - float(mu @ v2)
     while True:
-        yield float(nu @ (v1 * v))
+        yield float(mu @ (v1 * v))
         v = op.matrix @ v
 
 
 def operator_correlation(
-    phi1: Potential,
-    phi2: Potential,
-    op: UlamOperator,
-    n_max: int,
-    nu: np.ndarray | None = None,
+    phi1: Potential, phi2: Potential, op: UlamOperator, n_max: int
 ) -> np.ndarray:
-    """Correlation sequence C_n = <phi1, M^n (phi2 - nu(phi2))>_nu.
+    """Correlation sequence C_n = <phi1, M^n (phi2 - mu(phi2))>_mu.
 
     Returns the signed values for lags 0..n_max; C_0 is the covariance of
     the two observables under the stationary cell measure.
     """
-    terms = _correlation_terms(phi1, phi2, op, nu)
+    terms = _correlation_terms(phi1, phi2, op)
     return np.fromiter(itertools.islice(terms, n_max + 1), float, n_max + 1)
 
 
@@ -217,11 +214,7 @@ def check_twisted_bound(
     return tuple(rows)
 
 
-def variance_green_kubo(
-    phi: Potential,
-    op: UlamOperator,
-    nu: np.ndarray | None = None,
-) -> float:
+def variance_green_kubo(phi: Potential, op: UlamOperator) -> float:
     """Limit variance as the summed autocovariance sequence of phi.
 
     The series is truncated once |C_n| falls below _GK_TAIL_TOL * C_0 (or
@@ -229,7 +222,7 @@ def variance_green_kubo(
     the last terms) is added.
     A materially negative result signals a discretization artifact.
     """
-    terms = _correlation_terms(phi, phi, op, nu)
+    terms = _correlation_terms(phi, phi, op)
     c0 = next(terms)
     if c0 == 0.0:
         return 0.0

@@ -4,12 +4,13 @@ The pointwise operator averages an observable over the b**(2k+1) inverse
 branches of the nodewise map, weighted by the exponential of a potential.
 The discretized version is an Ulam-type sparse matrix over a tensor grid
 of half-open cells, assembled by midpoint-refined quadrature of the
-branch sum, from which leading eigen-data (growth rate, eigenfunction,
-eigen-measure, normalized potential) are extracted by power iteration.
+branch sum, from which the leading eigen-triple (growth rate,
+eigenfunction, eigen-measure) is extracted by power iteration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -223,9 +224,10 @@ class UlamOperator:
     ``matrix`` acts on cell-wise constant functions: row c holds the
     quadrature-averaged branch weights drawn from each source cell.  The
     ``kind`` is 'P' (raw weights exp(f)), 'L' (normalized by the leading
-    eigen-data, fixes the constants) or 'coupled' (normalized transfer
-    operator of the full coupled step: nodewise map followed by the
-    coupling).
+    eigen-triple of 'P', fixes the constants) or 'coupled' (normalized
+    transfer operator of the full coupled step: nodewise map followed by
+    the coupling).  A normalized operator built by :func:`ulam_matrix`
+    carries in ``eigen`` the triple it was normalized by.
     """
 
     kind: str
@@ -235,6 +237,7 @@ class UlamOperator:
     node_map: NodeMap | None = None
     potential: Potential | None = None
     coupling: Coupling | None = None
+    eigen: "EigenData | None" = None
 
     @property
     def n_cells(self) -> int:
@@ -265,15 +268,15 @@ def ulam_matrix(
 ) -> UlamOperator:
     """Assemble the sparse Ulam matrix of the requested operator kind.
 
-    'P' needs a potential; 'L' needs the eigen-data of the matching 'P'
+    'P' needs a potential; 'L' needs the eigen-triple of the matching 'P'
     operator (the normalized matrix is its exact similarity transform, so
-    its rows sum to one).  'coupled' needs the coupling plus a potential
-    (given directly or through ``eigen``) and discretizes the transfer
-    operator of the full coupled step by forward images.  The coupling is
-    not surjective on the finite window -- it maps the cube onto a strictly
-    smaller parallelepiped -- so cells outside its range have no preimages:
-    their rows stay empty and the normalization runs on the reachable cells
-    only.
+    its rows sum to one).  'coupled' needs the coupling and a potential,
+    discretizes the transfer operator of the full coupled step by forward
+    images, and is normalized the same way by the triple of that raw
+    matrix.  The coupling is not surjective on the finite window -- it maps
+    the cube onto a strictly smaller parallelepiped -- so cells outside its
+    range have no preimages: their rows stay empty and the triple lives on
+    the reachable cells only.  Both normalized kinds carry their triple.
 
     Both assemblies run the node map once per quadrature axis.  'P' is the
     Kronecker product of one 1-d factor per node; 'coupled' reads the node
@@ -296,7 +299,7 @@ def ulam_matrix(
             node_map=node_map, potential=potential,
         )
     if kind == "L":
-        if eigen is None:
+        if eigen is None or eigen.operator is None:
             raise ValueError("kind 'L' needs eigen-data of the 'P' operator")
         if eigen.operator.grid != grid:
             raise ValueError("eigen-data grid does not match the requested grid")
@@ -305,23 +308,22 @@ def ulam_matrix(
                 f"eigen-data quad={eigen.operator.quad} does not match the "
                 f"requested quad={quad}"
             )
-        return UlamOperator(
-            kind="L", grid=grid, quad=quad,
-            matrix=_similarity(eigen.operator.matrix, eigen.h, eigen.lam),
-            node_map=node_map, potential=eigen.operator.potential,
-        )
+        return _normalized("L", eigen)
     if kind == "coupled":
         if coupling is None:
             raise ValueError("kind 'coupled' needs a coupling")
-        if potential is None and eigen is not None:
-            potential = eigen.operator.potential
         if potential is None:
-            raise ValueError("kind 'coupled' needs a potential (or eigen-data)")
-        matrix = _assemble_coupled_matrix(grid, node_map, potential, coupling, quad)
-        return UlamOperator(
-            kind="coupled", grid=grid, quad=quad, matrix=matrix,
+            raise ValueError("kind 'coupled' needs a potential")
+        raw = UlamOperator(
+            kind="coupled", grid=grid, quad=quad,
+            matrix=_assemble_coupled_matrix(grid, node_map, potential, coupling, quad),
             node_map=node_map, potential=potential, coupling=coupling,
         )
+        op = _normalized("coupled", leading_eigenpair(raw))
+        # the solves sum rows in stored order: 'coupled' keeps sorted
+        # indices and 'L' the products' order, so reports keep their bits
+        op.matrix.sort_indices()
+        return op
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -407,33 +409,43 @@ def _assemble_p_matrix(
     return matrix
 
 
-def _similarity(matrix: sp.csr_matrix, h: np.ndarray, lam: float) -> sp.csr_matrix:
-    """diag(1/h) M diag(h) / lam, the normalized operator of the eigen-pair
-    (lam, h) of M.  The continuum normalized operator fixes constants
+def _similarity(matrix: sp.csr_matrix, eigen: "EigenData") -> sp.csr_matrix:
+    """diag(1/v) M diag(v) / lam, the normalized operator of the eigen-pair
+    (lam, v) of M, on the cells where v > 0; the rows and columns of the
+    others stay empty.  The continuum normalized operator fixes constants
     exactly; its rows are rescaled to divide out the residual row defect
     left by the finite eigen-solve tolerance."""
-    if np.min(h) <= 0.0:
-        raise ValueError("leading eigenvector is not strictly positive")
-    mat = ((sp.diags(1.0 / h) @ matrix @ sp.diags(h)) / lam).tocsr()
+    v = eigen.v
+    inv_v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
+    mat = ((sp.diags(inv_v) @ matrix @ sp.diags(v)) / eigen.lam).tocsr()
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    return (sp.diags(1.0 / row_sums) @ mat).tocsr()
+    inv_rows = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0.0)
+    return (sp.diags(inv_rows) @ mat).tocsr()
+
+
+def _normalized(kind: str, eigen: "EigenData") -> UlamOperator:
+    """The operator the triple was solved for, normalized by it, as
+    ``kind``, carrying the triple without the raw matrix."""
+    raw = eigen.operator
+    return dataclasses.replace(
+        raw, kind=kind, matrix=_similarity(raw.matrix, eigen),
+        eigen=dataclasses.replace(eigen, operator=None),
+    )
 
 
 def _assemble_coupled_matrix(
     grid: Grid, node_map: NodeMap, potential: Potential,
     coupling: Coupling, quad: int,
 ) -> sp.csr_matrix:
-    """Normalized Ulam matrix of the coupled-step transfer operator.
+    """Raw Ulam matrix of the coupled-step transfer operator.
 
-    The raw matrix is assembled from forward images: every quadrature
-    point z of a source cell contributes weight exp(f(z))|det DT(z)| to
-    the cell holding its image under the coupled step T.  This is the
-    change-of-variables form of the preimage sum, and it keeps the mass
-    on the range of the coupling without ever inverting it.  The leading
-    eigen-pair is then solved on the reachable cells (nonempty rows) and
-    divided out as an exact similarity transform, as for kind 'L'; the
-    right eigenfunction vanishes off the coupling range, which kills the
-    unreachable columns as well.
+    The matrix is assembled from forward images: every quadrature point z
+    of a source cell contributes weight exp(f(z))|det DT(z)| / b**d to the
+    cell holding its image under the coupled step T.  This is the
+    change-of-variables form of the preimage sum, in the 1/b-per-node
+    convention of 'P', and it keeps the mass on the range of the coupling
+    without ever inverting it.  For b = 2 the 1/b**d is a power of two,
+    so it moves no bits of the normalized matrix.
 
     The node map, its log-derivative and the potential's node terms run
     once, on the quadrature axis, and are read from those tables, summed
@@ -471,38 +483,13 @@ def _assemble_coupled_matrix(
         log_det += log_det_e
         np.divide(
             np.exp(_axis_sum(terms, axes) + log_det),
-            quad ** grid.d,
+            (node_map.b * quad) ** grid.d,
             out=weight[start:stop],
         )
         start = stop
-    raw = sp.coo_matrix(
+    return sp.coo_matrix(
         (weight, (rows, cols)), shape=(grid.n_cells, grid.n_cells)
     ).tocsr()
-    del rows, cols, weight
-    return _normalize_on_reachable(raw)
-
-
-def _normalize_on_reachable(raw: sp.csr_matrix) -> sp.csr_matrix:
-    """Normalize a raw coupled matrix by its leading eigen-pair on the
-    reachable cells; rows and columns of the other cells stay empty."""
-    n_cells = raw.shape[0]
-    # Reachable set: cells with preimage mass from within the set.  Start
-    # from the nonempty rows and shrink until stable -- restricting the
-    # columns can empty a row whose only sources were themselves dropped.
-    active = np.flatnonzero(np.asarray(raw.sum(axis=1)).ravel() > 0.0)
-    while True:
-        sub = raw[active][:, active].tocsr()
-        keep = np.asarray(sub.sum(axis=1)).ravel() > 0.0
-        if keep.all():
-            break
-        active = active[keep]
-    lam, h = power_iterate(sub)
-    mat = _similarity(sub, h, lam).tocoo()
-    full = sp.coo_matrix(
-        (mat.data, (active[mat.row], active[mat.col])),
-        shape=(n_cells, n_cells),
-    )
-    return full.tocsr()
 
 
 # Stop rule and step cap of power_iterate.
@@ -540,41 +527,61 @@ def power_iterate(matrix) -> tuple[float | complex, np.ndarray]:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Leading eigen-data of an Ulam 'P' operator.
+    """Leading eigen-triple of a raw Ulam operator ('P', or the coupled
+    matrix before its normalization), zero off the reachable cells.
 
-    lam is the leading eigenvalue, h the strictly positive eigenfunction
-    (scaled so nu(h)=1), nu the probability eigenvector of the adjoint,
-    g the normalized potential on cell midpoints, and mu = h*nu the
-    invariant probability vector of the nodewise dynamics.
+    lam is the leading eigenvalue, v the right eigenvector as power
+    iteration returns it (summing to one), nu the probability eigenvector
+    of the adjoint, and mu = h*nu, normalized, the invariant probability
+    vector of the normalized operator, which carries the triple with
+    ``operator``, the raw one, set to None.
     """
 
     lam: float
-    h: np.ndarray
+    v: np.ndarray
     nu: np.ndarray
-    g: np.ndarray
     mu: np.ndarray
-    operator: UlamOperator
+    operator: UlamOperator | None
+
+    @property
+    def h(self) -> np.ndarray:
+        """The eigenfunction: v scaled so that nu(h) = 1."""
+        return self.v / (self.nu @ self.v)
 
 
 def leading_eigenpair(op: UlamOperator) -> EigenData:
-    """Power iteration on the matrix (for lam and h) and its transpose (for
-    nu), with h scaled so that nu(h) = 1."""
-    if op.kind != "P":
-        raise ValueError("leading eigen-data is extracted from the 'P' operator")
-    lam, h = power_iterate(op.matrix)
-    lam = float(lam)
-    _, nu = power_iterate(op.matrix.T.tocsr())
-    h = h / (nu @ h)
-    if np.min(h) <= 0.0:
-        raise ValueError("eigenfunction is not strictly positive on the grid")
-    reps = op.grid.reps()
-    fv = op.potential.on_array(reps, op.grid.k)
-    log_h = np.log(h)
-    fwd_cells = op.grid.cell_of(op.node_map.forward(reps))
-    g = fv - math.log(lam) - log_h[fwd_cells] + log_h
-    mu = h * nu
-    mu = mu / mu.sum()
-    return EigenData(lam=lam, h=h, nu=nu, g=g, mu=mu, operator=op)
+    """Power iteration on the reachable block of the matrix (for lam and v)
+    and on its transpose (for nu).
+
+    The reachable cells are those with mass from within the set: start
+    from all cells, drop the empty rows of the block and shrink until
+    stable -- restricting the columns can empty a row whose only sources
+    were themselves dropped.  Every cell of 'P' is reachable.
+    """
+    if op.kind == "L" or op.eigen is not None:
+        raise ValueError("leading eigen-data is solved for a raw operator")
+    active = np.arange(op.n_cells)
+    block = op.matrix
+    while True:
+        keep = np.asarray(block.sum(axis=1)).ravel() > 0.0
+        if keep.all():
+            break
+        active = active[keep]
+        block = op.matrix[active][:, active].tocsr()
+    lam, v_block = power_iterate(block)
+    if np.min(v_block) <= 0.0:
+        raise ValueError("eigenfunction is not strictly positive on the reachable cells")
+    v, nu = np.zeros((2, op.n_cells))
+    v[active], nu[active] = v_block, power_iterate(block.T.tocsr())[1]
+    mu = v / (nu @ v) * nu
+    return EigenData(lam=float(lam), v=v, nu=nu, mu=mu / mu.sum(), operator=op)
+
+
+def _require_eigen(op: UlamOperator) -> EigenData:
+    """The triple op was normalized by; ValueError if it carries none."""
+    if op.eigen is None:
+        raise ValueError(f"this {op.kind!r} operator has no triple; build it with ulam_matrix")
+    return op.eigen
 
 
 # ---------------------------------------------------------------------------
@@ -800,33 +807,35 @@ def _box_image(
 
 
 def check_conformality(
-    eigen: EigenData,
-    box: Sequence[tuple[int, int]],
-    node_map: NodeMap,
-    coupling: Coupling | None = None,
+    op: UlamOperator, box: Sequence[tuple[int, int]]
 ) -> ConformalityResult:
-    """Compare sum over the box of exp(-g) d nu with the nu-mass of the
-    image of the box under the coupled step.
+    """Compare lam * sum over the box of exp(-f) d nu with the nu-mass of
+    the image of the box under the step of op, (lam, nu) from the triple
+    op carries ('P''s for 'L').
 
-    The left side is evaluated on grid cells.  The right side is the
-    change of variables x = E y + c of the coupling, as in the coupled
+    Both operators are (1/b**d) sum over Tx = y of exp(f(x)) g(x), so the
+    eigenmeasure of the dual has nu(T B) = b**d lam nu(1_B exp(-f)) where
+    T is injective on B: the ratio is 1/b**d.  The left side is evaluated
+    on cell midpoints.  The right side is the change of variables
+    x = E y + c of the coupling (the identity for 'L'), as in the coupled
     assembly: nu(T B) = |det E| * integral over tau B of rho(E y + c) dy,
     where rho = n_cells * nu_c / sum(nu) on cell c and tau B is the
-    product of the per-axis images of :func:`_box_image`.  The integral
-    is a midpoint rule on n_bins * quad points per unit length of each
-    axis, quad being the eigen-data operator's, taken in passes of at most
-    _SLAB_POINTS points.  A NaN, infinite, negative or zero-sum nu raises
-    ValueError.
+    product of the per-axis images of :func:`_box_image`.  The integral is
+    a midpoint rule on n_bins * quad points per unit length of each axis,
+    in passes of at most _SLAB_POINTS points.  An operator without a
+    triple, or a NaN, infinite, negative or zero-sum nu, raises ValueError.
     """
-    grid = eigen.operator.grid
-    coupling = coupling or Coupling(kind="diffusive", epsilon=0.0)
+    eigen = _require_eigen(op)
+    grid, node_map = op.grid, op.node_map
+    coupling = op.coupling or Coupling(kind="diffusive", epsilon=0.0)
     nu_sum = float(np.sum(eigen.nu))
     if not (math.isfinite(nu_sum) and nu_sum > 0.0) or np.any(eigen.nu < 0.0):
         raise ValueError("nu must be finite and non-negative, with a positive sum")
     mask = _box_cell_mask(grid, box)
-    lhs = float(np.sum(np.exp(-eigen.g[mask]) * eigen.nu[mask]))
+    f = op.potential.on_array(grid.reps()[:, mask], grid.k)
+    lhs = eigen.lam * float(np.sum(np.exp(-f) * eigen.nu[mask]))
 
-    fine = grid.n_bins * eigen.operator.quad
+    fine = grid.n_bins * op.quad
     weight = abs(np.linalg.det(coupling.dense_matrix(grid.k)))
     axes = []
     for y_lo, y_hi in _box_image(grid, box, node_map):

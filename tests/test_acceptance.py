@@ -35,7 +35,7 @@ def coupled_setup():
     # per-cell sampling to keep cell-scale roughness out of the measured
     # Hoelder quotients of low iterates
     op = cl.ulam_matrix(
-        "coupled", 1, 16, nm, eigen=eigen, coupling=coupling, quad=8
+        "coupled", 1, 16, nm, potential=f, coupling=coupling, quad=8
     )
     ce = cl.estimate_coupling_constant(coupling, nm, m, k=1).value
     return dict(m=m, nm=nm, f=f, eigen=eigen, coupling=coupling, op=op, ce=ce)
@@ -239,13 +239,13 @@ def test_criterion_7_twisted_operator_boundedness(coupled_setup):
 def test_criterion_8_conformal_mass_transport():
     nm = cl.doubling_map()
     op = cl.ulam_matrix("P", 0, 256, nm, potential=cl.zero_potential())
-    eigen = cl.leading_eigenpair(op)
+    l_op = cl.ulam_matrix("L", 0, 256, nm, eigen=cl.leading_eigenpair(op))
     rng = np.random.default_rng(8)
-    grid = eigen.operator.grid
+    grid = l_op.grid
     ratios = []
     for _ in range(20):
         box = cl.random_admissible_box(grid, nm, rng, min_bins=grid.n_bins // 8)
-        res = cl.check_conformality(eigen, box, nm)
+        res = cl.check_conformality(l_op, box)
         ratios.append(res.ratio)
     ratios = np.array(ratios)
     spread = float((ratios.max() - ratios.min()) / ratios.mean())

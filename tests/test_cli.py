@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import cml_lab as cl
+from cml_lab import cli
 from cml_lab.cli import main, validate_config
 from cml_lab.harness import CLT_MIN_REPLICAS
 
@@ -230,6 +232,22 @@ class TestRunner:
         assert "summary.txt" in names and "report.json" in names
         match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
         assert mismatch == [] and errors == []
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+    def test_eigen_gate_reads_the_solve_residual(self, scale):
+        # h off by 1e-9 relative on one cell fails the 1e-12 gate; the
+        # normalized operator would still have rows summing to one
+        cfg = cl.ExperimentConfig()
+        state = {}
+        eigen = cli._eigen_data(cfg, state)
+        v = eigen.v.copy()
+        v[100] *= scale
+        state["eigen"] = dataclasses.replace(eigen, v=v)
+        report = cl.RunReport(fingerprint="", config=cfg)
+        cli._step_eigen(cfg, state, report)
+        entry = report.results["eigen"]["normalized_row_defect"]
+        assert entry["passed"] is (scale == 1.0), entry
+        assert (entry["tolerance"], entry["target"]) == (1e-12, 0.0)
 
     def test_conformality_target_is_per_branch_constant(self, tmp_path):
         # on the flat k=1 system each of the b^d = 8 branches carries 1/8

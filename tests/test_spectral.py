@@ -107,6 +107,18 @@ class TestStationaryDistribution:
         nu = cl.stationary_distribution(doubling_L)
         assert np.max(np.abs(doubling_L.matrix.T @ nu - nu)) < 1e-12
 
+    def test_operator_without_triple_raises(self, coupled_op_k1, tmp_path):
+        # a loaded operator has no triple; its spectrum is still available
+        path = tmp_path / "op.txt"
+        cl.save_operator(coupled_op_k1, str(path))
+        loaded = cl.load_operator(str(path))
+        with pytest.raises(ValueError, match="ulam_matrix"):
+            cl.stationary_distribution(loaded)
+        hand_built = dataclasses.replace(coupled_op_k1, eigen=None)
+        with pytest.raises(ValueError, match="ulam_matrix"):
+            cl.variance_green_kubo(cl.node_coordinate(), hand_built)
+        assert cl.spectral_gap(loaded).lambda1 == pytest.approx(1.0, abs=1e-10)
+
 
 class TestCorrelations:
     def test_doubling_coordinate_decay_closed_form(self, doubling_L):
@@ -128,11 +140,11 @@ class TestCorrelations:
 
     def test_lag_zero_is_covariance(self, perturbed_L):
         phi = cl.node_coordinate()
-        nu = cl.stationary_distribution(perturbed_L)
-        c = cl.operator_correlation(phi, phi, perturbed_L, 0, nu=nu)
+        mu = cl.stationary_distribution(perturbed_L)
+        c = cl.operator_correlation(phi, phi, perturbed_L, 0)
         x = phi.on_array(perturbed_L.grid.reps(), 0)
-        mean = float(nu @ x)
-        assert c[0] == pytest.approx(float(nu @ (x - mean) ** 2), abs=1e-14)
+        mean = float(mu @ x)
+        assert c[0] == pytest.approx(float(mu @ (x - mean) ** 2), abs=1e-14)
 
     def test_fitted_decay_matches_gap(self, perturbed_L):
         # log-linear fit on operator correlations recovers |lambda_2|
@@ -196,13 +208,12 @@ class TestTwistedGates:
 
     @pytest.fixture(scope="class")
     def target(self, coupled_op_k1):
-        nu = cl.stationary_distribution(coupled_op_k1)
-        return nu, cl.variance_green_kubo(cl.node_coordinate(), coupled_op_k1, nu=nu)
+        return cl.variance_green_kubo(cl.node_coordinate(), coupled_op_k1)
 
     @staticmethod
     def verdicts(op, target):
         cfg = cl.ExperimentConfig()
-        state = {"coupled": op, "nu": target[0], "sigma2": target[1]}
+        state = {"coupled": op, "sigma2": target}
         report = cli.RunReport(fingerprint="", config=cfg)
         cli._step_twisted(cfg, state, report)
         return {k: e["passed"] for k, e in report.results["twisted"].items()}

@@ -105,7 +105,7 @@ class TestPMatrix:
         assert e.lam == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(e.h, 1.0, atol=1e-8)
         assert np.allclose(e.nu, 1.0 / e.nu.size, atol=1e-10)
-        assert np.allclose(e.g, 0.0, atol=1e-8)
+        assert np.allclose(e.mu, e.nu, atol=1e-12)
 
     def test_constant_potential_shifts_eigenvalue(self, doubling):
         op = cl.ulam_matrix(
@@ -131,12 +131,15 @@ class TestPMatrix:
         # eigenvalue 1 up to quadrature error
         assert perturbed_eigen_k0.lam == pytest.approx(1.0, abs=1e-4)
 
-    def test_eigenpair_requires_p_kind(self, doubling_eigen_k0, doubling):
+    def test_eigenpair_requires_p_kind(self, doubling_eigen_k0, doubling, coupled_op_k1):
         op = cl.ulam_matrix(
             "L", 0, 256, doubling, eigen=doubling_eigen_k0
         )
         with pytest.raises(ValueError):
             cl.leading_eigenpair(op)
+        # a normalized coupled operator already carries its triple
+        with pytest.raises(ValueError, match="raw operator"):
+            cl.leading_eigenpair(coupled_op_k1)
 
 
 class TestPowerIteration:
@@ -177,6 +180,14 @@ class TestNormalizedMatrix:
         op = cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0)
         mu = perturbed_eigen_k0.mu
         assert np.max(np.abs(op.matrix.T @ mu - mu)) < 1e-12
+
+    def test_carries_the_p_triple_without_its_operator(self, perturbed_eigen_k0, perturbed):
+        op = cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0)
+        assert op.eigen.operator is None
+        assert op.eigen.lam == perturbed_eigen_k0.lam
+        assert np.array_equal(op.eigen.mu, perturbed_eigen_k0.mu)
+        with pytest.raises(ValueError, match="'P' operator"):
+            cl.ulam_matrix("L", 0, 256, perturbed, eigen=op.eigen)
 
 
 class TestSeminormEstimators:
@@ -324,68 +335,104 @@ def _cli_boxes(grid, node_map, seed, count=20):
 
 
 @pytest.fixture(scope="module")
-def perturbed_eigen_k1(perturbed, metric):
-    pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
-    return cl.leading_eigenpair(cl.ulam_matrix("P", 1, 16, perturbed, potential=pot))
+def flat_op(doubling):
+    """The flat workload's operator: 'L' of the doubling map with the zero
+    potential at k=1, N=16."""
+    p = cl.ulam_matrix("P", 1, 16, doubling, potential=cl.zero_potential())
+    return cl.ulam_matrix("L", 1, 16, doubling, eigen=cl.leading_eigenpair(p))
 
 
 @pytest.fixture(scope="module")
-def doubling_eigen_k1(doubling):
-    return cl.leading_eigenpair(
-        cl.ulam_matrix("P", 1, 16, doubling, potential=cl.zero_potential())
+def flat_op_k0(doubling_eigen_k0, doubling):
+    return cl.ulam_matrix("L", 0, 256, doubling, eigen=doubling_eigen_k0)
+
+
+def _with_nu(op, nu):
+    """op with the nu of its triple replaced."""
+    return dataclasses.replace(op, eigen=dataclasses.replace(op.eigen, nu=nu))
+
+
+@pytest.fixture(scope="module")
+def tilted_op(perturbed, metric):
+    # the coupled operator at eps=0.2 with a steep, unnormalized nu: the
+    # image mass then depends visibly on the coupling's change of variables
+    # and on the normalization by sum(nu)
+    op = cl.ulam_matrix(
+        "coupled", 1, 16, perturbed,
+        potential=cl.srb_potential(perturbed, max_k=1, metric=metric),
+        coupling=cl.Coupling(epsilon=0.2),
     )
-
-
-@pytest.fixture(scope="module")
-def tilted_eigen_k1(perturbed_eigen_k1):
-    # a steep, unnormalized nu: the image mass then depends visibly on the
-    # coupling's change of variables and on the normalization by sum(nu)
-    reps = perturbed_eigen_k1.operator.grid.reps()
+    reps = op.grid.reps()
     nu = 3.0 * np.exp(4.0 * reps[0] - 3.0 * reps[2])
-    return dataclasses.replace(perturbed_eigen_k1, nu=nu / nu.mean())
+    return _with_nu(op, nu / nu.mean())
+
+
+def _ratio_stats(op, seed):
+    """Mean and spread, max |ratio - mean| / mean, of the conformality
+    ratios on the boxes `cml-lab run` draws at seed."""
+    ratios = np.array([
+        cl.check_conformality(op, box).ratio
+        for box in _cli_boxes(op.grid, op.node_map, seed)
+    ])
+    mean = float(ratios.mean())
+    return mean, float(np.max(np.abs(ratios - mean))) / mean
 
 
 class TestConformality:
-    def test_quarter_interval_ratio(self, doubling_eigen_k0, doubling):
+    def test_quarter_interval_ratio(self, flat_op_k0):
         # the doubling map stretches [0, 1/4) onto [0, 1/2); per-branch
         # image mass carries the factor 1/b
-        res = cl.check_conformality(doubling_eigen_k0, [(0, 64)], doubling)
+        res = cl.check_conformality(flat_op_k0, [(0, 64)])
         assert res.ratio == pytest.approx(0.5, abs=1e-12)
 
-    def test_ratio_is_box_independent(self, doubling_eigen_k0, doubling):
+    def test_ratio_is_box_independent(self, flat_op_k0, doubling):
         rng = np.random.default_rng(4)
-        grid = doubling_eigen_k0.operator.grid
+        grid = flat_op_k0.grid
         ratios = []
         for _ in range(3):
             box = cl.random_admissible_box(
                 grid, doubling, rng, min_bins=grid.n_bins // 8
             )
-            ratios.append(cl.check_conformality(doubling_eigen_k0, box, doubling).ratio)
+            ratios.append(cl.check_conformality(flat_op_k0, box).ratio)
         assert max(ratios) - min(ratios) < 1e-12
 
-    def test_flat_ratios_are_exact(self, doubling_eigen_k1, doubling):
+    def test_flat_ratios_are_exact(self, flat_op, doubling):
         # the boxes of the flat workload: every ratio is 1/b^d
-        grid = doubling_eigen_k1.operator.grid
-        for box in _cli_boxes(grid, doubling, seed=42):
-            res = cl.check_conformality(doubling_eigen_k1, box, doubling)
+        for box in _cli_boxes(flat_op.grid, doubling, seed=42):
+            res = cl.check_conformality(flat_op, box)
             assert res.ratio == pytest.approx(1.0 / 8.0, abs=1e-12), box
 
-    def test_doubling_the_lattice_moves_desk_ratios_little(
-        self, perturbed_eigen_k1, perturbed
-    ):
-        grid = perturbed_eigen_k1.operator.grid
-        coupling = cl.Coupling(epsilon=0.05)
-        # the same eigen-data, with the lattice of an operator of quad 8
-        finer = dataclasses.replace(
-            perturbed_eigen_k1,
-            operator=dataclasses.replace(perturbed_eigen_k1.operator, quad=8),
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_desk_ratios_are_per_branch(self, seed, coupled_op_k1):
+        # desk's system: its coupled triple makes each box carry 1/b^d
+        mean, spread = _ratio_stats(coupled_op_k1, seed)
+        assert abs(mean * 8.0 - 1.0) <= 0.01, mean
+        assert spread <= 0.02, spread
+
+    def test_node_sine_ratios_are_per_branch(self, perturbed, metric):
+        op = cl.ulam_matrix(
+            "coupled", 1, 16, perturbed,
+            potential=cl.node_sine_potential(0.1, 0, metric),
+            coupling=cl.Coupling(epsilon=0.05),
         )
+        mean, spread = _ratio_stats(op, seed=7)
+        assert abs(mean * 8.0 - 1.0) <= 0.01, mean
+        assert spread <= 0.02, spread
+
+    def test_operator_without_triple_raises(self, coupled_op_k1, tmp_path):
+        path = os.path.join(tmp_path, "op.txt")
+        cl.save_operator(coupled_op_k1, path)
+        with pytest.raises(ValueError, match="ulam_matrix"):
+            cl.check_conformality(cl.load_operator(path), [(0, 8), (8, 16), (2, 6)])
+
+    def test_doubling_the_lattice_moves_desk_ratios_little(
+        self, coupled_op_k1, perturbed
+    ):
+        # the same operator, with the lattice of quad 8
+        finer = dataclasses.replace(coupled_op_k1, quad=8)
         ratios = np.array([
-            [
-                cl.check_conformality(e, box, perturbed, coupling=coupling).ratio
-                for e in (perturbed_eigen_k1, finer)
-            ]
-            for box in _cli_boxes(grid, perturbed, seed=42)
+            [cl.check_conformality(op, box).ratio for op in (coupled_op_k1, finer)]
+            for box in _cli_boxes(coupled_op_k1.grid, perturbed, seed=42)
         ])
         mean = ratios.mean(axis=0)
         assert abs(mean[1] / mean[0] - 1.0) < 1e-3
@@ -418,36 +465,38 @@ class TestConformality:
             assert ref.any()
             assert np.array_equal(got, ref), box
 
-    def test_non_injective_box_rejected(self, doubling_eigen_k0, doubling):
+    def test_non_injective_box_rejected(self, flat_op_k0):
         with pytest.raises(ValueError):
-            cl.check_conformality(doubling_eigen_k0, [(0, 256)], doubling)
+            cl.check_conformality(flat_op_k0, [(0, 256)])
 
-    @pytest.mark.parametrize("case", ["doubling_eigen_k1", "perturbed_eigen_k1"])
+    # the ids name the systems of the flat and desk workloads
+    @pytest.mark.parametrize("case", [
+        pytest.param("flat_op", id="doubling_eigen_k1"),
+        pytest.param("coupled_op_k1", id="perturbed_eigen_k1"),
+    ])
     def test_box_crossing_a_domain_boundary_raises(self, case, request):
-        eigen = request.getfixturevalue(case)
-        node_map = eigen.operator.node_map
+        op = request.getfixturevalue(case)
         for box in (
             [(0, 8), (7, 9), (8, 16)],
             [(0, 16), (0, 8), (8, 16)],
             [(0, 3), (13, 16), (5, 11)],
         ):
             with pytest.raises(ValueError, match="not injective"):
-                cl.check_conformality(eigen, box, node_map)
+                cl.check_conformality(op, box)
         with pytest.raises(ValueError, match="empty"):
-            cl.check_conformality(eigen, [(0, 8), (3, 3), (8, 16)], node_map)
-        res = cl.check_conformality(eigen, [(0, 8), (8, 16), (2, 6)], node_map)
+            cl.check_conformality(op, [(0, 8), (3, 3), (8, 16)])
+        res = cl.check_conformality(op, [(0, 8), (8, 16), (2, 6)])
         assert 0.0 < res.rhs < 1.0
 
     @pytest.mark.parametrize("fault", ["nan", "inf", "negative", "zero_sum"])
-    def test_invalid_nu_raises(self, fault, doubling_eigen_k0, doubling):
-        nu = doubling_eigen_k0.nu.copy()
+    def test_invalid_nu_raises(self, fault, flat_op_k0):
+        nu = flat_op_k0.eigen.nu.copy()
         if fault == "zero_sum":
             nu[:] = 0.0
         else:
             nu[7] = {"nan": np.nan, "inf": np.inf, "negative": -1e-3}[fault]
-        eigen = dataclasses.replace(doubling_eigen_k0, nu=nu)
         with pytest.raises(ValueError, match="nu must be finite"):
-            cl.check_conformality(eigen, [(0, 64)], doubling)
+            cl.check_conformality(_with_nu(flat_op_k0, nu), [(0, 64)])
 
 
 def _reference_box_cell_mask(grid, box):
@@ -458,13 +507,14 @@ def _reference_box_cell_mask(grid, box):
     return mask
 
 
-def reference_image_mass(eigen, box, node_map, coupling, mc_samples, rng):
+def reference_image_mass(op, box, mc_samples, rng):
     """nu(T B) by Monte Carlo, as check_conformality once estimated it:
-    the share of points drawn from nu (cells by rng.choice, uniform
-    within) whose pull-back through the coupling lies in [0, 1)^d and
-    has a branch preimage in the box."""
-    grid = eigen.operator.grid
-    cells = rng.choice(grid.n_cells, size=mc_samples, p=eigen.nu / eigen.nu.sum())
+    the share of points drawn from the nu of op's triple (cells by
+    rng.choice, uniform within) whose pull-back through op's coupling
+    lies in [0, 1)^d and has a branch preimage in the box."""
+    grid, node_map, nu = op.grid, op.node_map, op.eigen.nu
+    coupling = op.coupling or cl.Coupling(epsilon=0.0)
+    cells = rng.choice(grid.n_cells, size=mc_samples, p=nu / nu.sum())
     bins = np.array(np.unravel_index(cells, (grid.n_bins,) * grid.d))
     hits = 0
     for lo in range(0, mc_samples, 100_000):
@@ -479,29 +529,27 @@ def reference_image_mass(eigen, box, node_map, coupling, mc_samples, rng):
 class TestConformalityReference:
     MC_SAMPLES = 1_000_000
 
-    @pytest.mark.parametrize("case, epsilon", [
-        ("perturbed_eigen_k1", 0.05),  # desk
-        ("doubling_eigen_k1", 0.0),  # flat
-        ("doubling_eigen_k0", 0.0),  # criterion 8
-        ("tilted_eigen_k1", 0.2),
+    # the ids name each system and its coupling strength
+    @pytest.mark.parametrize("case", [
+        pytest.param("coupled_op_k1", id="perturbed_eigen_k1-0.05"),  # desk
+        pytest.param("flat_op", id="doubling_eigen_k1-0.0"),  # flat
+        pytest.param("flat_op_k0", id="doubling_eigen_k0-0.0"),  # criterion 8
+        pytest.param("tilted_op", id="tilted_eigen_k1-0.2"),
     ])
-    def test_matches_choice_implementation(self, case, epsilon, request):
+    def test_matches_choice_implementation(self, case, request):
         # the quadrature lies within 5 standard errors of the Monte Carlo
-        eigen = request.getfixturevalue(case)
-        node_map = eigen.operator.node_map
-        grid = eigen.operator.grid
-        coupling = cl.Coupling(epsilon=epsilon)
+        op = request.getfixturevalue(case)
+        grid = op.grid
         rng = np.random.default_rng(5)
         for _ in range(3):
             box = cl.random_admissible_box(
-                grid, node_map, rng, min_bins=max(1, grid.n_bins // 8)
+                grid, op.node_map, rng, min_bins=max(1, grid.n_bins // 8)
             )
-            got = cl.check_conformality(eigen, box, node_map, coupling=coupling)
+            got = cl.check_conformality(op, box)
             mask = _reference_box_cell_mask(grid, box)
-            assert got.lhs == float(np.sum(np.exp(-eigen.g[mask]) * eigen.nu[mask]))
-            ref = reference_image_mass(
-                eigen, box, node_map, coupling, self.MC_SAMPLES, rng
-            )
+            f = op.potential.on_array(grid.reps()[:, mask], grid.k)
+            assert got.lhs == op.eigen.lam * float(np.sum(np.exp(-f) * op.eigen.nu[mask]))
+            ref = reference_image_mass(op, box, self.MC_SAMPLES, rng)
             se = math.sqrt(ref * (1.0 - ref) / self.MC_SAMPLES)
             assert abs(got.rhs - ref) < 5.0 * se, (box, got.rhs, ref, se)
             assert 0.0 < got.rhs < 1.0
@@ -532,6 +580,35 @@ class TestCoupledMatrix:
         sums = np.asarray(coupled_op_k1.matrix.sum(axis=1)).ravel()
         assert np.all(nu[sums == 0.0] == 0.0)
         assert nu.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_stationary_vector_is_the_triples_mu(self, perturbed, metric):
+        # mu = h * nu of the raw block's triple, against the left Perron
+        # vector of the normalized matrix by transposed power iteration;
+        # N=32 leaves cells off the coupling range
+        pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+        op = cl.ulam_matrix(
+            "coupled", 1, 32, perturbed, potential=pot,
+            coupling=cl.Coupling(epsilon=0.05),
+        )
+        mu = cl.stationary_distribution(op)
+        ref = cl.power_iterate(op.matrix.T.tocsr())[1]
+        assert (mu == 0.0).any()
+        assert np.max(np.abs(mu - ref)) <= 1e-12 * np.max(ref)
+        assert np.max(np.abs(op.matrix.T @ mu - mu)) <= 1e-12 * np.max(mu)
+
+    def test_triple_lives_on_the_reachable_cells(self, coupled_op_k1, perturbed):
+        eigen = coupled_op_k1.eigen
+        sums = np.asarray(coupled_op_k1.matrix.sum(axis=1)).ravel()
+        assert np.array_equal(eigen.v > 0.0, sums > 0.0)
+        assert np.all(eigen.nu[sums == 0.0] == 0.0)
+        assert eigen.nu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert eigen.nu @ eigen.h == pytest.approx(1.0, abs=1e-12)
+        # the raw matrix is not kept once normalized
+        assert eigen.operator is None
+        # with the SRB potential every point carries weight |det E| in the
+        # 1/b-per-node convention, and no mass leaves the reachable cells
+        det_e = abs(np.linalg.det(cl.Coupling(epsilon=0.05).dense_matrix(1)))
+        assert eigen.lam == pytest.approx(det_e, rel=1e-12)
 
     def test_zero_coupling_matches_normalized_matrix(self, perturbed, metric):
         pot = cl.srb_potential(perturbed, max_k=0, metric=metric)
@@ -588,11 +665,10 @@ def _monolithic_coupled(grid, node_map, potential, coupling, quad):
     log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
     log_det += math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
     weight = np.exp(potential.on_array(pts, grid.k) + log_det)
-    weight /= quad ** grid.d
-    raw = sp.coo_matrix(
+    weight /= (node_map.b * quad) ** grid.d
+    return sp.coo_matrix(
         (weight, (rows, cols)), shape=(grid.n_cells, grid.n_cells)
     ).tocsr()
-    return transfer._normalize_on_reachable(raw)
 
 
 def _assert_same_bytes(got, ref, names=("indptr", "indices", "data")):
@@ -610,7 +686,7 @@ def _assert_same_pattern(got, ref, rtol):
 
 class TestSlabAssembly:
     """Each assembly against its all-at-once reference.  The slabs of the
-    coupled assembly give its matrix bit for bit at every point budget:
+    coupled assembly give its raw matrix bit for bit at every point budget:
     one point, a run that does not divide an axis, whole rows and planes,
     and a single slab.  'P', the Kronecker product of 1-d factors, keeps
     the reference's sparsity pattern, and its data agree to roundoff."""
@@ -719,11 +795,9 @@ class TestSlabAssembly:
             cl.srb_potential(perturbed, max_k=k, metric=metric),
             cl.node_sine_potential(0.1, 1, metric),
         ):
-            op = cl.ulam_matrix(
-                "coupled", k, n_bins, perturbed, potential=pot, coupling=coupling
-            )
+            raw = transfer._assemble_coupled_matrix(grid, perturbed, pot, coupling, 4)
             ref = _monolithic_coupled(grid, perturbed, pot, coupling, 4)
-            _assert_same_bytes(op.matrix, ref)
+            _assert_same_bytes(raw, ref)
 
 
 class TestKroneckerEigenData:
