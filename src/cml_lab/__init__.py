@@ -77,14 +77,26 @@ from .harness import (
     asip_diagnostic,
     autocorrelation_fit,
     clt_test,
+    ensemble_series,
     ks_distance_to_normal,
     simulate_ensemble,
 )
-from .cli import (
-    ConfigError,
-    ExperimentConfig,
-    RunReport,
-    emit_report,
-    parse_config,
-    run_experiment,
-)
+
+# The cli names load on first access (PEP 562) rather than here, so that
+# `python -m cml_lab.cli` runs a single copy of that module, as __main__.
+_CLI_NAMES = frozenset({
+    "ConfigError",
+    "ExperimentConfig",
+    "RunReport",
+    "emit_report",
+    "parse_config",
+    "run_experiment",
+})
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

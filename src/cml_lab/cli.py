@@ -555,10 +555,9 @@ def _step_clt(cfg, state, report):
         k_sim=cfg.k, n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
         burn_in=cfg.burn_in, seed=cfg.seed, method=method,
     )
-    series = simulate_ensemble(ens)
-    series -= series.mean()
-    sums = series.sum(axis=1)
-    n = series.shape[1]
+    sums = simulate_ensemble(ens)
+    sums -= sums.mean()
+    n = cfg.n_steps - cfg.burn_in
     res = clt_test(sums, n, sigma2)
     emp_var = float(sums.var() / n)
     ratio = emp_var / sigma2
@@ -568,6 +567,15 @@ def _step_clt(cfg, state, report):
         ),
         "empirical_sigma2": _entry(
             emp_var, tol=0.10, target=sigma2, passed=abs(ratio - 1.0) <= 0.10
+        ),
+    }
+    # emp_var is the mean of the R values (S_r - mean S)^2 / n, so its
+    # standard error is their standard deviation over sqrt(R)
+    report.diagnostics["clt"] = {
+        "replicas": cfg.n_replicas,
+        "kept_steps": n,
+        "empirical_sigma2_stderr": float(
+            np.std(sums * sums) / (math.sqrt(sums.size) * n)
         ),
     }
 

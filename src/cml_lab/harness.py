@@ -21,6 +21,7 @@ from .lattice import Coupling, NodeMap, Potential
 __all__ = [
     "EnsembleConfig",
     "simulate_ensemble",
+    "ensemble_series",
     "AutocorrelationFit",
     "autocorrelation_fit",
     "CltResult",
@@ -82,22 +83,48 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
 
 
 def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
-    """Observable time series per replica, shape (n_replicas, n_steps - burn_in).
+    """Per-replica sums of the observable over the kept steps, shape
+    (n_replicas,): S_r = sum of phi(x_t) for t from burn_in to n_steps - 1.
 
-    Initial states are uniform on the window.  Forward steps clamp stray
-    values at the interval edge and abort if clamping exceeds 0.01% of all
-    node updates.
+    The sums are taken as the trajectories run, so memory is O(n_replicas)
+    for the forward sampler whatever n_steps is; the CLT verdicts need
+    nothing else.  ``ensemble_series`` keeps every value instead.
+    """
+    sums = np.zeros(cfg.n_replicas)
+    for replicas, _, values in _observed_blocks(cfg):
+        sums[replicas] += values.sum(axis=1)
+    return sums
+
+
+def ensemble_series(cfg: EnsembleConfig) -> np.ndarray:
+    """Observable time series per replica, shape (n_replicas, n_steps - burn_in),
+    for statistics that need the whole path (autocorrelation, partial-sum
+    growth).  Its rows sum to ``simulate_ensemble`` up to roundoff."""
+    out = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
+    for replicas, steps, values in _observed_blocks(cfg):
+        out[replicas, steps] = values
+    return out
+
+
+def _observed_blocks(cfg: EnsembleConfig):
+    """Yield (replica slice, kept-step slice, values) blocks that together
+    cover the (n_replicas, n_steps - burn_in) observable series once.
+
+    The forward sampler yields one kept step of every replica.  Initial
+    states are uniform on the window.  Forward steps clamp stray values at
+    the interval edge and abort, once the last step is yielded, if
+    clamping exceeds 0.01% of all node updates.
     """
     if cfg.method == "pullback":
-        return _simulate_pullback(cfg)
+        yield from _pullback_blocks(cfg)
+        return
     d = 2 * cfg.k_sim + 1
     # node-major states (d, n_replicas): each node's values are contiguous,
     # so the coupling shifts whole rows
     states = np.empty((d, cfg.n_replicas))
     for r in range(cfg.n_replicas):
         states[:, r] = _replica_rng(cfg.seed, r).uniform(0.0, _ONE_MINUS, d)
-    n_keep = cfg.n_steps - cfg.burn_in
-    out = np.empty((cfg.n_replicas, n_keep))
+    everyone = slice(0, cfg.n_replicas)
     clamped = 0
     for step in range(cfg.n_steps):
         states = cfg.node_map.forward(states)
@@ -108,16 +135,17 @@ def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
             clamped += int(np.count_nonzero((states < 0.0) | (states >= 1.0)))
             np.clip(states, 0.0, _ONE_MINUS, out=states)
         if step >= cfg.burn_in:
-            out[:, step - cfg.burn_in] = cfg.observable.on_array(states, cfg.k_sim)
+            kept = step - cfg.burn_in
+            values = cfg.observable.on_array(states, cfg.k_sim)
+            yield everyone, slice(kept, kept + 1), values[:, None]
     if clamped > 1e-4 * cfg.n_steps * cfg.n_replicas * d:
         raise RuntimeError(
             f"trajectories left [0,1) at {clamped} node updates; "
             "the configuration is not numerically trajectory-safe"
         )
-    return out
 
 
-def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
+def _pullback_blocks(cfg: EnsembleConfig):
     """Backward branch sampling: iterate uniformly chosen inverse branches
     and reverse the orbit.  Samples the equal-branch-weight invariant
     measure of the nodewise map, so it is exact for the flat potential
@@ -129,13 +157,13 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
     the uniform start, are dropped, and the rest are reversed into forward
     time.  All replicas of a chunk step together, each branch applied to
     the entries that chose it; a chunk holds at most ``_PULLBACK_POINTS``
-    branch choices, and as many path values or fewer.
+    branch choices, and as many path values or fewer.  Yields one chunk of
+    replicas over all kept steps at a time.
     """
     if cfg.coupling.epsilon != 0.0:
         raise ValueError("pullback sampling supports the uncoupled system only")
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
-    out = np.empty((cfg.n_replicas, n_keep))
     chunk = min(cfg.n_replicas, max(1, _PULLBACK_POINTS // (cfg.n_steps * d)))
     # one table for the run, so no chunk's table is allocated while the
     # last one's is alive
@@ -155,9 +183,10 @@ def _simulate_pullback(cfg: EnsembleConfig) -> np.ndarray:
                 x[chose] = branch(x[chose])
             if step >= cfg.burn_in:
                 path[:, step - cfg.burn_in] = x
-        for i, r in enumerate(replicas):
-            out[r] = cfg.observable.on_array(path[i, ::-1].T, cfg.k_sim)
-    return out
+        values = np.empty((len(replicas), n_keep))
+        for i in range(len(replicas)):
+            values[i] = cfg.observable.on_array(path[i, ::-1].T, cfg.k_sim)
+        yield slice(replicas.start, replicas.stop), slice(0, n_keep), values
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,25 @@ class TestMain:
             arnoldi = diag["spectral"]["solver"] == "arnoldi"
             assert (diag["spectral"]["operator_applications"] > 0) == arnoldi
 
+    def test_clt_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
+        # the ensemble's size and the standard error of its sigma^2 go to
+        # diagnostics, next to the verdicts, and nothing of it to summary.txt
+        run = "[run]\nexperiments = clt\nn_steps = 300\nn_replicas = 500\nburn_in = 100\n"
+        path = write_cfg(tmp_path, MINIMAL + run)
+        out = os.path.join(tmp_path, "rep")
+        monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+        assert main(["run", path]) == 0
+        with open(os.path.join(out, "report.json")) as fh:
+            doc = json.load(fh)
+        diag = doc["diagnostics"]["clt"]
+        assert (diag["replicas"], diag["kept_steps"]) == (500, 200)
+        emp = doc["results"]["clt"]["empirical_sigma2"]["value"]
+        # a mean of 500 squared near-normal sums: about sqrt(2/500) = 6%
+        assert 0.03 * emp < diag["empirical_sigma2_stderr"] < 0.1 * emp
+        assert "passed" not in diag
+        with open(os.path.join(out, "summary.txt")) as fh:
+            assert "stderr" not in fh.read()
+
     def test_export_operator_roundtrip(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")
         dest = os.path.join(tmp_path, "op.txt")
@@ -384,6 +403,28 @@ class TestBenchmarkHooks:
         for name in BENCHMARK_HOOKS:
             assert callable(getattr(cli, name)), name
         assert set(cli._EXPERIMENT_STEPS) == set(cli.EXPERIMENTS)
+
+
+class TestModuleEntry:
+    def test_module_run_imports_cli_once(self, tmp_path):
+        # the package must not import cli itself, or `python -m cml_lab.cli`
+        # warns that it runs a second copy of the module as __main__
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cl.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cml_lab.cli",
+             "validate", write_cfg(tmp_path, MINIMAL)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "config OK" in out.stdout
+
+    def test_cli_names_load_on_access(self):
+        assert cl.parse_config is cli.parse_config
+        assert cl.ConfigError is cli.ConfigError
+        with pytest.raises(AttributeError):
+            cl.no_such_name
 
 
 class TestThreadCap:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,23 +27,23 @@ def make_cfg(perturbed, **kw):
 class TestSimulation:
     def test_bitwise_determinism(self, perturbed):
         cfg = make_cfg(perturbed)
-        a = cl.simulate_ensemble(cfg)
-        b = cl.simulate_ensemble(cfg)
+        a = cl.ensemble_series(cfg)
+        b = cl.ensemble_series(cfg)
         assert np.array_equal(a, b)
 
     def test_replica_prefix_stability(self, perturbed):
         # replica r of an m-replica run equals replica r of a larger run:
         # streams are keyed by replica index, not drawn sequentially
-        small = cl.simulate_ensemble(make_cfg(perturbed, n_replicas=3))
-        large = cl.simulate_ensemble(make_cfg(perturbed, n_replicas=6))
+        small = cl.ensemble_series(make_cfg(perturbed, n_replicas=3))
+        large = cl.ensemble_series(make_cfg(perturbed, n_replicas=6))
         assert np.array_equal(small, large[:3])
 
     def test_output_shape(self, perturbed):
-        out = cl.simulate_ensemble(make_cfg(perturbed, n_steps=250, burn_in=50))
+        out = cl.ensemble_series(make_cfg(perturbed, n_steps=250, burn_in=50))
         assert out.shape == (4, 200)
 
     def test_values_in_range(self, perturbed):
-        out = cl.simulate_ensemble(make_cfg(perturbed))
+        out = cl.ensemble_series(make_cfg(perturbed))
         assert np.all((out >= 0.0) & (out < 1.0))
 
     @pytest.mark.parametrize("k_sim", [1, 3])
@@ -70,7 +71,7 @@ class TestSimulation:
             x = np.clip(x, 0.0, harness._ONE_MINUS)
             if step >= cfg.burn_in:
                 ref[:, step - cfg.burn_in] = cfg.observable.on_array(x.T, k_sim)
-        got = cl.simulate_ensemble(cfg)
+        got = cl.ensemble_series(cfg)
         assert np.array_equal(got, ref)
         assert got.flags.c_contiguous
 
@@ -90,7 +91,7 @@ class TestSimulation:
             seed=3,
             method="pullback",
         )
-        out = cl.simulate_ensemble(cfg)
+        out = cl.ensemble_series(cfg)
         assert abs(out.mean() - 0.5) < 0.01
         assert abs(out.var() - 1.0 / 12.0) < 0.005
 
@@ -124,7 +125,7 @@ class TestSimulation:
                 )
                 path[step] = x
             ref[r] = cfg.observable.on_array(path[cfg.burn_in:][::-1].T, 1)
-        assert np.array_equal(cl.simulate_ensemble(cfg), ref)
+        assert np.array_equal(cl.ensemble_series(cfg), ref)
 
     def test_pullback_choice_table_holds_the_chunk_bound(self, doubling):
         # every step's branch choices are drawn up front, so the chunk is
@@ -145,7 +146,7 @@ class TestSimulation:
         )
         tracemalloc.start()
         try:
-            cl.simulate_ensemble(cfg)
+            cl.ensemble_series(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -166,7 +167,7 @@ class TestSimulation:
             seed=7,
             method="pullback",
         )
-        out = cl.simulate_ensemble(cfg)
+        out = cl.ensemble_series(cfg)
         first, last = np.mean(out[:, 0] < 0.1), np.mean(out[:, -1] < 0.1)
         se = math.sqrt((first * (1 - first) + last * (1 - last)) / cfg.n_replicas)
         assert abs(first - last) < 4.0 * se
@@ -180,11 +181,73 @@ class TestSimulation:
             n_replicas=32,
             burn_in=500,
         )
-        out = cl.simulate_ensemble(cfg)
+        out = cl.ensemble_series(cfg)
         grid = perturbed_eigen_k0.operator.grid
         x = cl.node_coordinate().on_array(grid.reps(), 0)
         mu_mean = float(perturbed_eigen_k0.mu @ x)
         assert abs(out.mean() - mu_mean) < 0.01
+
+    @pytest.mark.parametrize("k_sim", [1, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_forward_sums_match_series(self, k_sim, eps, perturbed):
+        cfg = make_cfg(
+            perturbed, coupling=cl.Coupling(epsilon=eps), k_sim=k_sim,
+            n_steps=300, n_replicas=6, burn_in=40,
+        )
+        sums = cl.simulate_ensemble(cfg)
+        ref = cl.ensemble_series(cfg).sum(axis=1)
+        assert sums.shape == (cfg.n_replicas,)
+        assert np.max(np.abs(sums - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("chunk_points", [None, 4 * 180 * 3])
+    def test_pullback_sums_match_series(self, chunk_points, doubling, monkeypatch):
+        if chunk_points is not None:
+            monkeypatch.setattr(harness, "_PULLBACK_POINTS", chunk_points)
+        cfg = cl.EnsembleConfig(
+            node_map=doubling,
+            coupling=cl.Coupling(epsilon=0.0),
+            observable=cl.node_coordinate(),
+            k_sim=1,
+            n_steps=300,
+            n_replicas=6,
+            burn_in=120,
+            seed=42,
+            method="pullback",
+        )
+        sums = cl.simulate_ensemble(cfg)
+        ref = cl.ensemble_series(cfg).sum(axis=1)
+        assert np.max(np.abs(sums - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_sums_memory_does_not_grow_with_steps(self, perturbed):
+        # the per-replica sums stream: a 4x longer run holds no more than
+        # the node states and one step's values, never the 500 x n series
+        # (2.4 MB at 600 steps, 9.6 MB at 2,400)
+        peaks = []
+        for n_steps in (600, 2400):
+            cfg = make_cfg(
+                perturbed, n_steps=n_steps, n_replicas=500, burn_in=100
+            )
+            tracemalloc.start()
+            try:
+                cl.simulate_ensemble(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 1 << 20
+
+    def test_clamping_past_the_bound_raises(self, perturbed):
+        # every node update lands on 1, outside [0,1): both consumers
+        # drain the stepping kernel, so both see its final check
+        stuck = dataclasses.replace(
+            perturbed,
+            forward=lambda x: np.where(np.asarray(x) == perturbed.p_tau,
+                                       perturbed.p_tau, 1.0),
+        )
+        cfg = make_cfg(stuck)
+        for run in (cl.simulate_ensemble, cl.ensemble_series):
+            with pytest.raises(RuntimeError, match="trajectory-safe"):
+                run(cfg)
 
     def test_burn_in_validation(self, perturbed):
         with pytest.raises(ValueError):
