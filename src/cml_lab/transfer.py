@@ -51,10 +51,15 @@ __all__ = [
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 
-# Most quadrature points the coupled assembly and the conformality
-# integral hold at once.  It bounds their temporaries, so peak memory
+# Most quadrature points the coupled assembly (at least one cell's) and
+# the conformality integral hold at once.  It bounds their temporaries, so peak memory
 # scales with cells and non-zeros, not with the quadrature cloud.
 _SLAB_POINTS = 1 << 16
+
+# Largest int64 (row, point) sort key of the coupled assembly, and largest
+# cell index and non-zero count of the int32 index arrays scipy keeps.
+_KEY_MAX = np.iinfo(np.int64).max
+_INDEX_MAX = np.iinfo(np.int32).max
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +285,10 @@ def ulam_matrix(
 
     Both assemblies run the node map once per quadrature axis.  'P' is the
     Kronecker product of one 1-d factor per node; 'coupled' reads the node
-    map and the potential's node terms at the quadrature points, slab by
-    slab, from per-axis tables, and its matrix is that of one all-at-once
-    assembly, to the byte.
+    map and the potential's node terms at the quadrature points from
+    per-axis tables, in slabs of whole cells, and sums each entry's
+    weights in the order of its points, cell by cell in C order, so its
+    matrix does not depend on the slab size.
     """
     grid = Grid(k=k, n_bins=n_bins)
     if grid.n_cells > cell_budget:
@@ -333,49 +339,23 @@ def _quad_axis(grid: Grid, quad: int) -> np.ndarray:
     return (np.arange(fine) + 0.5) / fine
 
 
-def _quad_slabs(
-    grid: Grid, quad: int, max_points: int
-) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
-    """Midpoint-refined quadrature, quad**d points per cell, in slabs.
+def _cell_slabs(grid: Grid, quad: int, max_points: int) -> Iterator[np.ndarray]:
+    """Midpoint-refined quadrature, quad**d points per cell, in slabs of
+    whole cells.
 
-    The points are the C-order product of d copies of the quadrature axis.
-    A slab holds at most ``max_points`` points (at least one): it fixes
-    every axis before a cut axis to one point, takes a run of the cut axis
-    and all of every later axis, the cut being the first axis whose later
-    axes fit.  Slabs are yielded in point order, as their per-axis slices
-    of the axis with the parent cells (M,) of their points.
+    A slab is a run of consecutive cells, at most max_points // quad**d of
+    them and at least one, with all quad**d points of each, cell by cell
+    and in C order within a cell.  Yields, per slab of n cells, the index
+    on the quadrature axis of each coordinate of its points,
+    bin * quad + offset, shape (d, n * quad**d).
     """
-    d, fine = grid.d, grid.n_bins * quad
-    cut = next(a for a in range(d) if fine ** (d - 1 - a) <= max_points)
-    step = max(1, max_points // fine ** (d - 1 - cut))
-    rest = (slice(0, fine),) * (d - 1 - cut)
-    # an axis point's bin times the axis's stride in the flat cell index
-    strided = [np.arange(fine) // quad * grid.n_bins ** (d - 1 - a) for a in range(d)]
-    for lead in np.ndindex((fine,) * cut):
-        fixed = tuple(slice(i, i + 1) for i in lead)
-        for lo in range(0, fine, step):
-            axes = fixed + (slice(lo, lo + step),) + rest
-            yield axes, _axis_sum(strided, axes)
-
-
-def _axis_views(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> list:
-    """tables[a][axes[a]], shaped to broadcast along axis a of a slab."""
-    return [
-        t[s].reshape((-1,) + (1,) * (len(axes) - 1 - a))
-        for a, (t, s) in enumerate(zip(tables, axes))
-    ]
-
-
-def _on_slab(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> np.ndarray:
-    """Per-axis tables read at a slab's points, shape (d, M)."""
-    views = np.broadcast_arrays(*_axis_views(tables, axes))
-    return np.stack(views).reshape(len(axes), -1)
-
-
-def _axis_sum(tables: Sequence[np.ndarray], axes: tuple[slice, ...]) -> np.ndarray:
-    """Per-axis tables read at a slab's points and summed first axis to
-    last, shape (M,): np.sum(_on_slab(...), axis=0) without the (d, M) array."""
-    return reduce(np.add, _axis_views(tables, axes)).reshape(-1)
+    d, per_cell = grid.d, quad ** grid.d
+    offsets = np.stack(np.unravel_index(np.arange(per_cell), (quad,) * d))
+    step = max(1, max_points // per_cell)
+    for lo in range(0, grid.n_cells, step):
+        cells = np.arange(lo, min(lo + step, grid.n_cells))
+        bins = np.stack(np.unravel_index(cells, (grid.n_bins,) * d))
+        yield (bins[:, :, None] * quad + offsets[:, None, :]).reshape(d, -1)
 
 
 def _assemble_p_matrix(
@@ -450,46 +430,70 @@ def _assemble_coupled_matrix(
     The node map, its log-derivative and the potential's node terms run
     once, on the quadrature axis, and are read from those tables, summed
     from node -k to node k as :meth:`Potential.on_array` sums them; the
-    coupling step and the image cells are evaluated per point.
+    coupling step and the image cells are evaluated per point.  A slab of
+    whole cells owns its columns: each entry is the sum of its points'
+    weights in point order (the cell's points in C order), and the slab
+    is kept as a CSC column block, so memory holds the matrix and one
+    slab, not the quadrature cloud.
     """
     if node_map.forward_deriv is None:
         raise ValueError(
             f"node map {node_map.name!r} has no forward derivative; "
             "the coupled assembly needs it for the change of variables"
         )
-    # A slab owns whole columns, but a row can take entries from several
-    # slabs, and scipy sums duplicates after an unstable per-row sort: so
-    # collect every triplet first and convert once, in the same order as an
-    # all-at-once assembly.  Cell indices fit int32 on any grid whose
-    # triplets fit in memory; scipy would cast int64 ones to int32 anyway.
-    n_pts = grid.n_cells * quad ** grid.d
-    rows = np.empty(n_pts, dtype=np.int32)
-    cols = np.empty(n_pts, dtype=np.int32)
-    weight = np.empty(n_pts)
+    n, per_cell = grid.n_cells, quad ** grid.d
+    if n * per_cell - 1 > _KEY_MAX or n - 1 > _INDEX_MAX:
+        raise MemoryError(
+            f"{n} cells of {per_cell} points overflow the coupled assembly's "
+            f"index types: its (row, point) keys reach n_cells * quad**d - 1 "
+            f"= {n * per_cell - 1}, over {_KEY_MAX}, or its cell indices "
+            f"{n - 1}, over {_INDEX_MAX}"
+        )
     log_det_e = math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
     axis = _quad_axis(grid, quad)
     forward = node_map.forward(axis)
     log_deriv = np.log(node_map.forward_deriv(axis))
     terms = [potential.node_term(j, axis, grid.k) for j in range(-grid.k, grid.k + 1)]
-    start = 0
-    for axes, parent in _quad_slabs(grid, quad, _SLAB_POINTS):
-        stop = start + parent.size
-        fwd = _on_slab([forward] * grid.d, axes)
-        images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
+    scale = (node_map.b * quad) ** grid.d
+
+    def column_block(idx):
+        """Row counts, data and row indices of a slab's columns, from its
+        points' axis indices; its temporaries go when it returns."""
+        images = coupling.apply_to_array(forward[idx].T, grid.k, node_map.p_tau).T
         np.clip(images, 0.0, _ONE_MINUS, out=images)
-        rows[start:stop] = grid.cell_of(images)
-        cols[start:stop] = parent
-        log_det = _axis_sum([log_deriv] * grid.d, axes)
+        log_det = reduce(np.add, log_deriv[idx])
         log_det += log_det_e
-        np.divide(
-            np.exp(_axis_sum(terms, axes) + log_det),
-            (node_map.b * quad) ** grid.d,
-            out=weight[start:stop],
-        )
-        start = stop
-    return sp.coo_matrix(
-        (weight, (rows, cols)), shape=(grid.n_cells, grid.n_cells)
-    ).tocsr()
+        weight = np.exp(reduce(np.add, [t[i] for t, i in zip(terms, idx)]) + log_det)
+        weight /= scale
+        # one int64 key per point, image cell * quad**d + point, sorted cell
+        # by cell: each column's rows in CSC order, and each entry's points
+        # in point order, the order bincount sums them in
+        order = grid.cell_of(images).reshape(-1, per_cell) * per_cell
+        order += np.arange(per_cell)
+        order.sort(axis=1)
+        rows, points = np.divmod(order, per_cell)
+        new = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+        points += np.arange(0, weight.size, per_cell)[:, None]
+        data = np.bincount(np.cumsum(new) - 1, weights=weight[points.ravel()])
+        return np.count_nonzero(new, axis=1), data, rows[new].astype(np.int32)
+
+    counts, data, indices = [], [], []
+    nnz = 0
+    for idx in _cell_slabs(grid, quad, _SLAB_POINTS):
+        for part, block in zip((counts, data, indices), column_block(idx)):
+            part.append(block)
+        nnz += data[-1].size
+        if nnz > _INDEX_MAX:
+            raise MemoryError(
+                f"the coupled matrix has at least {nnz} non-zeros, more than "
+                f"scipy's int32 index arrays hold ({_INDEX_MAX})"
+            )
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    data, indices = np.concatenate(data), np.concatenate(indices)
+    # rows come out sorted and free of duplicates, so nothing is summed
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
 
 
 # Stop rule and step cap of power_iterate.

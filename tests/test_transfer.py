@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -655,8 +656,9 @@ def _monolithic_p(grid, node_map, potential, quad):
     ).tocsr()
 
 
-def _monolithic_coupled(grid, node_map, potential, coupling, quad):
-    """Reference 'coupled' assembly from all quadrature points at once."""
+def _coupled_points(grid, node_map, potential, coupling, quad):
+    """Every quadrature point's image cell (row), parent cell (column) and
+    weight, all at once, points in C order."""
     pts, cols = _all_quad_points(grid, quad)
     fwd = node_map.forward(pts)
     images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
@@ -666,6 +668,24 @@ def _monolithic_coupled(grid, node_map, potential, coupling, quad):
     log_det += math.log(abs(np.linalg.det(coupling.dense_matrix(grid.k))))
     weight = np.exp(potential.on_array(pts, grid.k) + log_det)
     weight /= (node_map.b * quad) ** grid.d
+    return rows, cols, weight
+
+
+def _monolithic_coupled(grid, node_map, potential, coupling, quad):
+    """Reference 'coupled' assembly that sums each entry's weights one by
+    one in the defined point order: cell by cell, and in C order within a
+    cell."""
+    rows, cols, weight = _coupled_points(grid, node_map, potential, coupling, quad)
+    order = np.argsort(cols, kind="stable")
+    dense = np.zeros((grid.n_cells, grid.n_cells))
+    np.add.at(dense, (rows[order], cols[order]), weight[order])
+    return sp.csr_matrix(dense)
+
+
+def _scipy_coupled(grid, node_map, potential, coupling, quad):
+    """The triplet assembly: scipy sums each entry in the order its row
+    sort leaves."""
+    rows, cols, weight = _coupled_points(grid, node_map, potential, coupling, quad)
     return sp.coo_matrix(
         (weight, (rows, cols)), shape=(grid.n_cells, grid.n_cells)
     ).tocsr()
@@ -685,14 +705,19 @@ def _assert_same_pattern(got, ref, rtol):
 
 
 class TestSlabAssembly:
-    """Each assembly against its all-at-once reference.  The slabs of the
-    coupled assembly give its raw matrix bit for bit at every point budget:
-    one point, a run that does not divide an axis, whole rows and planes,
-    and a single slab.  'P', the Kronecker product of 1-d factors, keeps
-    the reference's sparsity pattern, and its data agree to roundoff."""
+    """Each assembly against its all-at-once reference.  The coupled
+    assembly works in slabs of whole cells and gives the raw matrix of
+    the point-order reference bit for bit at every point budget: one
+    point (one-cell slabs), budgets that leave a slab short of dividing
+    the cells, and a single slab.  'P', the Kronecker product of 1-d
+    factors, keeps the reference's sparsity pattern, and its data agree
+    to roundoff."""
 
     CASES = [(0, 64), (1, 6)]
-    BUDGETS = [1, 5, 50, 1200, None]
+    # at k=1 (64 points a cell) 63 is one point short of a cell, so every
+    # slab is one cell, and 448 is 7 cells, which do not divide 216; at
+    # k=0, 50 points is 12 of 64 cells
+    BUDGETS = [1, 5, 50, 63, 448, 1200, None]
 
     @staticmethod
     def _budget(grid, quad, budget):
@@ -704,30 +729,32 @@ class TestSlabAssembly:
         + [(2, 2, 50), (2, 2, 1200), (2, 2, None)],  # d = 5
     )
     def test_slabs_enumerate_all_points_in_order(self, k, n_bins, budget):
-        # the axis tables read at each slab's slices, concatenated, are all
-        # quadrature points in C order, with their parent cells
+        # the slabs are runs of whole cells, every cell once and in order;
+        # the axis table read at their indices gives every quadrature point
+        # of each cell, cell by cell and in C order within a cell
         grid = cl.Grid(k=k, n_bins=n_bins)
+        per_cell = 4 ** grid.d
         max_points = self._budget(grid, 4, budget)
         axis = transfer._quad_axis(grid, 4)
-        slabs = list(transfer._quad_slabs(grid, 4, max_points))
-        assert max(s[1].size for s in slabs) <= max_points
+        slabs = list(transfer._cell_slabs(grid, 4, max_points))
+        sizes = [idx.shape[1] // per_cell for idx in slabs]
+        assert all(idx.shape == (grid.d, n * per_cell) for idx, n in zip(slabs, sizes))
+        # full slabs of at most the budget (one cell if a cell is over
+        # it), a short one last
+        step = max(1, max_points // per_cell)
+        assert sizes[:-1] == [step] * (len(slabs) - 1) and sizes[-1] <= step
+        assert max(sizes) * per_cell <= max(max_points, per_cell)
         pts, parent = _all_quad_points(grid, 4)
-        got = [transfer._on_slab([axis] * grid.d, axes) for axes, _ in slabs]
-        assert np.array_equal(np.concatenate(got, axis=1), pts)
-        assert np.array_equal(np.concatenate([s[1] for s in slabs]), parent)
-        assert np.concatenate([s[1] for s in slabs]).dtype == parent.dtype
-        sums = [transfer._axis_sum([axis] * grid.d, axes) for axes, _ in slabs]
-        assert np.concatenate(sums).tobytes() == np.sum(pts, axis=0).tobytes()
+        order = np.argsort(parent, kind="stable")
+        got = np.concatenate([axis[idx] for idx in slabs], axis=1)
+        assert np.array_equal(got, pts[:, order])
 
     def test_slabs_hold_the_budget_at_five_nodes(self):
-        # at k=2, N=8 one first-axis bin holds 4 * 32**4 = 4,194,304 points;
-        # the slabs cut inside it and fill the budget exactly
+        # at k=2, N=8 a cell holds 4**5 = 1,024 points: every slab is 64
+        # whole cells, the budget exactly
         grid = cl.Grid(k=2, n_bins=8)
-        sizes = {
-            parent.size
-            for _, parent in transfer._quad_slabs(grid, 4, transfer._SLAB_POINTS)
-        }
-        assert sizes == {transfer._SLAB_POINTS}
+        slabs = transfer._cell_slabs(grid, 4, transfer._SLAB_POINTS)
+        assert {idx.shape[1] for idx in slabs} == {transfer._SLAB_POINTS}
 
     # The reference sums exp(f) over each point's b**d branch preimages.
     # At k=0 'P' is its one factor, built from the reference's triplets in
@@ -796,8 +823,48 @@ class TestSlabAssembly:
             cl.node_sine_potential(0.1, 1, metric),
         ):
             raw = transfer._assemble_coupled_matrix(grid, perturbed, pot, coupling, 4)
-            ref = _monolithic_coupled(grid, perturbed, pot, coupling, 4)
-            _assert_same_bytes(raw, ref)
+            _assert_same_bytes(raw, _monolithic_coupled(grid, perturbed, pot, coupling, 4))
+            # the triplet assembly sums in another order: same pattern
+            _assert_same_pattern(
+                raw, _scipy_coupled(grid, perturbed, pot, coupling, 4), 1e-15
+            )
+
+    # k=0, N=64: 64 cells of 4 points, 256 sort keys up to 255, and 159
+    # non-zeros; a limit one below either raises before it wraps
+    @pytest.mark.parametrize(
+        "limit,value,message",
+        [("_KEY_MAX", 254, "= 255, over 254"),
+         ("_INDEX_MAX", 158, "non-zeros")],
+    )
+    def test_coupled_index_overflow_raises(
+        self, limit, value, message, perturbed, metric, monkeypatch
+    ):
+        monkeypatch.setattr(transfer, limit, value)
+        pot = cl.srb_potential(perturbed, max_k=0, metric=metric)
+        with pytest.raises(MemoryError, match=message):
+            transfer._assemble_coupled_matrix(
+                cl.Grid(k=0, n_bins=64), perturbed, pot, cl.Coupling(epsilon=0.05), 4
+            )
+
+    def test_coupled_assembly_memory_is_matrix_and_one_slab(self, perturbed, metric):
+        # k=1, N=24: 884,736 quadrature points, whose triplets alone take
+        # 14.2 MB at 16 bytes each; the matrix takes 2.5 MB
+        grid = cl.Grid(k=1, n_bins=24)
+        pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+        tracemalloc.start()
+        try:
+            raw = transfer._assemble_coupled_matrix(
+                grid, perturbed, pot, cl.Coupling(epsilon=0.05), 4
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a slab's temporaries at d=3: the axis indices, forward values and
+        # images (3 * 8d bytes a point) and about ten 8-byte vectors, so
+        # 160 bytes a point; measured peak 9.6 MB, bound 18.0 MB, and
+        # 30.2 MB for the triplet assembly
+        matrix_bytes = raw.data.nbytes + raw.indices.nbytes + raw.indptr.nbytes
+        assert peak <= 3 * matrix_bytes + 160 * transfer._SLAB_POINTS
 
 
 class TestKroneckerEigenData:
