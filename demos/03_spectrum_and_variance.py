@@ -22,7 +22,7 @@ def main() -> None:
     print("  C_n vs 2^-n/12:")
     for n, v in enumerate(c):
         print(f"    n={n}:  {v:+.6f}  (analytic {2.0 ** -n / 12:+.6f})")
-    print(f"  Green-Kubo sigma^2 = {cl.variance_green_kubo(phi, l0):.6f} "
+    print(f"  Green-Kubo sigma^2 = {cl.variance_green_kubo(phi, l0).sigma2:.6f} "
           "(analytic 1/4)")
 
     print("\ncoupled system: perturbed doubling a=0.05, eps=0.05, k=1")
@@ -39,7 +39,7 @@ def main() -> None:
 
     cc = cl.operator_correlation(phi, phi, op, 8)
     print("  coordinate autocovariance:", np.round(cc, 5))
-    gk = cl.variance_green_kubo(phi, op)
+    gk = cl.variance_green_kubo(phi, op).sigma2
     curv = cl.variance_from_twisted_curvature(op, phi)
     print(f"  sigma^2: Green-Kubo {gk:.4f} vs twisted-eigenvalue curvature "
           f"{curv:.4f}")

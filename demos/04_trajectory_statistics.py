@@ -36,7 +36,7 @@ def main() -> None:
     print(f"operator |lambda_2| for comparison: "
           f"{cl.spectral_gap(op).lambda2_modulus:.4f}")
 
-    sigma2 = cl.variance_green_kubo(phi, op)
+    sigma2 = cl.variance_green_kubo(phi, op).sigma2
     # the CLT needs only each replica's sum, which simulate_ensemble keeps
     # as the trajectories run instead of the whole series
     sums = cl.simulate_ensemble(ens)

@@ -60,6 +60,7 @@ from .transfer import (
     ulam_matrix,
 )
 from .spectral import (
+    GreenKubo,
     SpectrumReport,
     check_twisted_bound,
     operator_correlation,

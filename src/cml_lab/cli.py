@@ -388,12 +388,18 @@ def _eigen_data(cfg: ExperimentConfig, state: dict):
     return state["eigen"]
 
 
-def _sigma2(cfg: ExperimentConfig, state: dict) -> float:
+def _sigma2(cfg: ExperimentConfig, state: dict, report: RunReport) -> float:
     """Green-Kubo variance of x_0 under the coupled operator, computed
-    once per run."""
+    once per run; how its sum ended goes in ``diagnostics.correlation``."""
     if "sigma2" not in state:
         phi = node_coordinate(0, metric=cfg.metric())
-        state["sigma2"] = variance_green_kubo(phi, _coupled_op(cfg, state))
+        gk = variance_green_kubo(phi, _coupled_op(cfg, state))
+        report.diagnostics["correlation"] = {
+            "green_kubo_lags": gk.lags,
+            "green_kubo_capped": gk.capped,
+            "green_kubo_tail_share": gk.tail_share,
+        }
+        state["sigma2"] = gk.sigma2
     return state["sigma2"]
 
 
@@ -457,7 +463,7 @@ def _step_spectral(cfg, state, report):
 def _step_correlation(cfg, state, report):
     op = _coupled_op(cfg, state)
     phi = node_coordinate(0, metric=cfg.metric())
-    sigma2 = _sigma2(cfg, state)
+    sigma2 = _sigma2(cfg, state, report)
     c_n = operator_correlation(phi, phi, op, cfg.n_lags)
     report.results["correlation"] = {
         "c0": _entry(float(c_n[0])),
@@ -520,7 +526,7 @@ def _step_conformality(cfg, state, report):
 def _step_twisted(cfg, state, report):
     op = _coupled_op(cfg, state)
     phi = node_coordinate(0, metric=cfg.metric())
-    sigma2 = _sigma2(cfg, state)
+    sigma2 = _sigma2(cfg, state, report)
     rows = check_twisted_bound(op, phi, [0.01, -0.01, 0.05, -0.05, 0.1, -0.1])
     max_modulus = max(r.modulus for r in rows)
     # the smallest twist carries the least O(t^2) bias; -t twists by the
@@ -546,7 +552,7 @@ def _step_twisted(cfg, state, report):
 
 
 def _step_clt(cfg, state, report):
-    sigma2 = _sigma2(cfg, state)
+    sigma2 = _sigma2(cfg, state, report)
     node_map = cfg.node_map()
     method = "forward" if node_map.trajectory_safe else "pullback"
     ens = EnsembleConfig(

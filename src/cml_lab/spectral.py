@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import Potential
-from .transfer import UlamOperator, _require_eigen, power_iterate
+from .transfer import UlamOperator, _on_cells, _require_eigen, power_iterate
 
 __all__ = [
     "SpectrumReport",
@@ -29,6 +29,7 @@ __all__ = [
     "twisted_matrix",
     "check_twisted_bound",
     "TwistedBoundRow",
+    "GreenKubo",
     "variance_green_kubo",
     "variance_from_twisted_curvature",
 ]
@@ -75,26 +76,30 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
     Both solve the block of the non-empty rows, where every non-zero of a
     normalized operator lies (a coupled operator's unreachable cells have
     empty rows and columns), so the spectrum differs from the whole
-    matrix's only by zeros.  Arnoldi runs with _ARNOLDI_NCV Krylov
-    vectors and starts from a fixed vector on the whole grid, restricted to
-    the block, that is no eigenvector: from the constant vector, the
-    leading eigenvector of every normalized operator, the Krylov space
-    breaks down at once and ARPACK restarts from a vector of its own that
-    differs per process.  When the cut
-    splits a conjugate pair, the kept member is the one with positive
-    imaginary part, so the report depends on the spectrum alone, not on
-    which member the solver returned.
+    matrix's only by zeros.  The dense solver takes the block explicitly.
+    Arnoldi applies ``op.matrix`` itself on the block's cells
+    (:func:`~cml_lab.transfer._on_cells`: the matrix has no entries off
+    the block, so each product only adds +0.0 terms and has the explicit
+    block's bits) and holds no copy of it.  It runs with _ARNOLDI_NCV
+    Krylov vectors and starts from a fixed vector on the whole grid,
+    restricted to the block, that is no eigenvector: from the constant
+    vector, the leading eigenvector of every normalized operator, the
+    Krylov space breaks down at once and ARPACK restarts from a vector of
+    its own that differs per process.  When the cut splits a conjugate
+    pair, the kept member is the one with positive imaginary part, so the
+    report depends on the spectrum alone, not on which member the solver
+    returned.
     """
     if op.kind not in ("L", "coupled"):
         raise ValueError("spectral gap is defined for normalized operator kinds")
     active = np.flatnonzero(np.diff(op.matrix.indptr))
-    block = op.matrix[active][:, active]
     n = active.size
     dense = n <= _DENSE_LIMIT
     applications = 0
     if dense:
-        vals = np.linalg.eigvals(block.toarray())
+        vals = np.linalg.eigvals(op.matrix[active][:, active].toarray())
     else:
+        block = _on_cells(op.matrix, active)
 
         def matvec(v: np.ndarray) -> np.ndarray:
             nonlocal applications
@@ -214,39 +219,59 @@ def check_twisted_bound(
     return tuple(rows)
 
 
-def variance_green_kubo(phi: Potential, op: UlamOperator) -> float:
+@dataclass(frozen=True)
+class GreenKubo:
+    """The Green-Kubo variance and how its sum ended: the lags summed, whether
+    the sum stopped at the lag cap, and the geometric tail added to it."""
+
+    sigma2: float
+    lags: int
+    capped: bool
+    tail: float
+
+    @property
+    def tail_share(self) -> float:
+        """The tail's share of sigma2 (0 when sigma2 is 0)."""
+        return self.tail / self.sigma2 if self.sigma2 > 0.0 else 0.0
+
+
+def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
     """Limit variance as the summed autocovariance sequence of phi.
 
     The series is truncated once |C_n| falls below _GK_TAIL_TOL * C_0 (or
-    at lag _GK_MAX_LAG), and a geometric tail estimate (from the ratio of
-    the last terms) is added.
+    at lag _GK_MAX_LAG), and a geometric tail estimate, from the ratio
+    |C_n| / |C_{n-1}| of the last two terms, is added.
     A materially negative result signals a discretization artifact.
     """
     terms = _correlation_terms(phi, phi, op)
     c0 = next(terms)
     if c0 == 0.0:
-        return 0.0
+        return GreenKubo(sigma2=0.0, lags=0, capped=False, tail=0.0)
     total = c0
-    last = abs(c0)
+    prev = last = abs(c0)
     c_n = c0
     n_used = 0
     for n in range(1, _GK_MAX_LAG + 1):
         c_n = next(terms)
         total += 2.0 * c_n
         n_used = n
-        if abs(c_n) < _GK_TAIL_TOL * abs(c0):
+        prev, last = last, abs(c_n)
+        if last < _GK_TAIL_TOL * abs(c0):
             break
-        last = abs(c_n)
-    # geometric tail from the final observed ratio
-    if n_used >= 2 and last > 0.0 and abs(c_n) > 0.0:
-        r = abs(c_n) / last
+    tail = 0.0
+    if n_used >= 2 and prev > 0.0 and last > 0.0:
+        r = last / prev
         if 0.0 < r < 1.0:
-            total += 2.0 * abs(c_n) * r / (1.0 - r) * np.sign(c_n)
+            tail = 2.0 * last * r / (1.0 - r) * np.sign(c_n)
+            total += tail
     if total < -1e-8:
         raise ValueError(
             f"Green-Kubo variance {total} is negative: grid too coarse for phi"
         )
-    return float(max(total, 0.0))
+    return GreenKubo(
+        sigma2=float(max(total, 0.0)), lags=n_used,
+        capped=last >= _GK_TAIL_TOL * abs(c0), tail=float(tail),
+    )
 
 
 def variance_from_twisted_curvature(

@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .lattice import (
     Coupling,
@@ -55,6 +56,10 @@ _ONE_MINUS = np.nextafter(1.0, 0.0)
 # the conformality integral hold at once.  It bounds their temporaries, so peak memory
 # scales with cells and non-zeros, not with the quadrature cloud.
 _SLAB_POINTS = 1 << 16
+
+# Rows the normalization scales at once: its temporaries are a run of
+# rows' scale factors, not one row index per non-zero.
+_ROW_CHUNK = 1 << 12
 
 # Largest int64 (row, point) sort key of the coupled assembly, and largest
 # cell index and non-zero count of the int32 index arrays scipy keeps.
@@ -325,11 +330,7 @@ def ulam_matrix(
             matrix=_assemble_coupled_matrix(grid, node_map, potential, coupling, quad),
             node_map=node_map, potential=potential, coupling=coupling,
         )
-        op = _normalized("coupled", leading_eigenpair(raw))
-        # the solves sum rows in stored order: 'coupled' keeps sorted
-        # indices and 'L' the products' order, so reports keep their bits
-        op.matrix.sort_indices()
-        return op
+        return _normalized("coupled", leading_eigenpair(raw))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -394,13 +395,40 @@ def _similarity(matrix: sp.csr_matrix, eigen: "EigenData") -> sp.csr_matrix:
     (lam, v) of M, on the cells where v > 0; the rows and columns of the
     others stay empty.  The continuum normalized operator fixes constants
     exactly; its rows are rescaled to divide out the residual row defect
-    left by the finite eigen-solve tolerance."""
+    left by the finite eigen-solve tolerance.
+
+    One copy of M is scaled in place, in M's index order, with the
+    products the sparse product diag(1/v) @ M @ diag(v) / lam forms:
+    (1/v_i * m_ij) * v_j, then * (1/lam); the entries that vanish (rows and
+    columns off the cells) are dropped before the rows are summed.
+    """
     v = eigen.v
     inv_v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
-    mat = ((sp.diags(inv_v) @ matrix @ sp.diags(v)) / eigen.lam).tocsr()
+    mat = matrix.copy()
+    _scale_entries(mat, inv_v, v, 1.0 / eigen.lam)
+    mat.eliminate_zeros()
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     inv_rows = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0.0)
-    return (sp.diags(inv_rows) @ mat).tocsr()
+    _scale_entries(mat, inv_rows)
+    return mat
+
+
+def _scale_entries(
+    mat: sp.csr_matrix, rows: np.ndarray,
+    cols: np.ndarray | None = None, factor: float | None = None,
+) -> None:
+    """m_ij <- ((rows_i * m_ij) * cols_j) * factor for every stored entry,
+    in place, _ROW_CHUNK rows at a time."""
+    indptr = mat.indptr
+    for lo in range(0, mat.shape[0], _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, mat.shape[0])
+        part = slice(indptr[lo], indptr[hi])
+        data = mat.data[part]
+        data *= np.repeat(rows[lo:hi], np.diff(indptr[lo:hi + 1]))
+        if cols is not None:
+            data *= cols[mat.indices[part]]
+        if factor is not None:
+            data *= factor
 
 
 def _normalized(kind: str, eigen: "EigenData") -> UlamOperator:
@@ -553,6 +581,24 @@ class EigenData:
         return self.v / (self.nu @ self.v)
 
 
+def _on_cells(matrix: sp.spmatrix, cells: np.ndarray) -> spla.LinearOperator:
+    """``matrix`` on the rows and columns ``cells`` (increasing), applied
+    without a copy of that block: the iterate is scattered onto a
+    whole-grid buffer that stays zero off the cells, multiplied, and the
+    cells' entries are gathered.  Each entry of the product adds the
+    block's terms in the matrix's stored order, and a +0.0 for each source
+    off the cells, so a matrix with sorted indices, CSR or CSC, gives the
+    bits of the explicit block ``matrix[cells][:, cells]`` in CSR form.
+    """
+    buf = np.zeros(matrix.shape[1], dtype=matrix.dtype)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        buf[cells] = x
+        return (matrix @ buf)[cells]
+
+    return spla.LinearOperator((cells.size, cells.size), matvec=matvec, dtype=matrix.dtype)
+
+
 def leading_eigenpair(op: UlamOperator) -> EigenData:
     """Power iteration on the reachable block of the matrix (for lam and v)
     and on its transpose (for nu).
@@ -560,23 +606,24 @@ def leading_eigenpair(op: UlamOperator) -> EigenData:
     The reachable cells are those with mass from within the set: start
     from all cells, drop the empty rows of the block and shrink until
     stable -- restricting the columns can empty a row whose only sources
-    were themselves dropped.  Every cell of 'P' is reachable.
+    were themselves dropped.  Every cell of 'P' is reachable.  Both solves
+    apply the matrix, and its transpose as the CSC view ``.T``, on the
+    block through :func:`_on_cells`, without copying it.
     """
     if op.kind == "L" or op.eigen is not None:
         raise ValueError("leading eigen-data is solved for a raw operator")
     active = np.arange(op.n_cells)
-    block = op.matrix
     while True:
-        keep = np.asarray(block.sum(axis=1)).ravel() > 0.0
+        block = _on_cells(op.matrix, active)
+        keep = block @ np.ones(active.size) > 0.0
         if keep.all():
             break
         active = active[keep]
-        block = op.matrix[active][:, active].tocsr()
     lam, v_block = power_iterate(block)
     if np.min(v_block) <= 0.0:
         raise ValueError("eigenfunction is not strictly positive on the reachable cells")
     v, nu = np.zeros((2, op.n_cells))
-    v[active], nu[active] = v_block, power_iterate(block.T.tocsr())[1]
+    v[active], nu[active] = v_block, power_iterate(_on_cells(op.matrix.T, active))[1]
     mu = v / (nu @ v) * nu
     return EigenData(lam=float(lam), v=v, nu=nu, mu=mu / mu.sum(), operator=op)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cml_lab as cl
+from cml_lab import transfer
 
 
 @pytest.fixture(scope="session")
@@ -38,4 +39,18 @@ def coupled_op_k1(perturbed, metric):
     return cl.ulam_matrix(
         "coupled", 1, 16, perturbed, potential=pot,
         coupling=cl.Coupling(epsilon=0.05), quad=4,
+    )
+
+
+@pytest.fixture(scope="session")
+def raw_coupled_eps01(perturbed, metric):
+    """The raw coupled operator at eps = 0.1, k=1, N=16, whose coupling
+    range misses 718 of the 4,096 cells."""
+    grid = cl.Grid(k=1, n_bins=16)
+    pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+    coupling = cl.Coupling(epsilon=0.1)
+    return cl.UlamOperator(
+        kind="coupled", grid=grid, quad=4,
+        matrix=transfer._assemble_coupled_matrix(grid, perturbed, pot, coupling, 4),
+        node_map=perturbed, potential=pot, coupling=coupling,
     )

@@ -162,7 +162,7 @@ def test_criterion_5_analytic_autocovariance_oracle():
     phi = cl.node_coordinate()
     c = cl.operator_correlation(phi, phi, l_op, 10)
     corr_err = float(np.max(np.abs(c - oracle)))
-    sigma2 = cl.variance_green_kubo(phi, l_op)
+    sigma2 = cl.variance_green_kubo(phi, l_op).sigma2
     var_err = abs(sigma2 - sigma2_oracle)
     passed = corr_err < 1e-3 and var_err < 1e-3 and abs(sigma2_oracle - 0.25) < 1e-6
     verdict(
@@ -185,7 +185,7 @@ def test_criterion_6_central_limit_theorem():
         "coupled", 1, 48, nm, potential=pot, coupling=coupling,
         cell_budget=120_000,
     )
-    sigma2 = cl.variance_green_kubo(cl.node_coordinate(), op)
+    sigma2 = cl.variance_green_kubo(cl.node_coordinate(), op).sigma2
     ens = cl.EnsembleConfig(
         node_map=nm, coupling=coupling, observable=cl.node_coordinate(),
         k_sim=1, n_steps=5200, n_replicas=2000, burn_in=200, seed=42,
@@ -215,7 +215,7 @@ def test_criterion_7_twisted_operator_boundedness(coupled_setup):
     start = time.perf_counter()
     op = coupled_setup["op"]
     phi = cl.node_coordinate()
-    sigma2 = cl.variance_green_kubo(phi, op)
+    sigma2 = cl.variance_green_kubo(phi, op).sigma2
     rows = cl.check_twisted_bound(op, phi, [0.01, -0.01, 0.05, -0.05, 0.1, -0.1])
     max_modulus = max(r.modulus for r in rows)
     small_dev = abs(rows[0].sigma2 / sigma2 - 1.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cml_lab as cl
-from cml_lab import cli
+from cml_lab import cli, spectral
 from cml_lab.cli import main, validate_config
 from cml_lab.harness import CLT_MIN_REPLICAS
 
@@ -384,6 +384,32 @@ class TestMain:
         assert "passed" not in diag
         with open(os.path.join(out, "summary.txt")) as fh:
             assert "stderr" not in fh.read()
+
+    def test_correlation_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
+        # how the Green-Kubo sum ended goes to diagnostics: the lags it
+        # summed, whether it stopped at the lag cap, and the tail's share
+        path = write_cfg(tmp_path, MINIMAL + "[run]\nexperiments = correlation\n")
+        docs, default = {}, spectral._GK_MAX_LAG
+        for cap in (default, 5):
+            monkeypatch.setattr(spectral, "_GK_MAX_LAG", cap)
+            out = os.path.join(tmp_path, f"cap{cap}")
+            monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+            assert main(["run", path]) == 0
+            with open(os.path.join(out, "report.json")) as fh:
+                docs[cap] = json.load(fh)
+            with open(os.path.join(out, "summary.txt")) as fh:
+                assert "tail_share" not in fh.read()
+        full = docs[default]["diagnostics"]["correlation"]
+        assert sorted(full) == ["green_kubo_capped", "green_kubo_lags", "green_kubo_tail_share"]
+        assert full["green_kubo_capped"] is False
+        assert 5 < full["green_kubo_lags"] < default
+        assert abs(full["green_kubo_tail_share"]) < 1e-6
+        capped = docs[5]["diagnostics"]["correlation"]
+        assert (capped["green_kubo_lags"], capped["green_kubo_capped"]) == (5, True)
+        # a tail from |C_5| / |C_4| stands in for the lags past the cap
+        assert abs(capped["green_kubo_tail_share"]) > 1e-6
+        sigma2 = [d["results"]["correlation"]["green_kubo_sigma2"]["value"] for d in docs.values()]
+        assert sigma2[1] == pytest.approx(sigma2[0], rel=1e-3)
 
     def test_export_operator_roundtrip(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")

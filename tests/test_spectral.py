@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cml_lab as cl
-from cml_lab import cli
+from cml_lab import cli, spectral, transfer
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,73 @@ class TestSpectralGap:
     def test_rejects_raw_kind(self, perturbed_eigen_k0):
         with pytest.raises(ValueError):
             cl.spectral_gap(perturbed_eigen_k0.operator)
+
+
+class TestGapOnTheMatrix:
+    """Arnoldi applies the normalized matrix itself on the reachable cells."""
+
+    @staticmethod
+    def explicit_block_spectrum(op):
+        """spectral_gap's Arnoldi solve on the block copied out of the
+        matrix: its reported eigenvalues and operator applications."""
+        active = np.flatnonzero(np.diff(op.matrix.indptr))
+        block = op.matrix[active][:, active]
+        count = 0
+
+        def matvec(v):
+            nonlocal count
+            count += 1
+            return block @ v
+
+        lin = spla.LinearOperator(block.shape, matvec=matvec, dtype=block.dtype)
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n_cells)[active]
+        vals = spla.eigs(lin, k=6, which="LM", v0=v0, ncv=30, return_eigenvectors=False)
+        vals = vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
+        if vals[-1].imag < 0.0:
+            vals[-1] = np.conj(vals[-1])
+        return tuple(complex(v) for v in vals), count
+
+    def test_matches_explicit_block(self, raw_coupled_eps01):
+        # eps = 0.1, N=16: 718 of the 4,096 cells are unreachable
+        op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
+        rep = cl.spectral_gap(op)
+        assert (rep.solver, rep.cells_solved) == ("arnoldi", 3378)
+        assert (rep.eigenvalues, rep.operator_applications) == self.explicit_block_spectrum(op)
+
+    def test_memory_is_matrix_and_krylov_basis(self, perturbed, metric, monkeypatch):
+        # k=1, N=24, the Arnoldi path: peak traced memory from the end of
+        # the coupled assembly, through its eigen-solve and normalization,
+        # to the end of spectral_gap, above the raw matrix.  Measured 7.6 MB:
+        # the normalized matrix (2.3 MB) and 1.7 times ARPACK's basis of
+        # n * ncv doubles (3.1 MB; scipy's eigenvalue extraction holds a
+        # copy of about that size).  The explicit blocks that the solves
+        # copied out of the matrix read 9.6 MB against this bound of 8.5 MB.
+        assembled = {}
+        assemble = transfer._assemble_coupled_matrix
+
+        def assemble_then_reset(*args):
+            raw = assemble(*args)
+            tracemalloc.reset_peak()
+            assembled["traced"] = tracemalloc.get_traced_memory()[0]
+            return raw
+
+        monkeypatch.setattr(transfer, "_assemble_coupled_matrix", assemble_then_reset)
+        pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+        tracemalloc.start()
+        try:
+            op = cl.ulam_matrix(
+                "coupled", 1, 24, perturbed, potential=pot,
+                coupling=cl.Coupling(epsilon=0.05),
+            )
+            rep = cl.spectral_gap(op)
+            peak = tracemalloc.get_traced_memory()[1] - assembled["traced"]
+        finally:
+            tracemalloc.stop()
+        assert rep.solver == "arnoldi"
+        matrix = op.matrix
+        matrix_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        basis_bytes = rep.cells_solved * spectral._ARNOLDI_NCV * 8
+        assert peak <= matrix_bytes + 2 * basis_bytes
 
 
 class TestStationaryDistribution:
@@ -188,7 +256,7 @@ class TestTwistedOperators:
         # Green-Kubo variance up to a bias of order t^2 (the log modulus is
         # even in t)
         phi = cl.node_coordinate()
-        gk = cl.variance_green_kubo(phi, perturbed_L)
+        gk = cl.variance_green_kubo(phi, perturbed_L).sigma2
         rows = cl.check_twisted_bound(perturbed_L, phi, [0.01, -0.05, 0.1, 0.2])
         assert [r.t for r in rows] == [0.01, -0.05, 0.1, 0.2]
         moduli = [r.modulus for r in rows]
@@ -208,7 +276,7 @@ class TestTwistedGates:
 
     @pytest.fixture(scope="class")
     def target(self, coupled_op_k1):
-        return cl.variance_green_kubo(cl.node_coordinate(), coupled_op_k1)
+        return cl.variance_green_kubo(cl.node_coordinate(), coupled_op_k1).sigma2
 
     @staticmethod
     def verdicts(op, target):
@@ -249,7 +317,7 @@ class TestVariance:
         # continuum value C_0 + 2 sum C_n = 1/12 + 2/12 = 1/4; the finite
         # grid subtracts the exact aliasing corrections summed over the
         # 8-step mixing horizon
-        sigma2 = cl.variance_green_kubo(cl.node_coordinate(), doubling_L)
+        sigma2 = cl.variance_green_kubo(cl.node_coordinate(), doubling_L).sigma2
         big_n = doubling_L.n_cells
         ns = np.arange(1, 9)
         expected = (
@@ -273,14 +341,14 @@ class TestVariance:
         assert 2 <= n_used < 500
         r = abs(c[n_used]) / last
         total += 2.0 * abs(c[n_used]) * r / (1.0 - r) * np.sign(c[n_used])
-        assert cl.variance_green_kubo(phi, perturbed_L) == float(total)
+        assert cl.variance_green_kubo(phi, perturbed_L).sigma2 == float(total)
 
     def test_constant_observable_zero_variance(self, doubling_L):
-        assert cl.variance_green_kubo(cl.constant_potential(2.0), doubling_L) == 0.0
+        assert cl.variance_green_kubo(cl.constant_potential(2.0), doubling_L).sigma2 == 0.0
 
     def test_curvature_cross_check(self, perturbed_L):
         phi = cl.node_coordinate()
-        gk = cl.variance_green_kubo(phi, perturbed_L)
+        gk = cl.variance_green_kubo(phi, perturbed_L).sigma2
         curv = cl.variance_from_twisted_curvature(perturbed_L, phi)
         assert abs(curv - gk) / gk < 0.05
 
@@ -292,8 +360,40 @@ class TestVariance:
             p = cl.ulam_matrix("P", 0, n_bins, perturbed, potential=pot)
             e = cl.leading_eigenpair(p)
             l_op = cl.ulam_matrix("L", 0, n_bins, perturbed, eigen=e)
-            vals.append(cl.variance_green_kubo(phi, l_op))
+            vals.append(cl.variance_green_kubo(phi, l_op).sigma2)
         assert abs(vals[0] - vals[1]) / vals[0] < 0.05
+
+
+class TestGreenKuboTail:
+    """A two-cell chain that flips with probability 0.1: C_n = C_0 * 0.8^n
+    for x_0 (C_0 = 1/16), so sigma^2 = C_0 (1 + 0.8) / (1 - 0.8) = 0.5625,
+    and a geometric tail from the last two terms is exact."""
+
+    @pytest.fixture
+    def chain(self):
+        mu = np.array([0.5, 0.5])
+        return cl.UlamOperator(
+            kind="L", grid=cl.Grid(k=0, n_bins=2), quad=1,
+            matrix=sp.csr_matrix([[0.9, 0.1], [0.1, 0.9]]),
+            eigen=cl.EigenData(lam=1.0, v=mu, nu=mu, mu=mu, operator=None),
+        )
+
+    def test_tail_is_added_at_the_lag_cap(self, chain, monkeypatch):
+        # the sum used to take the ratio of the last term with itself at the
+        # cap, add no tail and return 0.39866
+        monkeypatch.setattr(spectral, "_GK_MAX_LAG", 5)
+        gk = cl.variance_green_kubo(cl.node_coordinate(), chain)
+        assert gk.sigma2 == pytest.approx(0.5625, rel=1e-12)
+        assert (gk.lags, gk.capped) == (5, True)
+        # the tail 2 C_0 0.8^6 / 0.2 of the total 9 C_0
+        assert gk.tail_share == pytest.approx(8 * 0.8 ** 5 / 9, rel=1e-12)
+
+    def test_below_the_cap_the_sum_stops_at_the_tolerance(self, chain):
+        # 0.8^n < 1e-6 first at n = 62
+        gk = cl.variance_green_kubo(cl.node_coordinate(), chain)
+        assert gk.sigma2 == pytest.approx(0.5625, rel=1e-12)
+        assert (gk.lags, gk.capped) == (62, False)
+        assert 0.0 < gk.tail_share < 1e-5
 
 
 class TestCoupledSpectrum:
