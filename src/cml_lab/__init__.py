@@ -79,6 +79,7 @@ from .harness import (
     autocorrelation_fit,
     clt_test,
     ensemble_series,
+    ensemble_shares,
     ks_distance_to_normal,
     simulate_ensemble,
 )

@@ -57,7 +57,13 @@ from .spectral import (  # noqa: F401
     variance_from_twisted_curvature,
     variance_green_kubo,
 )
-from .harness import CLT_MIN_REPLICAS, EnsembleConfig, clt_test, simulate_ensemble
+from .harness import (
+    CLT_MIN_REPLICAS,
+    EnsembleConfig,
+    clt_test,
+    ensemble_shares,
+    simulate_ensemble,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -319,8 +325,10 @@ class RunReport:
     defined).  ``diagnostics`` maps a solve to how it ran (deterministic,
     never a verdict); ``arrays`` holds plot-ready columnar data, ``errors``
     the experiments that failed, ``wall_times`` the (non-deterministic)
-    per-experiment durations in seconds and ``peak_rss_mb`` the process's
-    resident-set high-water mark in MB after each experiment.
+    per-experiment durations in seconds, ``peak_rss_mb`` the process's
+    resident-set high-water mark in MB after each experiment and
+    ``shares`` the processes an experiment's ensemble ran in (it depends
+    on the machine, not the config).
     """
 
     fingerprint: str
@@ -331,6 +339,7 @@ class RunReport:
     errors: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     peak_rss_mb: dict = field(default_factory=dict)
+    shares: dict = field(default_factory=dict)
 
 
 def _peak_rss_mb() -> float:
@@ -434,7 +443,17 @@ def _step_eigen(cfg, state, report):
         "h_min": _entry(float(np.min(eigen.h))),
         "h_max": _entry(float(np.max(eigen.h))),
     }
+    report.diagnostics["eigen"] = _power_diagnostics(eigen)
     report.arrays["eigen_h"] = np.column_stack([eigen.h, eigen.nu, eigen.mu])
+
+
+def _power_diagnostics(eigen) -> dict:
+    """How the power iterations of a triple ended, for v and for nu."""
+    out = {}
+    for name, (steps, change) in (("v", eigen.v_iteration), ("nu", eigen.nu_iteration)):
+        out[f"{name}_power_steps"] = steps
+        out[f"{name}_power_change"] = change
+    return out
 
 
 def _step_spectral(cfg, state, report):
@@ -454,6 +473,7 @@ def _step_spectral(cfg, state, report):
         "cells_solved": spec.cells_solved,
         "n_cells": op.n_cells,
         "operator_applications": spec.operator_applications,
+        **_power_diagnostics(op.eigen),
     }
     eigs = np.asarray(spec.eigenvalues)
     report.arrays["spectrum"] = np.column_stack([eigs.real, eigs.imag])
@@ -561,6 +581,7 @@ def _step_clt(cfg, state, report):
         k_sim=cfg.k, n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
         burn_in=cfg.burn_in, seed=cfg.seed, method=method,
     )
+    report.shares["clt"] = ensemble_shares(ens)
     sums = simulate_ensemble(ens)
     sums -= sums.mean()
     n = cfg.n_steps - cfg.burn_in
@@ -649,8 +670,8 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
     returns the paths written.
 
     Output is byte-stable for equal (config, version): the per-experiment
-    wall times and peak RSS go to timing.txt, which is excluded from that
-    guarantee.
+    wall times, peak RSS and ensemble shares go to timing.txt, which is
+    excluded from that guarantee.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -671,7 +692,9 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
     save(
         "timing.txt",
         "".join(
-            f"{k}: {v:.3f} s  peak RSS {report.peak_rss_mb[k]:.1f} MB\n"
+            f"{k}: {v:.3f} s  peak RSS {report.peak_rss_mb[k]:.1f} MB"
+            + (f"  shares {report.shares[k]}" if k in report.shares else "")
+            + "\n"
             for k, v in report.wall_times.items()
         ),
     )

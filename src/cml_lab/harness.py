@@ -4,12 +4,18 @@ fits, CLT normality testing and invariance-principle proxy diagnostics.
 Replicas draw from independent streams of a counter-based generator
 (Philox, keyed by the run seed and the replica index), so every replica
 is independently reproducible and the whole ensemble replays bitwise from
-the seed.  Aggregations run in fixed replica order.
+the seed.  Aggregations run in fixed replica order.  So an ensemble can
+be split into contiguous replica shares, run by forked worker processes,
+with the same bits for any number of shares.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,6 +28,7 @@ __all__ = [
     "EnsembleConfig",
     "simulate_ensemble",
     "ensemble_series",
+    "ensemble_shares",
     "AutocorrelationFit",
     "autocorrelation_fit",
     "CltResult",
@@ -36,6 +43,10 @@ _ONE_MINUS = np.nextafter(1.0, 0.0)
 # Most branch choices the pull-back sampler holds at once; its path holds
 # no more values than that.
 _PULLBACK_POINTS = 1 << 20
+
+# Fewest replica-steps (replicas x n_steps) per share worth a forked
+# worker; below it the fork costs more than the share saves.
+_MIN_SHARE = 1 << 20
 
 # Fewest replicas clt_test accepts; config validation reads it too.
 CLT_MIN_REPLICAS = 500
@@ -90,10 +101,7 @@ def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
     for the forward sampler whatever n_steps is; the CLT verdicts need
     nothing else.  ``ensemble_series`` keeps every value instead.
     """
-    sums = np.zeros(cfg.n_replicas)
-    for replicas, _, values in _observed_blocks(cfg):
-        sums[replicas] += values.sum(axis=1)
-    return sums
+    return _run_shares(cfg, np.zeros(cfg.n_replicas), _add_sums)
 
 
 def ensemble_series(cfg: EnsembleConfig) -> np.ndarray:
@@ -101,30 +109,168 @@ def ensemble_series(cfg: EnsembleConfig) -> np.ndarray:
     for statistics that need the whole path (autocorrelation, partial-sum
     growth).  Its rows sum to ``simulate_ensemble`` up to roundoff."""
     out = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
-    for replicas, steps, values in _observed_blocks(cfg):
-        out[replicas, steps] = values
+    return _run_shares(cfg, out, _put_series)
+
+
+def _add_sums(out, rows, _, values):
+    out[rows] += values.sum(axis=1)
+
+
+def _put_series(out, rows, steps, values):
+    out[rows, steps] = values
+
+
+def ensemble_shares(cfg: EnsembleConfig) -> int:
+    """How many contiguous replica shares the ensemble is split into, each
+    run by its own process: the CPUs this process may run on, capped by
+    ``CML_LAB_THREADS`` when set, by one share per _MIN_SHARE replica-steps
+    and by the replicas.  One share (always, without ``os.fork``) runs in
+    this process alone."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
+    threads = os.environ.get("CML_LAB_THREADS", "")
+    if threads.isdigit() and int(threads) > 0:
+        cap = min(cap, int(threads))
+    return max(1, min(cap, cfg.n_replicas * cfg.n_steps // _MIN_SHARE, cfg.n_replicas))
+
+
+def _run_shares(cfg: EnsembleConfig, out: np.ndarray, consume: Callable) -> np.ndarray:
+    """Fill ``out`` (one row per replica) by ``consume(rows, *block)`` for
+    every block of the observed series, over contiguous replica shares.
+    Every replica draws from its own stream, so ``out`` has the same bits
+    however the replicas are split.  The clamp bound is applied once, to
+    the count summed over the shares."""
+    n = ensemble_shares(cfg)
+    bounds = [cfg.n_replicas * i // n for i in range(n + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if n == 1:
+        clamped = _fill(cfg, shares[0], out, consume)
+    else:
+        clamped = _forked(cfg, shares, out, consume)
+    if clamped > 1e-4 * cfg.n_steps * cfg.n_replicas * (2 * cfg.k_sim + 1):
+        raise RuntimeError(
+            f"trajectories left [0,1) at {clamped} node updates; "
+            "the configuration is not numerically trajectory-safe"
+        )
     return out
 
 
-def _observed_blocks(cfg: EnsembleConfig):
-    """Yield (replica slice, kept-step slice, values) blocks that together
-    cover the (n_replicas, n_steps - burn_in) observable series once.
+def _fill(cfg: EnsembleConfig, replicas: range, out: np.ndarray, consume) -> int:
+    """Fill the rows of ``out`` that belong to ``replicas``; return their
+    clamp count."""
+    rows = out[replicas.start : replicas.stop]
+    blocks = _observed_blocks(cfg, replicas)
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as done:
+            return done.value
+        consume(rows, *block)
+
+
+# What a worker sends first: whether it failed, then its clamp count, or
+# the length of its pickled exception.
+_HEADER = struct.Struct("<?q")
+
+
+def _forked(cfg: EnsembleConfig, shares: list[range], out: np.ndarray, consume) -> int:
+    """Fill the first share here and each other share in a forked worker,
+    which inherits ``cfg`` (closures included, nothing is pickled on the
+    way in) and sends back its clamp count and its rows of ``out``, or its
+    exception, through a pipe; the rows are read into ``out`` in place.
+    Returns the total clamp count and re-raises the first worker
+    exception.  Every worker is reaped before this returns or raises; one
+    whose result is no longer wanted is killed first.  A worker holds only
+    the thread that forked it, which is enough: the kernels run numpy's
+    elementwise loops and the config's functions, and call no BLAS."""
+    workers = []
+    collected = False
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _serve(write, cfg, share, out, consume)
+            os.close(write)
+            workers.append((pid, os.fdopen(read, "rb")))
+        clamped = _fill(cfg, shares[0], out, consume)
+        for (_, pipe), share in zip(workers, shares[1:]):
+            clamped += _receive(pipe, share, out)
+        collected = True
+        return clamped
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if not collected:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(write: int, cfg: EnsembleConfig, share: range, out: np.ndarray, consume):
+    """The forked worker: fill one share's rows, send them with the header
+    (or the pickled exception) and leave at once, with no cleanup of the
+    parent's state (``os._exit``)."""
+    status = 1
+    try:
+        with os.fdopen(write, "wb") as pipe:
+            try:
+                clamped = _fill(cfg, share, out, consume)
+            except BaseException as exc:  # interrupts too: the parent re-raises it
+                try:
+                    payload = pickle.dumps(exc)
+                except Exception:
+                    payload = pickle.dumps(RuntimeError(repr(exc)))
+                pipe.write(_HEADER.pack(True, len(payload)) + payload)
+            else:
+                pipe.write(_HEADER.pack(False, clamped))
+                pipe.write(memoryview(out[share.start : share.stop]).cast("B"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe, share: range, out: np.ndarray) -> int:
+    """Read one worker's reply into its rows of ``out``; return its clamp
+    count, or raise the worker's exception."""
+    header = pipe.read(_HEADER.size)
+    if len(header) == _HEADER.size:
+        failed, value = _HEADER.unpack(header)
+        if failed:
+            raise pickle.loads(pipe.read(value))
+        rows = memoryview(out[share.start : share.stop]).cast("B")
+        if pipe.readinto(rows) == rows.nbytes:
+            return value
+    raise RuntimeError(
+        f"the ensemble worker for replicas {share.start}-{share.stop - 1} "
+        "exited without a result"
+    )
+
+
+def _observed_blocks(cfg: EnsembleConfig, replicas: range):
+    """Yield (row slice, kept-step slice, values) blocks that together
+    cover the (len(replicas), n_steps - burn_in) observable series of the
+    given replicas once, rows counted from the first of them; return the
+    number of clamped node updates.
 
     The forward sampler yields one kept step of every replica.  Initial
     states are uniform on the window.  Forward steps clamp stray values at
-    the interval edge and abort, once the last step is yielded, if
-    clamping exceeds 0.01% of all node updates.
+    the interval edge and count them.
     """
     if cfg.method == "pullback":
-        yield from _pullback_blocks(cfg)
-        return
+        yield from _pullback_blocks(cfg, replicas)
+        return 0
     d = 2 * cfg.k_sim + 1
-    # node-major states (d, n_replicas): each node's values are contiguous,
+    # node-major states (d, replicas): each node's values are contiguous,
     # so the coupling shifts whole rows
-    states = np.empty((d, cfg.n_replicas))
-    for r in range(cfg.n_replicas):
-        states[:, r] = _replica_rng(cfg.seed, r).uniform(0.0, _ONE_MINUS, d)
-    everyone = slice(0, cfg.n_replicas)
+    states = np.empty((d, len(replicas)))
+    for i, r in enumerate(replicas):
+        states[:, i] = _replica_rng(cfg.seed, r).uniform(0.0, _ONE_MINUS, d)
+    everyone = slice(0, len(replicas))
     clamped = 0
     for step in range(cfg.n_steps):
         states = cfg.node_map.forward(states)
@@ -138,14 +284,10 @@ def _observed_blocks(cfg: EnsembleConfig):
             kept = step - cfg.burn_in
             values = cfg.observable.on_array(states, cfg.k_sim)
             yield everyone, slice(kept, kept + 1), values[:, None]
-    if clamped > 1e-4 * cfg.n_steps * cfg.n_replicas * d:
-        raise RuntimeError(
-            f"trajectories left [0,1) at {clamped} node updates; "
-            "the configuration is not numerically trajectory-safe"
-        )
+    return clamped
 
 
-def _pullback_blocks(cfg: EnsembleConfig):
+def _pullback_blocks(cfg: EnsembleConfig, replicas: range):
     """Backward branch sampling: iterate uniformly chosen inverse branches
     and reverse the orbit.  Samples the equal-branch-weight invariant
     measure of the nodewise map, so it is exact for the flat potential
@@ -164,29 +306,29 @@ def _pullback_blocks(cfg: EnsembleConfig):
         raise ValueError("pullback sampling supports the uncoupled system only")
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
-    chunk = min(cfg.n_replicas, max(1, _PULLBACK_POINTS // (cfg.n_steps * d)))
+    chunk = min(len(replicas), max(1, _PULLBACK_POINTS // (cfg.n_steps * d)))
     # one table for the run, so no chunk's table is allocated while the
     # last one's is alive
     table = np.empty((chunk, cfg.n_steps, d), dtype=np.int64)
-    for lo in range(0, cfg.n_replicas, chunk):
-        replicas = range(lo, min(lo + chunk, cfg.n_replicas))
-        x = np.empty((len(replicas), d))
-        choice = table[: len(replicas)]
-        for i, r in enumerate(replicas):
+    for lo in range(0, len(replicas), chunk):
+        part = replicas[lo : lo + chunk]
+        x = np.empty((len(part), d))
+        choice = table[: len(part)]
+        for i, r in enumerate(part):
             rng = _replica_rng(cfg.seed, r)
             x[i] = rng.uniform(0.0, _ONE_MINUS, d)
             choice[i] = rng.integers(0, cfg.node_map.b, (cfg.n_steps, d))
-        path = np.empty((len(replicas), n_keep, d))
+        path = np.empty((len(part), n_keep, d))
         for step in range(cfg.n_steps):
             for j, branch in enumerate(cfg.node_map.inverse_branches):
                 chose = choice[:, step] == j
                 x[chose] = branch(x[chose])
             if step >= cfg.burn_in:
                 path[:, step - cfg.burn_in] = x
-        values = np.empty((len(replicas), n_keep))
-        for i in range(len(replicas)):
+        values = np.empty((len(part), n_keep))
+        for i in range(len(part)):
             values[i] = cfg.observable.on_array(path[i, ::-1].T, cfg.k_sim)
-        yield slice(replicas.start, replicas.stop), slice(0, n_keep), values
+        yield slice(lo, lo + len(part)), slice(0, n_keep), values
 
 
 @dataclass(frozen=True)

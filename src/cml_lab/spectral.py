@@ -206,14 +206,22 @@ def check_twisted_bound(
     variance of the observable (Nagaev-Guivarc'h): the row's sigma2 tends
     to it as t -> 0.  A twist of 0 or beyond |t| = 0.2, outside the
     small-twist regime, is rejected.
+
+    The matrix twisted by -t is the complex conjugate of the one twisted
+    by t, and power iteration on it returns the conjugate eigenvalue bit
+    for bit, so a -t whose +t was solved takes that solve's conjugate.
     """
+    solved: dict[float, complex] = {}
     rows = []
     for t in t_grid:
         if not 0.0 < abs(t) <= 0.2:
             raise ValueError(
                 f"twist t={t} outside the small-twist regime 0 < |t| <= 0.2"
             )
-        lam, _ = power_iterate(twisted_matrix(base, observable, t))
+        if -t in solved:
+            lam = np.conj(solved[-t])
+        else:
+            lam = solved[t] = power_iterate(twisted_matrix(base, observable, t)).lam
         modulus = float(abs(lam))
         rows.append(TwistedBoundRow(t, modulus, -2.0 * math.log(modulus) / t ** 2))
     return tuple(rows)
@@ -280,12 +288,13 @@ def variance_from_twisted_curvature(
     step: float = 1e-3,
 ) -> float:
     """Variance as minus the curvature of log lambda(t) at t=0, by central
-    differences with one Richardson refinement."""
+    differences with one Richardson refinement.  lambda(-h) is the
+    conjugate of lambda(h) (see :func:`check_twisted_bound`), so the
+    central sum log lambda(h) + log lambda(-h) is 2 Re log lambda(h)."""
 
     def curvature(h: float) -> float:
-        lam_p, _ = power_iterate(twisted_matrix(op, observable, h))
-        lam_m, _ = power_iterate(twisted_matrix(op, observable, -h))
-        return -((np.log(lam_p) + np.log(lam_m)).real) / h ** 2
+        lam = power_iterate(twisted_matrix(op, observable, h)).lam
+        return -2.0 * np.log(lam).real / h ** 2
 
     d1 = curvature(step)
     d2 = curvature(2.0 * step)

@@ -14,7 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -529,7 +529,17 @@ _POWER_TOL = 1e-13
 _POWER_STEPS = 100_000
 
 
-def power_iterate(matrix) -> tuple[float | complex, np.ndarray]:
+class PowerIteration(NamedTuple):
+    """How :func:`power_iterate` ended: the eigenvalue, the eigenvector
+    (summing to one), the steps taken and the last step's sup-change."""
+
+    lam: float | complex
+    v: np.ndarray
+    steps: int
+    change: float
+
+
+def power_iterate(matrix) -> PowerIteration:
     """Dominant eigenvalue and right eigenvector of a square matrix, real
     or complex, by power iteration.
 
@@ -539,14 +549,14 @@ def power_iterate(matrix) -> tuple[float | complex, np.ndarray]:
     with the final change after _POWER_STEPS steps.
     """
     v = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
-    for _ in range(_POWER_STEPS):
+    for step in range(1, _POWER_STEPS + 1):
         w = matrix @ v
         lam = w.sum()
         w /= lam
         delta = float(np.max(np.abs(w - v)))
         v = w
         if delta <= _POWER_TOL * float(np.max(np.abs(v))):
-            return lam, v
+            return PowerIteration(lam, v, step, delta)
     raise RuntimeError(
         f"power iteration did not converge in {_POWER_STEPS} steps; "
         f"final sup-change {delta:.3e}"
@@ -566,7 +576,9 @@ class EigenData:
     iteration returns it (summing to one), nu the probability eigenvector
     of the adjoint, and mu = h*nu, normalized, the invariant probability
     vector of the normalized operator, which carries the triple with
-    ``operator``, the raw one, set to None.
+    ``operator``, the raw one, set to None.  ``v_iteration`` and
+    ``nu_iteration`` are the (steps, final sup-change) of the two power
+    iterations (None for a triple built by hand).
     """
 
     lam: float
@@ -574,6 +586,8 @@ class EigenData:
     nu: np.ndarray
     mu: np.ndarray
     operator: UlamOperator | None
+    v_iteration: tuple[int, float] | None = None
+    nu_iteration: tuple[int, float] | None = None
 
     @property
     def h(self) -> np.ndarray:
@@ -619,13 +633,18 @@ def leading_eigenpair(op: UlamOperator) -> EigenData:
         if keep.all():
             break
         active = active[keep]
-    lam, v_block = power_iterate(block)
-    if np.min(v_block) <= 0.0:
+    right = power_iterate(block)
+    if np.min(right.v) <= 0.0:
         raise ValueError("eigenfunction is not strictly positive on the reachable cells")
+    left = power_iterate(_on_cells(op.matrix.T, active))
     v, nu = np.zeros((2, op.n_cells))
-    v[active], nu[active] = v_block, power_iterate(_on_cells(op.matrix.T, active))[1]
+    v[active], nu[active] = right.v, left.v
     mu = v / (nu @ v) * nu
-    return EigenData(lam=float(lam), v=v, nu=nu, mu=mu / mu.sum(), operator=op)
+    return EigenData(
+        lam=float(right.lam), v=v, nu=nu, mu=mu / mu.sum(), operator=op,
+        v_iteration=(right.steps, right.change),
+        nu_iteration=(left.steps, left.change),
+    )
 
 
 def _require_eigen(op: UlamOperator) -> EigenData:

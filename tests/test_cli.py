@@ -385,6 +385,36 @@ class TestMain:
         with open(os.path.join(out, "summary.txt")) as fh:
             assert "stderr" not in fh.read()
 
+    def test_power_iteration_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
+        # how each triple's two power iterations ended: diagnostics.eigen
+        # for 'P' and diagnostics.spectral for the coupled triple; the
+        # ensemble's share count goes to timing.txt only
+        run = (
+            "[operator]\nk = 1\nn_bins = 8\n\n[run]\n"
+            "experiments = eigen, spectral, clt\n"
+            "n_steps = 300\nn_replicas = 500\nburn_in = 100\n"
+        )
+        path = write_cfg(tmp_path, MINIMAL + run)
+        out = os.path.join(tmp_path, "rep")
+        monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+        assert main(["run", path]) == 0
+        with open(os.path.join(out, "report.json")) as fh:
+            diag = json.load(fh)["diagnostics"]
+        cfg = cli.parse_config(path)
+        p_triple = cli._eigen_data(cfg, {})
+        coupled_triple = cli._coupled_op(cfg, {}).eigen
+        for section, eigen in (("eigen", p_triple), ("spectral", coupled_triple)):
+            for name in ("v", "nu"):
+                steps, change = getattr(eigen, f"{name}_iteration")
+                assert diag[section][f"{name}_power_steps"] == steps >= 1
+                assert diag[section][f"{name}_power_change"] == change
+                # iterates sum to one, so the stop rule bounds the change
+                assert 0.0 <= change <= cl.transfer._POWER_TOL
+        assert "shares" not in json.dumps(diag)
+        with open(os.path.join(out, "timing.txt")) as fh:
+            clt = fh.read().splitlines()[-1]
+        assert re.fullmatch(r"clt: \d+\.\d{3} s  peak RSS \d+\.\d MB  shares 1", clt)
+
     def test_correlation_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
         # how the Green-Kubo sum ended goes to diagnostics: the lags it
         # summed, whether it stopped at the lag cap, and the tail's share

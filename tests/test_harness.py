@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -127,7 +129,7 @@ class TestSimulation:
             ref[r] = cfg.observable.on_array(path[cfg.burn_in:][::-1].T, 1)
         assert np.array_equal(cl.ensemble_series(cfg), ref)
 
-    def test_pullback_choice_table_holds_the_chunk_bound(self, doubling):
+    def test_pullback_choice_table_holds_the_chunk_bound(self, doubling, monkeypatch):
         # every step's branch choices are drawn up front, so the chunk is
         # sized by n_steps, not by the kept steps: one table for all 2,000
         # replicas would take 2000 * 2000 * 3 * 8 bytes = 96 MB here for a
@@ -144,6 +146,8 @@ class TestSimulation:
             seed=7,
             method="pullback",
         )
+        # one share, so that tracemalloc sees every chunk
+        monkeypatch.setenv("CML_LAB_THREADS", "1")
         tracemalloc.start()
         try:
             cl.ensemble_series(cfg)
@@ -218,10 +222,12 @@ class TestSimulation:
         ref = cl.ensemble_series(cfg).sum(axis=1)
         assert np.max(np.abs(sums - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_sums_memory_does_not_grow_with_steps(self, perturbed):
+    def test_sums_memory_does_not_grow_with_steps(self, perturbed, monkeypatch):
         # the per-replica sums stream: a 4x longer run holds no more than
         # the node states and one step's values, never the 500 x n series
-        # (2.4 MB at 600 steps, 9.6 MB at 2,400)
+        # (2.4 MB at 600 steps, 9.6 MB at 2,400); one share, so that
+        # tracemalloc sees every replica
+        monkeypatch.setenv("CML_LAB_THREADS", "1")
         peaks = []
         for n_steps in (600, 2400):
             cfg = make_cfg(
@@ -257,6 +263,186 @@ class TestSimulation:
         # it used to return burn_in uninitialised leading columns
         with pytest.raises(ValueError, match="nonnegative"):
             make_cfg(perturbed, burn_in=-1)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Make the ensemble see n CPUs and split from one replica-step up."""
+    monkeypatch.delenv("CML_LAB_THREADS", raising=False)
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+
+    def use(n):
+        monkeypatch.setattr(
+            harness.os, "sched_getaffinity", lambda _: set(range(n)), raising=False
+        )
+
+    return use
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares past the first need os.fork")
+class TestShares:
+    """The ensemble split into contiguous replica shares, all but the first
+    run by forked workers: the same bits for any number of shares."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a worker left running would hang the join; fail the test instead
+        def expire(signum, frame):
+            raise TimeoutError("the ensemble did not finish in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("k_sim", [1, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_forward_is_bitwise_equal_for_any_split(self, k_sim, eps, perturbed, cpus):
+        cfg = make_cfg(
+            perturbed, coupling=cl.Coupling(epsilon=eps), k_sim=k_sim,
+            n_steps=200, n_replicas=7, burn_in=40,
+        )
+        runs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            assert cl.ensemble_shares(cfg) == n
+            runs.append((cl.simulate_ensemble(cfg), cl.ensemble_series(cfg)))
+        for sums, series in runs[1:]:
+            assert np.array_equal(sums, runs[0][0])
+            assert np.array_equal(series, runs[0][1])
+            assert series.flags.c_contiguous
+        assert_no_children()
+
+    @pytest.mark.parametrize("chunk_points", [None, 2 * 300 * 3])
+    def test_pullback_is_bitwise_equal_for_any_split(
+        self, chunk_points, doubling, cpus, monkeypatch
+    ):
+        if chunk_points is not None:
+            monkeypatch.setattr(harness, "_PULLBACK_POINTS", chunk_points)
+        cfg = cl.EnsembleConfig(
+            node_map=doubling, coupling=cl.Coupling(epsilon=0.0),
+            observable=cl.node_coordinate(), k_sim=1, n_steps=300,
+            n_replicas=7, burn_in=120, seed=42, method="pullback",
+        )
+        runs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            runs.append((cl.simulate_ensemble(cfg), cl.ensemble_series(cfg)))
+        for sums, series in runs[1:]:
+            assert np.array_equal(sums, runs[0][0])
+            assert np.array_equal(series, runs[0][1])
+        assert_no_children()
+
+    def test_share_count(self, perturbed, cpus, monkeypatch):
+        cfg = make_cfg(perturbed, n_steps=400, n_replicas=4)
+        cpus(8)
+        assert cl.ensemble_shares(cfg) == 4  # no more shares than replicas
+        monkeypatch.setattr(harness, "_MIN_SHARE", 800)
+        assert cl.ensemble_shares(cfg) == 2  # 1,600 replica-steps
+        monkeypatch.setattr(harness, "_MIN_SHARE", 1601)
+        assert cl.ensemble_shares(cfg) == 1
+
+    def test_one_thread_runs_in_process(self, perturbed, cpus, monkeypatch):
+        cfg = make_cfg(perturbed)
+        cpus(4)
+        ref = cl.simulate_ensemble(cfg)
+        monkeypatch.setenv("CML_LAB_THREADS", "1")
+        assert cl.ensemble_shares(cfg) == 1
+
+        def no_fork():
+            raise AssertionError("one share must not fork")
+
+        monkeypatch.setattr(harness.os, "fork", no_fork)
+        assert np.array_equal(cl.simulate_ensemble(cfg), ref)
+
+    def test_clamp_bound_applies_to_the_total(self, perturbed, cpus):
+        # every node update lands on 1, outside [0,1); 4 replicas in shares
+        # of 1, 1 and 2, so 400 steps x 3 nodes give 1,200, 1,200 and 2,400
+        # clamps, and the one abort reports their sum
+        parent = os.getpid()
+
+        def stuck(in_parent):
+            def forward(x):
+                y = np.where(np.asarray(x) == perturbed.p_tau, perturbed.p_tau, 1.0)
+                return y if in_parent or os.getpid() != parent else perturbed.forward(x)
+            nm = dataclasses.replace(perturbed, forward=forward)
+            return make_cfg(nm, coupling=cl.Coupling(epsilon=0.0))
+
+        cpus(3)
+        for run in (cl.simulate_ensemble, cl.ensemble_series):
+            with pytest.raises(RuntimeError, match="at 4800 node updates"):
+                run(stuck(in_parent=True))
+        # the workers' shares alone: the parent's own share clamps nothing
+        with pytest.raises(RuntimeError, match="at 3600 node updates"):
+            cl.simulate_ensemble(stuck(in_parent=False))
+        assert_no_children()
+
+    def test_worker_error_surfaces_and_is_reaped(self, perturbed, cpus):
+        parent = os.getpid()
+
+        def forward(x):
+            if os.getpid() != parent:
+                raise ZeroDivisionError(f"in worker {os.getpid()}")
+            return perturbed.forward(x)
+
+        cfg = make_cfg(dataclasses.replace(perturbed, forward=forward))
+        cpus(3)
+        with pytest.raises(ZeroDivisionError, match="in worker"):
+            cl.simulate_ensemble(cfg)
+        assert_no_children()
+
+    def test_worker_exit_without_result_raises(self, perturbed, cpus):
+        parent = os.getpid()
+
+        def forward(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return perturbed.forward(x)
+
+        cfg = make_cfg(dataclasses.replace(perturbed, forward=forward))
+        cpus(2)
+        with pytest.raises(RuntimeError, match="replicas 2-3 exited without a result"):
+            cl.simulate_ensemble(cfg)
+        assert_no_children()
+
+    def test_series_is_held_once(self, perturbed, cpus):
+        # the workers' rows are read into the result in place: the parent
+        # holds the 2,000 x 300 series (4.8 MB) once, as with one share
+        cfg = make_cfg(perturbed, n_steps=400, n_replicas=2000, burn_in=100)
+        cpus(2)
+        tracemalloc.start()
+        try:
+            series = cl.ensemble_series(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * series.nbytes
+
+    def test_parent_error_kills_the_workers(self, perturbed, cpus):
+        # the workers would run for minutes; the parent's own share fails
+        # at once, and the workers are killed and reaped
+        parent = os.getpid()
+
+        def forward(x):
+            if os.getpid() == parent and np.ndim(x) == 2:
+                raise ZeroDivisionError("in the parent")
+            return perturbed.forward(x)
+
+        cfg = make_cfg(
+            dataclasses.replace(perturbed, forward=forward), n_steps=10_000_000
+        )
+        cpus(3)
+        with pytest.raises(ZeroDivisionError, match="in the parent"):
+            cl.simulate_ensemble(cfg)
+        assert_no_children()
 
 
 class TestAutocorrelationFit:

@@ -245,7 +245,7 @@ class TestTwistedOperators:
 
     def test_power_iteration_on_twisted_operator(self, perturbed_L):
         tw = cl.twisted_matrix(perturbed_L, cl.node_coordinate(), 0.1)
-        lam, v = cl.power_iterate(tw)
+        lam, v = cl.power_iterate(tw)[:2]
         w = np.linalg.eigvals(tw.toarray())
         ref = w[np.argmax(np.abs(w))]
         assert abs(lam - ref) < 1e-12
@@ -310,6 +310,31 @@ class TestTwistedGates:
         )
         verdicts = self.verdicts(coupled_op_k1, target)
         assert not verdicts["small_twist_sigma2"] and not verdicts["curvature_sigma2"]
+
+
+    def test_conjugate_twists_equal_direct_solves(self, coupled_op_k1):
+        # a -t row comes from the conjugate of its +t solve, and the
+        # curvature from one solve per step: both have the bits of solving
+        # every twist directly
+        phi = cl.node_coordinate()
+        twists = [0.01, -0.01, 0.05, -0.05, 0.1, -0.1]
+        rows = cl.check_twisted_bound(coupled_op_k1, phi, twists)
+        assert rows == tuple(
+            cl.check_twisted_bound(coupled_op_k1, phi, [t])[0] for t in twists
+        )
+        for t in (0.01, 1e-3, 2e-3):
+            plus = cl.power_iterate(cl.twisted_matrix(coupled_op_k1, phi, t))
+            minus = cl.power_iterate(cl.twisted_matrix(coupled_op_k1, phi, -t))
+            assert minus.lam == np.conj(plus.lam)
+            assert np.array_equal(minus.v, np.conj(plus.v))
+
+        def curvature(h):
+            lam_p = cl.power_iterate(cl.twisted_matrix(coupled_op_k1, phi, h)).lam
+            lam_m = cl.power_iterate(cl.twisted_matrix(coupled_op_k1, phi, -h)).lam
+            return -((np.log(lam_p) + np.log(lam_m)).real) / h ** 2
+
+        direct = (4.0 * curvature(1e-3) - curvature(2e-3)) / 3.0
+        assert cl.variance_from_twisted_curvature(coupled_op_k1, phi) == direct
 
 
 class TestVariance:

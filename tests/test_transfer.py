@@ -146,13 +146,26 @@ class TestPMatrix:
 class TestPowerIteration:
     def test_positive_matrix_matches_dense_solver(self):
         a = np.random.default_rng(3).uniform(0.1, 1.0, (50, 50))
-        lam, v = cl.power_iterate(a)
+        lam, v = cl.power_iterate(a)[:2]
         w, vecs = np.linalg.eig(a)
         i = np.argmax(np.abs(w))
         assert lam == pytest.approx(float(w[i].real), rel=1e-12)
         ref = vecs[:, i].real / vecs[:, i].real.sum()
         assert np.max(np.abs(v - ref)) < 1e-12
         assert v.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_records_its_steps_and_final_change(self):
+        # diag(1, 1/2) from 1/n: the second coordinate halves each step,
+        # so the k-th step changes the iterate by 2^-(k+1) after rescaling
+        # (the vector is (1, 2^-k) / (1 + 2^-k))
+        res = cl.power_iterate(np.diag([1.0, 0.5]))
+        w = [np.array([1.0, 2.0 ** -k]) / (1.0 + 2.0 ** -k) for k in range(res.steps + 1)]
+        assert res.change == float(np.max(np.abs(w[-1] - w[-2])))
+        assert res.change <= transfer._POWER_TOL * np.max(res.v)
+        prev = float(np.max(np.abs(w[-2] - w[-3])))
+        assert prev > transfer._POWER_TOL * np.max(w[-2])
+        assert np.array_equal(res.v, w[-1])
+        assert res.lam == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_moduli_do_not_converge(self, monkeypatch):
         # dominant eigenvalues +-sqrt(2): the iterates alternate forever
@@ -878,7 +891,7 @@ def _explicit_block_triple(raw):
             break
         active = active[keep]
         block = raw.matrix[active][:, active].tocsr()
-    lam, v = cl.power_iterate(block)
+    lam, v = cl.power_iterate(block)[:2]
     return lam, active, v, cl.power_iterate(block.T.tocsr())[1]
 
 
