@@ -327,8 +327,9 @@ class RunReport:
     the experiments that failed, ``wall_times`` the (non-deterministic)
     per-experiment durations in seconds, ``peak_rss_mb`` the process's
     resident-set high-water mark in MB after each experiment and
-    ``shares`` the processes an experiment's ensemble ran in (it depends
-    on the machine, not the config).
+    ``counts`` an experiment's work counts by name: the processes its
+    ensemble ran in (``shares``, which depends on the machine, not the
+    config) and the quadrature points it summed (``points``).
     """
 
     fingerprint: str
@@ -339,7 +340,7 @@ class RunReport:
     errors: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     peak_rss_mb: dict = field(default_factory=dict)
-    shares: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
 
 
 def _peak_rss_mb() -> float:
@@ -521,12 +522,15 @@ def _step_ly(cfg, state, report):
 def _step_conformality(cfg, state, report):
     op = _coupled_op(cfg, state)
     rng = np.random.default_rng(cfg.seed)
-    ratios = []
+    ratios, points = [], 0
     for _ in range(20):
         box = random_admissible_box(
             op.grid, op.node_map, rng, min_bins=max(1, cfg.n_bins // 8)
         )
-        ratios.append(check_conformality(op, box).ratio)
+        res = check_conformality(op, box)
+        ratios.append(res.ratio)
+        points += res.points
+    report.counts["conformality"] = {"points": points}
     ratios = np.array(ratios)
     mean = float(np.mean(ratios))
     spread = float(np.max(np.abs(ratios - mean))) / mean
@@ -581,7 +585,7 @@ def _step_clt(cfg, state, report):
         k_sim=cfg.k, n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
         burn_in=cfg.burn_in, seed=cfg.seed, method=method,
     )
-    report.shares["clt"] = ensemble_shares(ens)
+    report.counts["clt"] = {"shares": ensemble_shares(ens)}
     sums = simulate_ensemble(ens)
     sums -= sums.mean()
     n = cfg.n_steps - cfg.burn_in
@@ -670,7 +674,7 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
     returns the paths written.
 
     Output is byte-stable for equal (config, version): the per-experiment
-    wall times, peak RSS and ensemble shares go to timing.txt, which is
+    wall times, peak RSS and work counts go to timing.txt, which is
     excluded from that guarantee.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -693,7 +697,7 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
         "timing.txt",
         "".join(
             f"{k}: {v:.3f} s  peak RSS {report.peak_rss_mb[k]:.1f} MB"
-            + (f"  shares {report.shares[k]}" if k in report.shares else "")
+            + "".join(f"  {name} {n}" for name, n in report.counts.get(k, {}).items())
             + "\n"
             for k, v in report.wall_times.items()
         ),

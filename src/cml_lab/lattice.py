@@ -319,6 +319,22 @@ class Coupling:
         out += pair
         return out
 
+    def node_image(
+        self, vals: Sequence[np.ndarray], j: int, p_tau: float
+    ) -> np.ndarray:
+        """Coordinate j (0 for node -k) of the coupled image of a window
+        given as one broadcastable array per node.  Only the left, centre
+        and right values vals[j-1], vals[j], vals[j+1] are read, p_tau
+        beyond the window; the result has their broadcast shape and equals
+        column j of :meth:`apply_to_array` bit for bit."""
+        centre = np.asarray(vals[j], dtype=float)
+        if self.epsilon == 0.0:
+            return centre
+        left = np.asarray(vals[j - 1], dtype=float) if j > 0 else p_tau
+        right = np.asarray(vals[j + 1], dtype=float) if j + 1 < len(vals) else p_tau
+        # apply_to_array's order: (left + right) * (eps/2), added to y * (1 - eps)
+        return centre * (1.0 - self.epsilon) + (left + right) * (0.5 * self.epsilon)
+
     def invert_on_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
         """E^-1 (vals - c) for values of shape (..., 2k+1), where c holds
         the boundary terms of the p_tau tail: one product with the

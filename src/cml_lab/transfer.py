@@ -52,9 +52,10 @@ __all__ = [
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 
-# Most quadrature points the coupled assembly (at least one cell's) and
-# the conformality integral hold at once.  It bounds their temporaries, so peak memory
-# scales with cells and non-zeros, not with the quadrature cloud.
+# Most quadrature points the coupled assembly (at least one cell's) holds
+# at once, and the points of one pass of the conformality integral (whose
+# rows hold at most three passes' points).  It bounds their temporaries, so
+# peak memory scales with cells and non-zeros, not with the quadrature cloud.
 _SLAB_POINTS = 1 << 16
 
 # Rows the normalization scales at once: its temporaries are a run of
@@ -814,6 +815,7 @@ class ConformalityResult:
     lhs: float
     rhs: float
     ratio: float
+    points: int
 
 
 def random_admissible_box(
@@ -892,11 +894,24 @@ def check_conformality(
     where rho = n_cells * nu_c / sum(nu) on cell c and tau B is the
     product of the per-axis images of :func:`_box_image`.  The integral is
     a midpoint rule on n_bins * quad points per unit length of each axis,
-    in passes of at most _SLAB_POINTS points.  An operator without a
-    triple, or a NaN, infinite, negative or zero-sum nu, raises ValueError.
+    summed in C order in passes of _SLAB_POINTS points.  Node j of E y + c
+    reads only y_{j-1}, y_j and y_{j+1}, so no pass forms its points: a
+    pass takes the rows of the leading axes it touches, each row a
+    broadcast block of the trailing axes, computes every node's image
+    coordinate (:meth:`Coupling.node_image`) and bin on the axes that node
+    reads, a 1-d table at eps = 0 and at most 3-d otherwise, and adds the
+    bins times their cell strides into the flat cell indices.  Each pass
+    gathers and sums the same values as a pass over the points would, so
+    the result keeps its bits.  ``points`` is the number of points summed.
+    A box with other than d axis intervals, an operator without a triple,
+    or a NaN, infinite, negative or zero-sum nu, raises ValueError.
     """
-    eigen = _require_eigen(op)
     grid, node_map = op.grid, op.node_map
+    if len(box) != grid.d:
+        raise ValueError(
+            f"box has {len(box)} axis intervals, the grid has {grid.d} axes"
+        )
+    eigen = _require_eigen(op)
     coupling = op.coupling or Coupling(kind="diffusive", epsilon=0.0)
     nu_sum = float(np.sum(eigen.nu))
     if not (math.isfinite(nu_sum) and nu_sum > 0.0) or np.any(eigen.nu < 0.0):
@@ -916,15 +931,36 @@ def check_conformality(
     rho = eigen.nu * (grid.n_cells / nu_sum)
     shape = tuple(a.size for a in axes)
     n_pts = math.prod(shape)
+    # a row, one index of the leading `lead` axes by all of the trailing
+    # ones, holds at most one pass, so the rows a pass touches hold at
+    # most three passes' points
+    lead = 1
+    while math.prod(shape[lead:]) > _SLAB_POINTS:
+        lead += 1
+    row = math.prod(shape[lead:])
+    # the rows run along block dimension 0, trailing axis i along 1 + i
+    trailing = [
+        a.reshape((1,) * (1 + i) + (-1,) + (1,) * (grid.d - lead - i - 1))
+        for i, a in enumerate(axes[lead:])
+    ]
+    strides = [grid.n_bins ** (grid.d - 1 - j) for j in range(grid.d)]
     total = 0.0
     for lo in range(0, n_pts, _SLAB_POINTS):
-        idx = np.unravel_index(np.arange(lo, min(lo + _SLAB_POINTS, n_pts)), shape)
-        y = np.stack([a[i] for a, i in zip(axes, idx)])
-        x = coupling.apply_to_array(y.T, grid.k, node_map.p_tau).T
-        total += float(np.sum(rho[grid.cell_of(x)]))
+        hi = min(lo + _SLAB_POINTS, n_pts)
+        first, last = lo // row, -(-hi // row)
+        rows = np.unravel_index(np.arange(first, last), shape[:lead])
+        y = [
+            a[i].reshape((-1,) + (1,) * (grid.d - lead)) for a, i in zip(axes, rows)
+        ] + trailing
+        cells = sum(
+            grid.bin_of(coupling.node_image(y, j, node_map.p_tau)) * strides[j]
+            for j in range(grid.d)
+        )
+        cells = cells.reshape(-1)[lo - first * row : hi - first * row]
+        total += float(np.sum(rho[cells]))
     rhs = weight * total
     ratio = lhs / rhs if rhs > 0.0 else math.inf
-    return ConformalityResult(lhs=lhs, rhs=rhs, ratio=ratio)
+    return ConformalityResult(lhs=lhs, rhs=rhs, ratio=ratio, points=n_pts)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,29 @@ class TestRunner:
         assert entry["target"] == "1/b^d = 0.125"
         assert entry["passed"], entry
 
+    def test_conformality_points_in_timing_only(self, tmp_path, monkeypatch):
+        # the quadrature points summed over the 20 boxes go to timing.txt,
+        # outside the fingerprinted files
+        out = os.path.join(tmp_path, "rep")
+        path = write_cfg(tmp_path, FLAT_CONFORMALITY.format(out=out))
+        monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+        assert main(["run", path]) == 0
+        cfg = cli.parse_config(path)
+        op = cli._coupled_op(cfg, {})
+        rng = np.random.default_rng(cfg.seed)
+        boxes = [
+            cl.random_admissible_box(op.grid, op.node_map, rng, min_bins=2)
+            for _ in range(20)
+        ]
+        points = sum(cl.check_conformality(op, box).points for box in boxes)
+        with open(os.path.join(out, "timing.txt")) as fh:
+            line = fh.read().splitlines()[-1]
+        assert re.fullmatch(
+            rf"conformality: \d+\.\d{{3}} s  peak RSS \d+\.\d MB  points {points}", line
+        )
+        with open(os.path.join(out, "report.json")) as fh:
+            assert '"points"' not in fh.read()
+
     @pytest.mark.parametrize("experiment", ["twisted", "clt"])
     def test_each_experiment_writes_only_its_own_section(self, tmp_path, experiment):
         # twisted and clt read the Green-Kubo variance without running the

@@ -210,6 +210,33 @@ class TestCoupling:
         assert np.array_equal(got, ref) and got.T.flags.c_contiguous
         assert np.array_equal(e.apply_to_array(vals[7], k, p_tau), ref[7])
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("p_tau", [0.0, 0.3])
+    def test_node_image_equals_column_of_apply(self, k, eps, p_tau):
+        # every node, edge nodes included, bit for bit: on one array per
+        # node, and on per-node axes that broadcast to the tensor grid
+        d = 2 * k + 1
+        e = cl.Coupling(epsilon=eps)
+        rng = np.random.default_rng(12)
+        vals = rng.uniform(0.0, 1.0, (300, d))
+        full = e.apply_to_array(vals, k, p_tau)
+        for j in range(d):
+            assert np.array_equal(e.node_image(list(vals.T), j, p_tau), full[:, j])
+        axes = [rng.uniform(0.0, 1.0, 3 + j) for j in range(d)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        full = e.apply_to_array(np.stack(grid, axis=-1), k, p_tau)
+        spread = [
+            a.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j, a in enumerate(axes)
+        ]
+        for j in range(d):
+            got = e.node_image(spread, j, p_tau)
+            # node j's image spans only the axes it reads
+            reach = 1 if eps > 0.0 else 0
+            assert got.ndim == d
+            assert all(got.shape[a] == 1 for a in range(d) if abs(a - j) > reach)
+            assert np.array_equal(np.broadcast_to(got, full.shape[:-1]), full[..., j])
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.45])
     def test_invert_matches_solve(self, k, eps):

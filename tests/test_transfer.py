@@ -512,6 +512,137 @@ class TestConformality:
         with pytest.raises(ValueError, match="nu must be finite"):
             cl.check_conformality(_with_nu(flat_op_k0, nu), [(0, 64)])
 
+    @pytest.mark.parametrize("box", [
+        [(0, 8), (8, 16)],
+        [(0, 8), (8, 16), (2, 6), (3, 5)],
+    ])
+    def test_box_of_other_than_d_intervals_raises(self, box, flat_op):
+        with pytest.raises(ValueError, match=f"box has {len(box)} axis intervals, the grid has 3"):
+            cl.check_conformality(flat_op, box)
+
+
+def _reference_rhs(op, box):
+    """The right side of check_conformality and its point count, point by
+    point: every point of the tensor grid on tau B is formed in
+    _SLAB_POINTS passes, coupled on all d axes, and binned by Grid.cell_of."""
+    grid, node_map, nu = op.grid, op.node_map, op.eigen.nu
+    coupling = op.coupling or cl.Coupling(epsilon=0.0)
+    fine = grid.n_bins * op.quad
+    weight = abs(np.linalg.det(coupling.dense_matrix(grid.k)))
+    axes = []
+    for y_lo, y_hi in transfer._box_image(grid, box, node_map):
+        n = math.ceil((y_hi - y_lo) * fine)
+        step = (y_hi - y_lo) / n
+        axes.append(y_lo + (np.arange(n) + 0.5) * step)
+        weight *= step
+    rho = nu * (grid.n_cells / float(np.sum(nu)))
+    shape = tuple(a.size for a in axes)
+    n_pts = math.prod(shape)
+    total = 0.0
+    for lo in range(0, n_pts, transfer._SLAB_POINTS):
+        idx = np.unravel_index(
+            np.arange(lo, min(lo + transfer._SLAB_POINTS, n_pts)), shape
+        )
+        y = np.stack([a[i] for a, i in zip(axes, idx)])
+        x = coupling.apply_to_array(y.T, grid.k, node_map.p_tau).T
+        total += float(np.sum(rho[grid.cell_of(x)]))
+    return weight * total, n_pts
+
+
+def _shifted_tail(node_map, p_tau):
+    """node_map with the tail value p_tau, which its forward map fixes."""
+    forward = node_map.forward
+    return dataclasses.replace(
+        node_map, p_tau=p_tau,
+        forward=lambda x: np.where(np.asarray(x) == p_tau, p_tau, forward(x)),
+    )
+
+
+# grids small enough for the point-by-point reference at each window
+_TABLE_BINS = {0: 64, 1: 16, 2: 4}
+
+
+@pytest.fixture(scope="module")
+def table_ops(perturbed, metric):
+    """The coupled operator of each (k, eps) that the table tests take."""
+    ops = {}
+
+    def get(k, eps):
+        if (k, eps) not in ops:
+            ops[k, eps] = cl.ulam_matrix(
+                "coupled", k, _TABLE_BINS[k], perturbed,
+                potential=cl.srb_potential(perturbed, max_k=k, metric=metric),
+                coupling=cl.Coupling(epsilon=eps),
+            )
+        return ops[k, eps]
+
+    return get
+
+
+class TestConformalityTables:
+    """check_conformality's per-node tables sum the same values, in the
+    same passes, as the point-by-point right side: equal bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(op, boxes):
+        for box in boxes:
+            got = cl.check_conformality(op, box)
+            rhs, n_pts = _reference_rhs(op, box)
+            assert (got.rhs, got.points) == (rhs, n_pts), box
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_windows_and_strengths(self, k, eps, table_ops):
+        op = table_ops(k, eps)
+        rng = np.random.default_rng(11)
+        boxes = [cl.random_admissible_box(op.grid, op.node_map, rng) for _ in range(3)]
+        self.assert_matches_reference(op, boxes)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_tail_off_zero(self, k, eps, table_ops):
+        # the edge nodes read p_tau beyond the window
+        op = table_ops(k, eps)
+        op = dataclasses.replace(op, node_map=_shifted_tail(op.node_map, 0.3))
+        rng = np.random.default_rng(12)
+        boxes = [cl.random_admissible_box(op.grid, op.node_map, rng) for _ in range(3)]
+        self.assert_matches_reference(op, boxes)
+
+    @pytest.mark.parametrize("case", ["tilted_op", "flat_op", "coupled_op_k1"])
+    def test_workload_boxes(self, case, request):
+        # the boxes `cml-lab run` draws; tilted_op's nu is far from uniform
+        op = request.getfixturevalue(case)
+        self.assert_matches_reference(op, _cli_boxes(op.grid, op.node_map, seed=7))
+
+    @pytest.mark.parametrize("slab", [None, 700, 7])
+    def test_boxes_over_several_passes(self, slab, tilted_op, monkeypatch):
+        # 64 x 64 x 56 points are 3.5 passes of 2^16; a pass of 700 points
+        # walks the two leading axes in rows, and one of 7 all three
+        if slab is not None:
+            monkeypatch.setattr(transfer, "_SLAB_POINTS", slab)
+        op = dataclasses.replace(
+            tilted_op, node_map=_shifted_tail(tilted_op.node_map, 0.3)
+        )
+        boxes = [[(0, 8), (8, 16), (0, 7)]] if slab is None else [
+            [(0, 3), (9, 12), (2, 5)], [(1, 2), (8, 11), (3, 7)]
+        ]
+        for box in boxes:
+            n_pts = _reference_rhs(op, box)[1]
+            assert n_pts > transfer._SLAB_POINTS and n_pts % transfer._SLAB_POINTS
+        self.assert_matches_reference(op, boxes)
+
+    def test_memory_stays_per_pass(self, tilted_op):
+        # 256^3 points: a whole-grid int64 cell index alone would take 128 MB
+        op = dataclasses.replace(tilted_op, quad=16)
+        tracemalloc.start()
+        try:
+            res = cl.check_conformality(op, [(0, 8), (8, 16), (0, 8)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.points == 256 ** 3
+        assert peak < 8 * 2**20, peak
+
 
 def _reference_box_cell_mask(grid, box):
     bins = np.unravel_index(np.arange(grid.n_cells), (grid.n_bins,) * grid.d)
