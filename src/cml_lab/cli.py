@@ -40,6 +40,8 @@ from .observables import (
     zero_potential,
 )
 from .transfer import (
+    Grid,
+    assembly_shares,
     check_conformality,
     check_lasota_yorke,
     leading_eigenpair,
@@ -328,8 +330,9 @@ class RunReport:
     per-experiment durations in seconds, ``peak_rss_mb`` the process's
     resident-set high-water mark in MB after each experiment and
     ``counts`` an experiment's work counts by name: the processes its
-    ensemble ran in (``shares``, which depends on the machine, not the
-    config) and the quadrature points it summed (``points``).
+    ensemble ran in (``shares``) and those of the coupled assembly it
+    built (``assembly_shares``), which depend on the machine, not the config,
+    and the quadrature points it summed (``points``).
     """
 
     fingerprint: str
@@ -384,6 +387,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             report.errors[name] = f"{type(exc).__name__}: {exc}"
         report.wall_times[name] = time.perf_counter() - start
         report.peak_rss_mb[name] = _peak_rss_mb()
+        if "assembly_shares" in state:
+            report.counts.setdefault(name, {})["assembly_shares"] = state.pop(
+                "assembly_shares"
+            )
     return report
 
 
@@ -426,6 +433,10 @@ def _coupled_op(cfg: ExperimentConfig, state: dict):
                 "coupled", cfg.k, cfg.n_bins, cfg.node_map(),
                 potential=cfg.potential(), coupling=cfg.coupling(),
                 quad=cfg.quad, cell_budget=cfg.cell_budget,
+            )
+            # for the timing line of the step that built it
+            state["assembly_shares"] = len(
+                assembly_shares(Grid(k=cfg.k, n_bins=cfg.n_bins), cfg.quad)
             )
     return state["coupled"]
 

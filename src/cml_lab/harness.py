@@ -12,16 +12,13 @@ with the same bits for any number of shares.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._shares import run_shares, share_count, split
 from .lattice import Coupling, NodeMap, Potential
 
 __all__ = [
@@ -126,31 +123,28 @@ def ensemble_shares(cfg: EnsembleConfig) -> int:
     ``CML_LAB_THREADS`` when set, by one share per _MIN_SHARE replica-steps
     and by the replicas.  One share (always, without ``os.fork``) runs in
     this process alone."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cap = len(os.sched_getaffinity(0))
-    else:
-        cap = os.cpu_count() or 1
-    threads = os.environ.get("CML_LAB_THREADS", "")
-    if threads.isdigit() and int(threads) > 0:
-        cap = min(cap, int(threads))
-    return max(1, min(cap, cfg.n_replicas * cfg.n_steps // _MIN_SHARE, cfg.n_replicas))
+    return share_count(min(cfg.n_replicas * cfg.n_steps // _MIN_SHARE, cfg.n_replicas))
 
 
 def _run_shares(cfg: EnsembleConfig, out: np.ndarray, consume: Callable) -> np.ndarray:
     """Fill ``out`` (one row per replica) by ``consume(rows, *block)`` for
-    every block of the observed series, over contiguous replica shares.
-    Every replica draws from its own stream, so ``out`` has the same bits
-    however the replicas are split.  The clamp bound is applied once, to
-    the count summed over the shares."""
-    n = ensemble_shares(cfg)
-    bounds = [cfg.n_replicas * i // n for i in range(n + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if n == 1:
-        clamped = _fill(cfg, shares[0], out, consume)
-    else:
-        clamped = _forked(cfg, shares, out, consume)
+    every block of the observed series, over contiguous replica shares,
+    each other than the first in a forked worker whose rows are read into
+    ``out`` in place.  Every replica draws from its own stream, so ``out``
+    has the same bits however the replicas are split.  The clamp bound is
+    applied once, to the count summed over the shares.  The kernels run
+    numpy's elementwise loops and the config's functions, and call no
+    BLAS, so a worker needs no thread but its own."""
+
+    def rows(share):
+        return [out[share.start : share.stop]]
+
+    def fill(share):
+        return _fill(cfg, share, out, consume), rows(share)
+
+    shares = split(cfg.n_replicas, ensemble_shares(cfg))
+    results = run_shares(shares, fill, "the ensemble worker for replicas", rows)
+    clamped = sum(value for value, _ in results)
     if clamped > 1e-4 * cfg.n_steps * cfg.n_replicas * (2 * cfg.k_sim + 1):
         raise RuntimeError(
             f"trajectories left [0,1) at {clamped} node updates; "
@@ -170,85 +164,6 @@ def _fill(cfg: EnsembleConfig, replicas: range, out: np.ndarray, consume) -> int
         except StopIteration as done:
             return done.value
         consume(rows, *block)
-
-
-# What a worker sends first: whether it failed, then its clamp count, or
-# the length of its pickled exception.
-_HEADER = struct.Struct("<?q")
-
-
-def _forked(cfg: EnsembleConfig, shares: list[range], out: np.ndarray, consume) -> int:
-    """Fill the first share here and each other share in a forked worker,
-    which inherits ``cfg`` (closures included, nothing is pickled on the
-    way in) and sends back its clamp count and its rows of ``out``, or its
-    exception, through a pipe; the rows are read into ``out`` in place.
-    Returns the total clamp count and re-raises the first worker
-    exception.  Every worker is reaped before this returns or raises; one
-    whose result is no longer wanted is killed first.  A worker holds only
-    the thread that forked it, which is enough: the kernels run numpy's
-    elementwise loops and the config's functions, and call no BLAS."""
-    workers = []
-    collected = False
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                _serve(write, cfg, share, out, consume)
-            os.close(write)
-            workers.append((pid, os.fdopen(read, "rb")))
-        clamped = _fill(cfg, shares[0], out, consume)
-        for (_, pipe), share in zip(workers, shares[1:]):
-            clamped += _receive(pipe, share, out)
-        collected = True
-        return clamped
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if not collected:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _serve(write: int, cfg: EnsembleConfig, share: range, out: np.ndarray, consume):
-    """The forked worker: fill one share's rows, send them with the header
-    (or the pickled exception) and leave at once, with no cleanup of the
-    parent's state (``os._exit``)."""
-    status = 1
-    try:
-        with os.fdopen(write, "wb") as pipe:
-            try:
-                clamped = _fill(cfg, share, out, consume)
-            except BaseException as exc:  # interrupts too: the parent re-raises it
-                try:
-                    payload = pickle.dumps(exc)
-                except Exception:
-                    payload = pickle.dumps(RuntimeError(repr(exc)))
-                pipe.write(_HEADER.pack(True, len(payload)) + payload)
-            else:
-                pipe.write(_HEADER.pack(False, clamped))
-                pipe.write(memoryview(out[share.start : share.stop]).cast("B"))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(pipe, share: range, out: np.ndarray) -> int:
-    """Read one worker's reply into its rows of ``out``; return its clamp
-    count, or raise the worker's exception."""
-    header = pipe.read(_HEADER.size)
-    if len(header) == _HEADER.size:
-        failed, value = _HEADER.unpack(header)
-        if failed:
-            raise pickle.loads(pipe.read(value))
-        rows = memoryview(out[share.start : share.stop]).cast("B")
-        if pipe.readinto(rows) == rows.nbytes:
-            return value
-    raise RuntimeError(
-        f"the ensemble worker for replicas {share.start}-{share.stop - 1} "
-        "exited without a result"
-    )
 
 
 def _observed_blocks(cfg: EnsembleConfig, replicas: range):

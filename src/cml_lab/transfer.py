@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterator, NamedTuple, Sequence
@@ -20,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._shares import cpus, run_shares, share_count, split
 from .lattice import (
     Coupling,
     FiniteState,
@@ -39,6 +41,7 @@ __all__ = [
     "check_Pk_cauchy",
     "CauchyReport",
     "ulam_matrix",
+    "assembly_shares",
     "leading_eigenpair",
     "power_iterate",
     "estimate_holder_seminorm",
@@ -57,6 +60,15 @@ _ONE_MINUS = np.nextafter(1.0, 0.0)
 # rows hold at most three passes' points).  It bounds their temporaries, so
 # peak memory scales with cells and non-zeros, not with the quadrature cloud.
 _SLAB_POINTS = 1 << 16
+
+# Fewest quadrature points per share of the coupled assembly worth a
+# forked worker: fine's 7.08M points take two shares, desk's 262k one.
+_SHARE_POINTS = 1 << 20
+
+# Fewest non-zeros of a CSR matrix that _on_cells multiplies in two row
+# halves on two threads: fine's 1.60M (raw) and 1.41M take them, desk's
+# 63k and 97k ('P') do not.
+_SPLIT_NNZ = 1 << 20
 
 # Rows the normalization scales at once: its temporaries are a run of
 # rows' scale factors, not one row index per non-zero.
@@ -341,7 +353,15 @@ def _quad_axis(grid: Grid, quad: int) -> np.ndarray:
     return (np.arange(fine) + 0.5) / fine
 
 
-def _cell_slabs(grid: Grid, quad: int, max_points: int) -> Iterator[np.ndarray]:
+def _slab_cells(grid: Grid, quad: int, max_points: int) -> int:
+    """Cells per slab of :func:`_cell_slabs`: as many whole cells as
+    max_points holds, and at least one."""
+    return max(1, max_points // quad ** grid.d)
+
+
+def _cell_slabs(
+    grid: Grid, quad: int, max_points: int, slabs: range | None = None
+) -> Iterator[np.ndarray]:
     """Midpoint-refined quadrature, quad**d points per cell, in slabs of
     whole cells.
 
@@ -349,12 +369,15 @@ def _cell_slabs(grid: Grid, quad: int, max_points: int) -> Iterator[np.ndarray]:
     them and at least one, with all quad**d points of each, cell by cell
     and in C order within a cell.  Yields, per slab of n cells, the index
     on the quadrature axis of each coordinate of its points,
-    bin * quad + offset, shape (d, n * quad**d).
+    bin * quad + offset, shape (d, n * quad**d): every slab, or those
+    numbered in ``slabs``.
     """
     d, per_cell = grid.d, quad ** grid.d
     offsets = np.stack(np.unravel_index(np.arange(per_cell), (quad,) * d))
-    step = max(1, max_points // per_cell)
-    for lo in range(0, grid.n_cells, step):
+    step = _slab_cells(grid, quad, max_points)
+    if slabs is None:
+        slabs = range(-(-grid.n_cells // step))
+    for lo in range(slabs.start * step, min(slabs.stop * step, grid.n_cells), step):
         cells = np.arange(lo, min(lo + step, grid.n_cells))
         bins = np.stack(np.unravel_index(cells, (grid.n_bins,) * d))
         yield (bins[:, :, None] * quad + offsets[:, None, :]).reshape(d, -1)
@@ -463,7 +486,10 @@ def _assemble_coupled_matrix(
     whole cells owns its columns: each entry is the sum of its points'
     weights in point order (the cell's points in C order), and the slab
     is kept as a CSC column block, so memory holds the matrix and one
-    slab, not the quadrature cloud.
+    slab, not the quadrature cloud.  The slabs are split into the
+    contiguous runs of :func:`assembly_shares`, each other than the first
+    computed by a forked worker; the blocks are joined in slab order, so
+    the matrix has the same bytes for any number of shares.
     """
     if node_map.forward_deriv is None:
         raise ValueError(
@@ -507,22 +533,50 @@ def _assemble_coupled_matrix(
         data = np.bincount(np.cumsum(new) - 1, weights=weight[points.ravel()])
         return np.count_nonzero(new, axis=1), data, rows[new].astype(np.int32)
 
+    def share_blocks(slabs):
+        """The column blocks of a run of slabs, as one flat list of
+        (counts, data, indices) triples in slab order."""
+        blocks, nnz = [], 0
+        for idx in _cell_slabs(grid, quad, _SLAB_POINTS, slabs):
+            blocks += column_block(idx)
+            nnz += blocks[-2].size
+            _check_nnz(nnz)
+        return None, blocks
+
+    # one list per kind, each freed as the array that joins it is made
     counts, data, indices = [], [], []
-    nnz = 0
-    for idx in _cell_slabs(grid, quad, _SLAB_POINTS):
-        for part, block in zip((counts, data, indices), column_block(idx)):
-            part.append(block)
-        nnz += data[-1].size
-        if nnz > _INDEX_MAX:
-            raise MemoryError(
-                f"the coupled matrix has at least {nnz} non-zeros, more than "
-                f"scipy's int32 index arrays hold ({_INDEX_MAX})"
-            )
+    for _, blocks in run_shares(
+        assembly_shares(grid, quad), share_blocks, "the assembly worker for slabs"
+    ):
+        for i, part in enumerate((counts, data, indices)):
+            part += blocks[i::3]
+    del blocks
+    _check_nnz(sum(block.size for block in data))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
     data, indices = np.concatenate(data), np.concatenate(indices)
     # rows come out sorted and free of duplicates, so nothing is summed
     return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+
+
+def _check_nnz(nnz: int) -> None:
+    """MemoryError if scipy's int32 index arrays cannot hold nnz entries."""
+    if nnz > _INDEX_MAX:
+        raise MemoryError(
+            f"the coupled matrix has at least {nnz} non-zeros, more than "
+            f"scipy's int32 index arrays hold ({_INDEX_MAX})"
+        )
+
+
+def assembly_shares(grid: Grid, quad: int) -> list[range]:
+    """The contiguous runs of slabs the coupled assembly of ``grid`` is
+    split into, each run by its own process: as many as the CPUs this
+    process may run on, capped by ``CML_LAB_THREADS`` when set, by one
+    share per _SHARE_POINTS quadrature points and by the slabs.  One share
+    (always, without ``os.fork``) runs in this process alone."""
+    n_slabs = -(-grid.n_cells // _slab_cells(grid, quad, _SLAB_POINTS))
+    points = grid.n_cells * quad ** grid.d
+    return split(n_slabs, share_count(min(points // _SHARE_POINTS, n_slabs)))
 
 
 # Stop rule and step cap of power_iterate.
@@ -604,14 +658,73 @@ def _on_cells(matrix: sp.spmatrix, cells: np.ndarray) -> spla.LinearOperator:
     block's terms in the matrix's stored order, and a +0.0 for each source
     off the cells, so a matrix with sorted indices, CSR or CSC, gives the
     bits of the explicit block ``matrix[cells][:, cells]`` in CSR form.
+    A CSR matrix of at least _SPLIT_NNZ non-zeros is multiplied in two
+    row halves on two threads when two CPUs are allowed: each row's sum,
+    and so the product, is the same.  Any other matrix, the CSC transpose
+    included, is multiplied on one thread.
     """
     buf = np.zeros(matrix.shape[1], dtype=matrix.dtype)
+    if matrix.format == "csr" and matrix.nnz >= _SPLIT_NNZ and cpus() >= 2:
+        halves = _row_halves(matrix, cells)
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        buf[cells] = x
-        return (matrix @ buf)[cells]
+        def matvec(x: np.ndarray) -> np.ndarray:
+            buf[cells] = x
+            return _split_product(halves, buf)
+    else:
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            buf[cells] = x
+            return (matrix @ buf)[cells]
 
     return spla.LinearOperator((cells.size, cells.size), matvec=matvec, dtype=matrix.dtype)
+
+
+def _row_halves(matrix: sp.csr_matrix, cells: np.ndarray) -> list:
+    """The rows of a CSR matrix before and from the row where half its
+    non-zeros are stored, each as a CSR matrix that shares the matrix's
+    data and indices, with the rows among ``cells`` it holds (counted from
+    its first row).  The arrays are set on empty matrices: the constructor
+    would copy a view of less than half of an array."""
+    indptr = matrix.indptr
+    cut = int(np.searchsorted(indptr, matrix.nnz // 2))
+    mid, first = indptr[cut], int(np.searchsorted(cells, cut))
+    halves = []
+    for rows, part, starts, mine in (
+        (cut, slice(None, mid), indptr[: cut + 1], cells[:first]),
+        (matrix.shape[0] - cut, slice(mid, None), indptr[cut:] - mid, cells[first:] - cut),
+    ):
+        half = sp.csr_matrix((rows, matrix.shape[1]), dtype=matrix.dtype)
+        half.data, half.indices, half.indptr = matrix.data[part], matrix.indices[part], starts
+        halves.append((half, mine))
+    return halves
+
+
+def _split_product(halves: list, x: np.ndarray) -> np.ndarray:
+    """The cells' entries of the product by the stacked halves of
+    :func:`_row_halves`: the second half on a helper thread (scipy's
+    sparse product releases the interpreter lock), the first here.  The
+    helper is joined before this returns or raises."""
+    (top, top_cells), (bottom, bottom_cells) = halves
+    out = np.empty(top_cells.size + bottom_cells.size, dtype=x.dtype)
+    failed = []
+
+    # each half's cells are gathered straight into ``out``: with in-range
+    # indices, mode "clip" takes no copy of the gathered entries
+    def lower():
+        try:
+            np.take(bottom @ x, bottom_cells, out=out[top_cells.size :], mode="clip")
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+
+    helper = threading.Thread(target=lower)
+    helper.start()
+    try:
+        np.take(top @ x, top_cells, out=out[: top_cells.size], mode="clip")
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 def leading_eigenpair(op: UlamOperator) -> EigenData:

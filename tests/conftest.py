@@ -1,8 +1,44 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
 import cml_lab as cl
 from cml_lab import transfer
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that forks workers after 60 s: a worker left running
+    would hang the join."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the forked shares did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Make the process see n CPUs, with no CML_LAB_THREADS cap."""
+    monkeypatch.delenv("CML_LAB_THREADS", raising=False)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(n)), raising=False)
+
+    return use
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import cml_lab as cl
-from cml_lab import cli, spectral
+from cml_lab import cli, spectral, transfer
 from cml_lab.cli import main, validate_config
 from cml_lab.harness import CLT_MIN_REPLICAS
+from conftest import assert_no_children
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -437,6 +438,36 @@ class TestMain:
         with open(os.path.join(out, "timing.txt")) as fh:
             clt = fh.read().splitlines()[-1]
         assert re.fullmatch(r"clt: \d+\.\d{3} s  peak RSS \d+\.\d MB  shares 1", clt)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="shares past the first need os.fork")
+    def test_assembly_shares_in_timing_only(self, tmp_path, monkeypatch, cpus, deadline, capsys):
+        # the line of the step that built the coupled operator gives its
+        # assembly's shares; every other file keeps its bytes
+        run = "[operator]\nk = 1\nn_bins = 8\n\n[run]\nexperiments = spectral, correlation\n"
+        path = write_cfg(tmp_path, MINIMAL + run)
+        # slabs of 7 of the 512 cells, each worth a share
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", 448)
+        monkeypatch.setattr(transfer, "_SHARE_POINTS", 1)
+        outs = []
+        for n in (2, 1):
+            cpus(n)
+            out = os.path.join(tmp_path, f"rep{n}")
+            monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+            assert main(["run", path]) == 0
+            with open(os.path.join(out, "timing.txt")) as fh:
+                spectral_line, correlation_line = fh.read().splitlines()
+            assert re.fullmatch(
+                rf"spectral: \d+\.\d{{3}} s  peak RSS \d+\.\d MB  assembly_shares {n}",
+                spectral_line,
+            )
+            assert re.fullmatch(r"correlation: \d+\.\d{3} s  peak RSS \d+\.\d MB", correlation_line)
+            with open(os.path.join(out, "report.json")) as fh:
+                assert "assembly_shares" not in fh.read()
+            outs.append(out)
+        names = sorted(n for n in os.listdir(outs[0]) if n != "timing.txt")
+        _, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], names, shallow=False)
+        assert mismatch == [] and errors == []
+        assert_no_children()
 
     def test_correlation_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
         # how the Green-Kubo sum ended goes to diagnostics: the lags it

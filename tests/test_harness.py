@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import os
-import signal
 import tracemalloc
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 import cml_lab as cl
 from cml_lab import harness
+from conftest import assert_no_children
 
 
 def make_cfg(perturbed, **kw):
@@ -265,43 +265,15 @@ class TestSimulation:
             make_cfg(perturbed, burn_in=-1)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Make the ensemble see n CPUs and split from one replica-step up."""
-    monkeypatch.delenv("CML_LAB_THREADS", raising=False)
-    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
-
-    def use(n):
-        monkeypatch.setattr(
-            harness.os, "sched_getaffinity", lambda _: set(range(n)), raising=False
-        )
-
-    return use
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="shares past the first need os.fork")
 class TestShares:
     """The ensemble split into contiguous replica shares, all but the first
     run by forked workers: the same bits for any number of shares."""
 
     @pytest.fixture(autouse=True)
-    def deadline(self):
-        # a worker left running would hang the join; fail the test instead
-        def expire(signum, frame):
-            raise TimeoutError("the ensemble did not finish in 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+    def split_from_one_step(self, monkeypatch, deadline):
+        # every replica-step is worth a share
+        monkeypatch.setattr(harness, "_MIN_SHARE", 1)
 
     @pytest.mark.parametrize("k_sim", [1, 3])
     @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -360,7 +332,7 @@ class TestShares:
         def no_fork():
             raise AssertionError("one share must not fork")
 
-        monkeypatch.setattr(harness.os, "fork", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert np.array_equal(cl.simulate_ensemble(cfg), ref)
 
     def test_clamp_bound_applies_to_the_total(self, perturbed, cpus):

@@ -2,7 +2,10 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import scipy.sparse as sp
 
 import cml_lab as cl
 from cml_lab import transfer
+from conftest import assert_no_children
 
 ONE = cl.constant_potential(1.0, name="one")
 
@@ -1011,6 +1015,106 @@ class TestSlabAssembly:
         assert peak <= 3 * matrix_bytes + 160 * transfer._SLAB_POINTS
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares past the first need os.fork")
+@pytest.mark.usefixtures("deadline")
+class TestAssemblyShares:
+    """The coupled assembly's slabs split into contiguous shares, all but
+    the first computed by forked workers: the same matrix bytes for any
+    number of shares.  k=1, N=6 in slabs of 7 cells: 31 slabs."""
+
+    GRID = cl.Grid(k=1, n_bins=6)
+
+    @pytest.fixture(autouse=True)
+    def small_shares(self, monkeypatch):
+        # every quadrature point is worth a share, and slabs of 7 cells
+        monkeypatch.setattr(transfer, "_SHARE_POINTS", 1)
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", 448)
+
+    @pytest.fixture
+    def assemble(self, perturbed, metric):
+        pot = cl.node_sine_potential(0.1, 1, metric)
+        return lambda: transfer._assemble_coupled_matrix(
+            self.GRID, perturbed, pot, cl.Coupling(epsilon=0.05), 4
+        )
+
+    def test_matrix_is_byte_identical_for_any_split(self, assemble, perturbed, metric, cpus):
+        pot = cl.node_sine_potential(0.1, 1, metric)
+        ref = _monolithic_coupled(self.GRID, perturbed, pot, cl.Coupling(epsilon=0.05), 4)
+        for n in (1, 2, 3):
+            cpus(n)
+            assert len(transfer.assembly_shares(self.GRID, 4)) == n
+            raw = assemble()
+            _assert_same_bytes(raw, ref)
+            assert raw.has_sorted_indices
+        assert_no_children()
+
+    def test_share_count(self, cpus, monkeypatch):
+        cpus(64)
+        assert len(transfer.assembly_shares(self.GRID, 4)) == 31  # no more than the slabs
+        # 13,824 points: one share per 4,608 gives three, or the CPUs
+        monkeypatch.setattr(transfer, "_SHARE_POINTS", 4608)
+        assert len(transfer.assembly_shares(self.GRID, 4)) == 3
+        cpus(2)
+        assert transfer.assembly_shares(self.GRID, 4) == [range(15), range(15, 31)]
+        monkeypatch.setattr(transfer, "_SHARE_POINTS", 13_825)
+        assert transfer.assembly_shares(self.GRID, 4) == [range(31)]
+
+    @pytest.mark.parametrize("n", [2, 3, 31])
+    def test_shares_enumerate_all_points_in_order(self, n, cpus):
+        cpus(n)
+        shares = transfer.assembly_shares(self.GRID, 4)
+        assert [s.start for s in shares[1:]] == [s.stop for s in shares[:-1]]
+        assert shares[0].start == 0 and shares[-1].stop == 31
+        whole = np.concatenate(list(transfer._cell_slabs(self.GRID, 4, 448)), axis=1)
+        parts = [
+            idx for share in shares for idx in transfer._cell_slabs(self.GRID, 4, 448, share)
+        ]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        assert whole.shape == (3, 216 * 64)
+
+    def test_worker_error_surfaces_and_is_reaped(self, assemble, cpus, monkeypatch):
+        parent = os.getpid()
+        apply = cl.Coupling.apply_to_array
+
+        def in_worker(self, *args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError(f"in worker {os.getpid()}")
+            return apply(self, *args)
+
+        monkeypatch.setattr(cl.Coupling, "apply_to_array", in_worker)
+        cpus(3)
+        with pytest.raises(ZeroDivisionError, match="in worker"):
+            assemble()
+        assert_no_children()
+
+    def test_worker_exit_without_result_raises(self, assemble, cpus, monkeypatch):
+        parent = os.getpid()
+        apply = cl.Coupling.apply_to_array
+
+        def in_worker(self, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return apply(self, *args)
+
+        monkeypatch.setattr(cl.Coupling, "apply_to_array", in_worker)
+        cpus(2)
+        with pytest.raises(RuntimeError, match="slabs 15-30 exited without a result"):
+            assemble()
+        assert_no_children()
+
+    def test_one_thread_assembles_in_process(self, assemble, cpus, monkeypatch):
+        cpus(4)
+        ref = assemble()
+        monkeypatch.setenv("CML_LAB_THREADS", "1")
+        assert transfer.assembly_shares(self.GRID, 4) == [range(31)]
+
+        def no_fork():
+            raise AssertionError("one share must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _assert_same_bytes(assemble(), ref)
+
+
 def _explicit_block_triple(raw):
     """leading_eigenpair with the reachable block copied out of the matrix
     and its transpose converted to CSR: (lam, active cells, v, nu) there."""
@@ -1056,6 +1160,133 @@ class TestSolvesOnTheMatrix:
         ref.sort_indices()
         assert got.has_sorted_indices
         _assert_same_bytes(got, ref)
+
+
+class TestRowSplitProducts:
+    """_on_cells multiplies a CSR matrix of at least _SPLIT_NNZ non-zeros
+    in two row halves, the second on a helper thread: the bits of one
+    product, with the helper gone when the product returns.  The
+    threshold is forced down to one non-zero and two CPUs are allowed."""
+
+    @pytest.fixture(autouse=True)
+    def split_from_one(self, monkeypatch, cpus):
+        monkeypatch.setattr(transfer, "_SPLIT_NNZ", 1)
+        cpus(2)
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """The helper threads _on_cells starts, in order."""
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(transfer, "threading", types.SimpleNamespace(Thread=Counted))
+        return started
+
+    @staticmethod
+    def _matrix(dtype):
+        # 3,000 rows, about 45k non-zeros, every tenth row empty
+        m = sp.random(3000, 3000, density=0.005, format="csr", random_state=4)
+        if dtype is complex:
+            m = m + 1j * sp.random(3000, 3000, density=0.005, format="csr", random_state=5)
+        m = sp.diags(np.arange(3000) % 10 != 0, dtype=float) @ m
+        m.sort_indices()
+        return m.tocsr()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_split_equals_single_product(self, dtype, helpers, cpus):
+        m = self._matrix(dtype)
+        rng = np.random.default_rng(6)
+        start = threading.active_count()
+        for cells in (
+            np.arange(3000),
+            np.sort(rng.choice(3000, 1700, replace=False)),
+            np.arange(100, 900),  # every cell in the first half
+        ):
+            x = rng.standard_normal(cells.size).astype(dtype)
+            buf = np.zeros(3000, dtype=dtype)
+            buf[cells] = x
+            ref = (m @ buf)[cells]
+            cpus(2)
+            split = transfer._on_cells(m, cells) @ x
+            cpus(1)
+            single = transfer._on_cells(m, cells) @ x
+            for got in (split, single):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert threading.active_count() == start
+        assert len(helpers) == 3
+        assert not any(h.is_alive() for h in helpers)
+
+    def test_split_products_under_fast_thread_switches(self, helpers):
+        # the two threads write disjoint parts of one output; with the
+        # interpreter switching threads every microsecond, 300 products
+        # must still give the single product's bits and leave no thread
+        m = self._matrix(float)
+        cells = np.arange(1, 3000, 2)
+        x = np.random.default_rng(8).standard_normal(cells.size)
+        buf = np.zeros(3000)
+        buf[cells] = x
+        ref = (m @ buf)[cells].tobytes()
+        op = transfer._on_cells(m, cells)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all((op @ x).tobytes() == ref for _ in range(300))
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(helpers) == 300
+        assert not any(h.is_alive() for h in helpers)
+
+    def test_halves_share_the_matrix(self):
+        m = self._matrix(float)
+        cells = np.arange(0, 3000, 3)
+        (top, top_cells), (bottom, bottom_cells) = transfer._row_halves(m, cells)
+        for half in (top, bottom):
+            assert np.shares_memory(half.data, m.data)
+            assert np.shares_memory(half.indices, m.indices)
+        longest = int(np.diff(m.indptr).max())
+        assert abs(top.nnz - bottom.nnz) <= 2 * longest
+        _assert_same_bytes(sp.vstack([top, bottom], format="csr"), m)
+        assert np.array_equal(np.concatenate([top_cells, bottom_cells + top.shape[0]]), cells)
+
+    def test_csc_transpose_runs_on_one_thread(self, raw_coupled_eps01, helpers):
+        m = raw_coupled_eps01.matrix
+        x = np.random.default_rng(7).random(m.shape[0])
+        cells = np.arange(m.shape[0])
+        transfer._on_cells(m.T, cells) @ x
+        assert helpers == []
+        transfer._on_cells(m, cells) @ x
+        assert len(helpers) == 1
+
+    def test_solves_are_bitwise_equal(self, raw_coupled_eps01, helpers, cpus):
+        # eps = 0.1, N = 16: 3,378 reachable cells, so the gap solve runs
+        # Arnoldi on _on_cells
+        start = threading.active_count()
+        runs = []
+        for n in (2, 1):
+            cpus(n)
+            eigen = cl.leading_eigenpair(raw_coupled_eps01)
+            assert threading.active_count() == start
+            spectrum = cl.spectral_gap(transfer._normalized("coupled", eigen))
+            assert threading.active_count() == start
+            assert spectrum.solver == "arnoldi"
+            runs.append((eigen, spectrum))
+            if n == 2:
+                # the shrink passes and the v steps split; the nu steps,
+                # on the CSC transpose, do not
+                solve = len(helpers) - spectrum.operator_applications
+                assert 1 <= solve - eigen.v_iteration[0] <= 5
+        assert len(helpers) == solve + runs[0][1].operator_applications
+        (split, split_gap), (single, single_gap) = runs
+        assert split.lam == single.lam
+        assert split.v_iteration == single.v_iteration
+        assert split.nu_iteration == single.nu_iteration
+        for name in ("v", "nu", "mu"):
+            assert getattr(split, name).tobytes() == getattr(single, name).tobytes()
+        assert split_gap == single_gap
 
 
 class TestKroneckerEigenData:
