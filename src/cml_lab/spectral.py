@@ -74,9 +74,10 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
     implicitly restarted Arnoldi above it.
 
     Both solve the block of the non-empty rows, where every non-zero of a
-    normalized operator lies (a coupled operator's unreachable cells have
-    empty rows and columns), so the spectrum differs from the whole
-    matrix's only by zeros.  The dense solver takes the block explicitly.
+    normalized operator lies: the cells where its triple's v > 0 (a
+    coupled operator's unreachable cells, where v vanishes, have empty
+    rows and columns), so the spectrum differs from the whole matrix's
+    only by zeros.  The dense solver takes the block explicitly.
     Arnoldi applies ``op.matrix`` itself on the block's cells
     (:func:`~cml_lab.transfer._on_cells`: the matrix has no entries off
     the block, so each product only adds +0.0 terms and has the explicit

@@ -298,8 +298,8 @@ def ulam_matrix(
     images, and is normalized the same way by the triple of that raw
     matrix.  The coupling is not surjective on the finite window -- it maps
     the cube onto a strictly smaller parallelepiped -- so cells outside its
-    range have no preimages: their rows stay empty and the triple lives on
-    the reachable cells only.  Both normalized kinds carry their triple.
+    range have no preimages: their rows stay empty, and v vanishes there.
+    Both normalized kinds carry their triple.
 
     Both assemblies run the node map once per quadrature axis.  'P' is the
     Kronecker product of one 1-d factor per node; 'coupled' reads the node
@@ -625,15 +625,16 @@ def power_iterate(matrix) -> PowerIteration:
 @dataclass(frozen=True)
 class EigenData:
     """Leading eigen-triple of a raw Ulam operator ('P', or the coupled
-    matrix before its normalization), zero off the reachable cells.
+    matrix before its normalization).
 
-    lam is the leading eigenvalue, v the right eigenvector as power
-    iteration returns it (summing to one), nu the probability eigenvector
-    of the adjoint, and mu = h*nu, normalized, the invariant probability
-    vector of the normalized operator, which carries the triple with
-    ``operator``, the raw one, set to None.  ``v_iteration`` and
-    ``nu_iteration`` are the (steps, final sup-change) of the two power
-    iterations (None for a triple built by hand).
+    lam is the leading eigenvalue; v the right eigenvector as power
+    iteration returns it (summing to one), zero off the reachable cells;
+    nu the probability eigenvector of the adjoint, the conformal measure,
+    positive on the whole grid; and mu = h*nu, normalized, the invariant
+    probability vector of the normalized operator, which carries the
+    triple with ``operator``, the raw one, set to None.  ``v_iteration``
+    and ``nu_iteration`` are the (steps, final sup-change) of the two
+    power iterations (None for a triple built by hand).
     """
 
     lam: float
@@ -660,8 +661,8 @@ def _on_cells(matrix: sp.spmatrix, cells: np.ndarray) -> spla.LinearOperator:
     bits of the explicit block ``matrix[cells][:, cells]`` in CSR form.
     A CSR matrix of at least _SPLIT_NNZ non-zeros is multiplied in two
     row halves on two threads when two CPUs are allowed: each row's sum,
-    and so the product, is the same.  Any other matrix, the CSC transpose
-    included, is multiplied on one thread.
+    and so the product, is the same.  Any other matrix is multiplied on
+    one thread.
     """
     buf = np.zeros(matrix.shape[1], dtype=matrix.dtype)
     if matrix.format == "csr" and matrix.nnz >= _SPLIT_NNZ and cpus() >= 2:
@@ -728,31 +729,24 @@ def _split_product(halves: list, x: np.ndarray) -> np.ndarray:
 
 
 def leading_eigenpair(op: UlamOperator) -> EigenData:
-    """Power iteration on the reachable block of the matrix (for lam and v)
-    and on its transpose (for nu).
+    """Power iteration on the whole raw matrix M for lam and v, through
+    :func:`_on_cells` (so a large M splits in two row halves), and on its
+    CSC view ``.T`` for nu, on one thread.
 
-    The reachable cells are those with mass from within the set: start
-    from all cells, drop the empty rows of the block and shrink until
-    stable -- restricting the columns can empty a row whose only sources
-    were themselves dropped.  Every cell of 'P' is reachable.  Both solves
-    apply the matrix, and its transpose as the CSC view ``.T``, on the
-    block through :func:`_on_cells`, without copying it.
+    v vanishes off the reachable cells: those off the coupling range, and
+    those fed only from there.  nu is the conformal measure on the whole
+    grid, nu_c = (M^T nu)_c / lam > 0.  v must be non-negative, and
+    positive on every cell with a source where v > 0.
     """
     if op.kind == "L" or op.eigen is not None:
         raise ValueError("leading eigen-data is solved for a raw operator")
-    active = np.arange(op.n_cells)
-    while True:
-        block = _on_cells(op.matrix, active)
-        keep = block @ np.ones(active.size) > 0.0
-        if keep.all():
-            break
-        active = active[keep]
-    right = power_iterate(block)
-    if np.min(right.v) <= 0.0:
+    right = power_iterate(_on_cells(op.matrix, np.arange(op.n_cells)))
+    support = right.v > 0.0
+    fed = op.matrix @ support.astype(float) > 0.0
+    if np.min(right.v) < 0.0 or not support[fed].all():
         raise ValueError("eigenfunction is not strictly positive on the reachable cells")
-    left = power_iterate(_on_cells(op.matrix.T, active))
-    v, nu = np.zeros((2, op.n_cells))
-    v[active], nu[active] = right.v, left.v
+    left = power_iterate(op.matrix.T)
+    v, nu = right.v, left.v
     mu = v / (nu @ v) * nu
     return EigenData(
         lam=float(right.lam), v=v, nu=nu, mu=mu / mu.sum(), operator=op,

@@ -90,3 +90,17 @@ def raw_coupled_eps01(perturbed, metric):
         matrix=transfer._assemble_coupled_matrix(grid, perturbed, pot, coupling, 4),
         node_map=perturbed, potential=pot, coupling=coupling,
     )
+
+
+@pytest.fixture(scope="session")
+def raw_coupled_n24(perturbed, metric):
+    """Desk's raw coupled operator at N=24 (k=1, eps = 0.05, srb, quad 4),
+    whose coupling range misses 983 of the 13,824 cells."""
+    grid = cl.Grid(k=1, n_bins=24)
+    pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+    coupling = cl.Coupling(epsilon=0.05)
+    return cl.UlamOperator(
+        kind="coupled", grid=grid, quad=4,
+        matrix=transfer._assemble_coupled_matrix(grid, perturbed, pot, coupling, 4),
+        node_map=perturbed, potential=pot, coupling=coupling,
+    )

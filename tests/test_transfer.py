@@ -365,6 +365,12 @@ def flat_op_k0(doubling_eigen_k0, doubling):
     return cl.ulam_matrix("L", 0, 256, doubling, eigen=doubling_eigen_k0)
 
 
+@pytest.fixture(scope="module")
+def coupled_op_n24(raw_coupled_n24):
+    """Desk's coupled operator at N=24, normalized by its triple."""
+    return transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_n24))
+
+
 def _with_nu(op, nu):
     """op with the nu of its triple replaced."""
     return dataclasses.replace(op, eigen=dataclasses.replace(op.eigen, nu=nu))
@@ -434,6 +440,37 @@ class TestConformality:
             coupling=cl.Coupling(epsilon=0.05),
         )
         mean, spread = _ratio_stats(op, seed=7)
+        assert abs(mean * 8.0 - 1.0) <= 0.01, mean
+        assert spread <= 0.02, spread
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_boxes_on_unreachable_cells(self, seed, coupled_op_n24):
+        # at N=24 the coupling range misses 983 cells; nu is the conformal
+        # measure there too, so a box that holds some reads 1/b^d
+        grid, node_map = coupled_op_n24.grid, coupled_op_n24.node_map
+        unreachable = coupled_op_n24.eigen.v == 0.0
+        boxes = [
+            box for box in _cli_boxes(grid, node_map, seed)
+            if unreachable[transfer._box_cell_mask(grid, box)].any()
+        ]
+        assert boxes
+        for box in boxes:
+            ratio = cl.check_conformality(coupled_op_n24, box).ratio
+            assert abs(ratio * 8.0 - 1.0) <= 0.01, (box, ratio)
+        mean, spread = _ratio_stats(coupled_op_n24, seed)
+        assert abs(mean * 8.0 - 1.0) <= 0.01, mean
+        assert spread <= 0.02, spread
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_node_sine_ratios_with_unreachable_cells(self, seed, perturbed, metric):
+        # eps = 0.1 leaves 718 of the 4,096 cells off the coupling range
+        op = cl.ulam_matrix(
+            "coupled", 1, 16, perturbed,
+            potential=cl.node_sine_potential(0.1, 0, metric),
+            coupling=cl.Coupling(epsilon=0.1),
+        )
+        assert np.count_nonzero(op.eigen.v == 0.0) == 718
+        mean, spread = _ratio_stats(op, seed)
         assert abs(mean * 8.0 - 1.0) <= 0.01, mean
         assert spread <= 0.02, spread
 
@@ -746,10 +783,11 @@ class TestCoupledMatrix:
         assert np.max(np.abs(op.matrix.T @ mu - mu)) <= 1e-12 * np.max(mu)
 
     def test_triple_lives_on_the_reachable_cells(self, coupled_op_k1, perturbed):
+        # v on the reachable cells, nu, the conformal measure, on all
         eigen = coupled_op_k1.eigen
         sums = np.asarray(coupled_op_k1.matrix.sum(axis=1)).ravel()
         assert np.array_equal(eigen.v > 0.0, sums > 0.0)
-        assert np.all(eigen.nu[sums == 0.0] == 0.0)
+        assert np.all(eigen.nu > 0.0)
         assert eigen.nu.sum() == pytest.approx(1.0, abs=1e-12)
         assert eigen.nu @ eigen.h == pytest.approx(1.0, abs=1e-12)
         # the raw matrix is not kept once normalized
@@ -1132,20 +1170,24 @@ def _explicit_block_triple(raw):
 
 class TestSolvesOnTheMatrix:
     """The eigen-solve and the normalization work on the matrix they are
-    given, and give the bits of the explicit forms they replaced: the
-    reachable block copied out (3,378 of 4,096 cells at eps = 0.1) and
-    diag(1/v) M diag(v) / lam as sparse products."""
+    given.  The triple of the whole matrix restricts to the triple of the
+    reachable block copied out (3,378 of 4,096 cells at eps = 0.1), and
+    the normalization gives the bits of diag(1/v) M diag(v) / lam as
+    sparse products."""
 
     def test_triple_matches_explicit_block(self, raw_coupled_eps01):
         eigen = cl.leading_eigenpair(raw_coupled_eps01)
         lam, active, v, nu = _explicit_block_triple(raw_coupled_eps01)
         assert active.size == 3378
-        assert eigen.lam == float(lam)
+        assert eigen.lam == pytest.approx(float(lam), rel=1e-13, abs=0.0)
         off = np.ones(raw_coupled_eps01.n_cells, dtype=bool)
         off[active] = False
-        for got, ref in ((eigen.v, v), (eigen.nu, nu)):
-            assert got[active].tobytes() == ref.tobytes()
-            assert not got[off].any()
+        assert not eigen.v[off].any()
+        # no cell off the block feeds it, so nu on the block is the
+        # block's left eigenvector, scaled by its mass there
+        on_block = eigen.nu[active] / eigen.nu[active].sum()
+        for got, ref in ((eigen.v[active], v), (on_block, nu)):
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
     def test_normalization_matches_sparse_products(self, raw_coupled_eps01):
         eigen = cl.leading_eigenpair(raw_coupled_eps01)
@@ -1160,6 +1202,52 @@ class TestSolvesOnTheMatrix:
         ref.sort_indices()
         assert got.has_sorted_indices
         _assert_same_bytes(got, ref)
+
+
+@pytest.fixture(scope="module")
+def whole_cube_triples(raw_coupled_eps01, raw_coupled_n24):
+    """(raw operator, its triple, its unreachable cells) at eps = 0.1,
+    N=16 and at desk's eps = 0.05, N=24."""
+    return {
+        name: (raw, cl.leading_eigenpair(raw), unreachable)
+        for name, raw, unreachable in (
+            ("eps01", raw_coupled_eps01, 718), ("n24", raw_coupled_n24, 983)
+        )
+    }
+
+
+class TestConformalMeasure:
+    """nu is the eigenmeasure of the dual on the whole cube, including the
+    cells off the coupling range, where v vanishes."""
+
+    @pytest.mark.parametrize("case", ["eps01", "n24"])
+    def test_srb_nu_is_lebesgue(self, case, whole_cube_triples):
+        # with the SRB potential Lebesgue measure is conformal
+        raw, eigen, unreachable = whole_cube_triples[case]
+        assert np.count_nonzero(eigen.v == 0.0) == unreachable
+        assert np.max(np.abs(eigen.nu * raw.n_cells - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["eps01", "n24"])
+    def test_nu_off_the_support_is_the_dual_step(self, case, whole_cube_triples):
+        raw, eigen, unreachable = whole_cube_triples[case]
+        off = eigen.v == 0.0
+        assert np.count_nonzero(off) == unreachable
+        step = (raw.matrix.T @ eigen.nu)[off] / eigen.lam
+        assert np.all(eigen.nu[off] > 0.0)
+        assert np.max(np.abs(eigen.nu[off] / step - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("rows", [
+        # a negative entry: v is proportional to (2, -1)
+        [[1.0, 0.0], [-0.25, 0.5]],
+        # v = (1, 2, 0) / 3 is zero on cell 2, which has sources in v's
+        # support
+        [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, -1.0, 0.0]],
+    ])
+    def test_eigenfunction_must_be_positive_where_fed(self, rows):
+        grid = cl.Grid(k=0, n_bins=len(rows))
+        op = cl.UlamOperator(kind="P", grid=grid, quad=1, matrix=sp.csr_matrix(rows))
+        with pytest.raises(ValueError, match="not strictly positive"):
+            cl.leading_eigenpair(op)
 
 
 class TestRowSplitProducts:
@@ -1253,13 +1341,10 @@ class TestRowSplitProducts:
         assert np.array_equal(np.concatenate([top_cells, bottom_cells + top.shape[0]]), cells)
 
     def test_csc_transpose_runs_on_one_thread(self, raw_coupled_eps01, helpers):
-        m = raw_coupled_eps01.matrix
-        x = np.random.default_rng(7).random(m.shape[0])
-        cells = np.arange(m.shape[0])
-        transfer._on_cells(m.T, cells) @ x
-        assert helpers == []
-        transfer._on_cells(m, cells) @ x
-        assert len(helpers) == 1
+        # every v step splits; the nu solve, on the CSC transpose, and the
+        # positivity check's product start no helper
+        eigen = cl.leading_eigenpair(raw_coupled_eps01)
+        assert len(helpers) == eigen.v_iteration[0]
 
     def test_solves_are_bitwise_equal(self, raw_coupled_eps01, helpers, cpus):
         # eps = 0.1, N = 16: 3,378 reachable cells, so the gap solve runs
@@ -1275,10 +1360,10 @@ class TestRowSplitProducts:
             assert spectrum.solver == "arnoldi"
             runs.append((eigen, spectrum))
             if n == 2:
-                # the shrink passes and the v steps split; the nu steps,
-                # on the CSC transpose, do not
+                # the v steps split; the nu steps, on the CSC transpose,
+                # do not
                 solve = len(helpers) - spectrum.operator_applications
-                assert 1 <= solve - eigen.v_iteration[0] <= 5
+                assert solve == eigen.v_iteration[0]
         assert len(helpers) == solve + runs[0][1].operator_applications
         (split, split_gap), (single, single_gap) = runs
         assert split.lam == single.lam
