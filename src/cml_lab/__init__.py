@@ -7,12 +7,15 @@ __version__ = "0.1.0"
 
 import os as _os
 
-# BLAS and OpenMP read their thread counts once, when numpy first loads
-# them, so CML_LAB_THREADS must be applied before any submodule imports
-# numpy.  It has no effect in a process that imported numpy before cml_lab.
+# Under CML_LAB_THREADS, BLAS and OpenMP run on one thread: a threaded
+# BLAS cuts its dot products by its thread count, so their sums, and the
+# reports' last bits, would move with the cap.  They read their thread
+# counts once, when numpy first loads them, so this must run before any
+# submodule imports numpy; it has no effect in a process that imported
+# numpy before cml_lab.
 if _os.environ.get("CML_LAB_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ[_var] = _os.environ["CML_LAB_THREADS"]
+        _os.environ[_var] = "1"
 
 from .lattice import (
     Coupling,

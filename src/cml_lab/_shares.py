@@ -66,7 +66,7 @@ def run_shares(
     worker is reaped before this returns or raises; one whose result is
     no longer wanted is killed first.  A worker holds only the thread
     that forked it, so no other thread may be running when this is called
-    (the helper threads of the sparse products end with each product).
+    (the helper thread of a split solve ends with the solve).
     """
     if len(shares) == 1:
         return [work(shares[0])]

@@ -485,6 +485,8 @@ def _step_spectral(cfg, state, report):
         "cells_solved": spec.cells_solved,
         "n_cells": op.n_cells,
         "operator_applications": spec.operator_applications,
+        "restarts": spec.restarts,
+        "ritz_residual": spec.ritz_residual,
         **_power_diagnostics(op.eigen),
     }
     eigs = np.asarray(spec.eigenvalues)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._shares import run_shares, share_count, split
 from .lattice import Coupling, NodeMap, Potential
@@ -307,12 +306,26 @@ def autocorrelation_fit(series: np.ndarray, n_max: int) -> AutocorrelationFit:
     )
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(x: float) -> float:
+    """The standard normal CDF by cephes' ndtr rule: 1/2 + erf(x/sqrt 2)/2
+    while |x/sqrt 2| < 1/sqrt 2, erfc in the tails, where 1/2 + erf/2
+    would cancel."""
+    t = x * _SQRT_HALF
+    if abs(t) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(t)
+    y = 0.5 * math.erfc(abs(t))
+    return 1.0 - y if t > 0.0 else y
+
+
 def ks_distance_to_normal(sample: np.ndarray) -> float:
     """Exact sup-distance between the empirical CDF of the sample and the
     standard normal CDF (erf-based evaluation)."""
     z = np.sort(np.asarray(sample, dtype=float))
     n = z.size
-    cdf = ndtr(z)
+    cdf = np.fromiter(map(_normal_cdf, z.tolist()), float, n)
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
     return float(max(upper, lower))

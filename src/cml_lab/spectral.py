@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import Potential
-from .transfer import UlamOperator, _on_cells, _require_eigen, power_iterate
+from .transfer import UlamOperator, _require_eigen, _SplitBlock, power_iterate
 
 __all__ = [
     "SpectrumReport",
@@ -35,10 +34,23 @@ __all__ = [
 ]
 
 # Eigenvalues spectral_gap reports, the largest matrix it solves densely,
-# and the Krylov dimension (ARPACK's ncv) of its Arnoldi solve.
+# and the Krylov dimension of its Arnoldi solve (ARPACK's ncv).
 _SPECTRUM_SIZE = 6
 _DENSE_LIMIT = 2048
 _ARNOLDI_NCV = 30
+
+# The Ritz values an Arnoldi restart keeps: the reported ones and half of
+# the rest.  Its relative tolerance on the Ritz residuals, the restarts it
+# may take, the basis columns a restart rotates at once, and the Newton
+# steps that may refine the basis of the space it keeps.
+_ARNOLDI_KEEP = _SPECTRUM_SIZE + (_ARNOLDI_NCV - _SPECTRUM_SIZE) // 2
+_ARNOLDI_TOL = 1e-14
+_ARNOLDI_RESTARTS = 500
+_ROTATE_COLUMNS = 4096
+_INVARIANT_STEPS = 4
+
+# ARPACK's floor on the modulus a Ritz residual is measured against.
+_EPS23 = np.finfo(float).eps ** (2.0 / 3.0)
 
 # Green-Kubo truncation: relative tail tolerance and lag cap.
 _GK_TAIL_TOL = 1e-6
@@ -50,7 +62,9 @@ class SpectrumReport:
     """Top eigenvalues of a normalized operator, sorted by modulus
     (ties broken by argument, documented for reproducibility), with how
     the solve ran: the solver ('dense' or 'arnoldi'), the cells of the
-    block it solved, and its operator applications (0 when dense)."""
+    block it solved, its operator applications and restarts (0 when
+    dense), and the largest relative Ritz residual of the reported values
+    (None when dense)."""
 
     eigenvalues: tuple[complex, ...]
     lambda1: float
@@ -58,68 +72,195 @@ class SpectrumReport:
     solver: str
     cells_solved: int
     operator_applications: int
+    restarts: int
+    ritz_residual: float | None
 
     @property
     def gap(self) -> float:
         return 1.0 - self.lambda2_modulus
 
 
-def _sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    return vals[order]
+def _modulus_order(vals: np.ndarray) -> np.ndarray:
+    return np.lexsort((np.angle(vals), -np.abs(vals)))
+
+
+class _ArnoldiResult(NamedTuple):
+    """Ritz values and how the solve ended (see :class:`SpectrumReport`)."""
+
+    values: np.ndarray
+    applications: int
+    restarts: int
+    residual: float | None
+
+
+def _invariant_basis(h: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the invariant subspace of h that the real
+    eigenvector ``columns`` span.
+
+    The QR basis of the columns is taken when its invariance defect
+    |h Q - Q Q^T h Q| is at most _ARNOLDI_TOL |h| (Frobenius norms).
+    Nearly parallel eigenvectors (a tight cluster, a near-defective pair)
+    fix their span only to about eps over their angle; such a basis is
+    refined by Newton steps on the Sylvester equation of the invariant
+    subspace, G22 X - X G11 = -G21 in the blocks of h on Q and its
+    orthogonal complement (Stewart, SIAM Review 15, 1973), solved as a
+    dense Kronecker system.  Raises ``RuntimeError`` when
+    _INVARIANT_STEPS steps leave the defect above the bound.
+    """
+    q = np.linalg.qr(columns)[0]
+    kept = q.shape[1]
+    bound = _ARNOLDI_TOL * np.linalg.norm(h)
+    for steps in itertools.count():
+        hq = h @ q
+        defect = np.linalg.norm(hq - q @ (q.T @ hq))
+        if defect <= bound:
+            return q
+        if steps == _INVARIANT_STEPS:
+            break
+        full = np.linalg.qr(q, mode="complete")[0]
+        q, rest = full[:, :kept], full[:, kept:]
+        g11, g21, g22 = q.T @ h @ q, rest.T @ h @ q, rest.T @ h @ rest
+        sylvester = np.kron(g22, np.eye(kept)) - np.kron(np.eye(rest.shape[1]), g11.T)
+        x = np.linalg.solve(sylvester, -g21.ravel()).reshape(rest.shape[1], kept)
+        q = np.linalg.qr(q + rest @ x)[0]
+    raise RuntimeError(
+        f"Arnoldi restart found no invariant subspace of the kept Ritz values: "
+        f"defect {defect:.3e} against {bound:.3e}"
+    )
+
+
+def _krylov_schur(block: _SplitBlock, v0: np.ndarray) -> _ArnoldiResult:
+    """The _SPECTRUM_SIZE eigenvalues of largest modulus of a real block,
+    by Arnoldi with Krylov-Schur restarts (Stewart, SIAM J. Matrix Anal.
+    Appl. 23, 2001), started from v0.
+
+    The basis holds _ARNOLDI_NCV Krylov vectors and the residual's
+    direction, one per row, and the Rayleigh quotient H is their
+    projection: A V = V H + v r^T, r the residual row.  Each new vector is
+    orthogonalized by classical Gram-Schmidt, repeated once when it loses
+    more than 1 - 1/sqrt(2) of its norm (DGKS, as ARPACK does).  At the
+    end of a cycle the Ritz values are the eigenvalues of H, and the Ritz
+    residual of (theta, y) is |r . y|, measured against max(|theta|,
+    _EPS23); the solve ends once the reported ones are below _ARNOLDI_TOL.
+    Otherwise the restart keeps the _ARNOLDI_KEEP largest (a conjugate pair
+    whole): an orthonormal basis Q of the invariant subspace of H that
+    their real eigenvectors span (:func:`_invariant_basis`) makes V Q,
+    Q^T H Q and r Q again such a decomposition, and Arnoldi extends it.
+    A Krylov space invariant to _ARNOLDI_TOL (|r| at most _ARNOLDI_TOL
+    |A v|) ends the solve at once when it holds _SPECTRUM_SIZE vectors; a
+    smaller one is extended by a fixed random vector orthogonal to it, as
+    ARPACK extends it, since its residual is roundoff, whose direction is
+    not orthogonal to it.  Only the block's products can use a second
+    thread; the vector work runs here.
+    """
+    k, m = _SPECTRUM_SIZE, _ARNOLDI_NCV
+    basis = np.empty((m + 1, v0.size))
+    rq = np.zeros((m + 1, m))
+    basis[0] = v0 / np.linalg.norm(v0)
+    kept = applications = 0
+    for restarts in range(_ARNOLDI_RESTARTS + 1):
+        for j in range(kept, m):
+            done = basis[: j + 1]
+            w = block @ basis[j]
+            applications += 1
+            ww = w @ w
+            h = done @ w
+            w -= h @ done
+            rr = w @ w
+            if rr <= 0.5 * ww:
+                again = done @ w
+                h += again
+                w -= again @ done
+                rr = w @ w
+            beta = math.sqrt(rr)
+            rq[: j + 1, j] = h
+            rq[j + 1, j] = beta
+            invariant = beta <= _ARNOLDI_TOL * math.sqrt(ww)
+            if invariant and j + 1 >= k:
+                break
+            if invariant:
+                # a fixed random vector, orthogonalized twice, in place of
+                # a residual that is roundoff
+                w = np.random.default_rng(j + 1).uniform(-1.0, 1.0, w.size)
+                for _ in range(2):
+                    w -= (done @ w) @ done
+                beta = math.sqrt(w @ w)
+                rq[j + 1, j] = 0.0
+            np.divide(w, beta, out=basis[j + 1])
+        size = j + 1
+        theta, vecs = np.linalg.eig(rq[:size, :size])
+        order = _modulus_order(theta)
+        residual = np.abs(rq[size, :size] @ vecs) / np.maximum(np.abs(theta), _EPS23)
+        wanted = order[:k]
+        found = int(np.count_nonzero(residual[wanted] <= _ARNOLDI_TOL))
+        if invariant or found == k:
+            return _ArnoldiResult(
+                theta[wanted], applications, restarts, float(residual[wanted].max())
+            )
+        if restarts == _ARNOLDI_RESTARTS:
+            break
+        # eig lists a conjugate pair together, positive imaginary part first
+        keep = set(order[:_ARNOLDI_KEEP].tolist())
+        keep |= {i + 1 for i in keep if theta[i].imag > 0.0}
+        keep |= {i - 1 for i in keep if theta[i].imag < 0.0}
+        columns = []
+        for i in order:
+            if i in keep and theta[i].imag >= 0.0:
+                columns.append(vecs[:, i].real)
+                if theta[i].imag > 0.0:
+                    columns.append(vecs[:, i].imag)
+        q = _invariant_basis(rq[:m, :m], np.column_stack(columns))
+        kept = q.shape[1]
+        qt = np.ascontiguousarray(q.T)
+        for lo in range(0, v0.size, _ROTATE_COLUMNS):
+            cols = slice(lo, lo + _ROTATE_COLUMNS)
+            basis[:kept, cols] = qt @ basis[:m, cols]
+        basis[kept] = basis[m]
+        rotated = qt @ rq[:m, :m] @ q, rq[m, :m] @ q
+        rq[:] = 0.0
+        rq[:kept, :kept], rq[kept, :kept] = rotated
+    raise RuntimeError(
+        f"Arnoldi iteration did not converge in {_ARNOLDI_RESTARTS} restarts; "
+        f"{found} of {k} eigenvalues found"
+    )
 
 
 def spectral_gap(op: UlamOperator) -> SpectrumReport:
     """Top eigenvalues by modulus: dense solver at small dimension,
-    implicitly restarted Arnoldi above it.
+    Arnoldi with Krylov-Schur restarts (:func:`_krylov_schur`) above it.
 
     Both solve the block of the non-empty rows, where every non-zero of a
     normalized operator lies: the cells where its triple's v > 0 (a
     coupled operator's unreachable cells, where v vanishes, have empty
     rows and columns), so the spectrum differs from the whole matrix's
     only by zeros.  The dense solver takes the block explicitly.
-    Arnoldi applies ``op.matrix`` itself on the block's cells
-    (:func:`~cml_lab.transfer._on_cells`: the matrix has no entries off
+    Arnoldi applies ``op.matrix`` itself on the block's cells through a
+    :class:`~cml_lab.transfer._SplitBlock` (the matrix has no entries off
     the block, so each product only adds +0.0 terms and has the explicit
-    block's bits) and holds no copy of it.  It runs with _ARNOLDI_NCV
-    Krylov vectors and starts from a fixed vector on the whole grid,
-    restricted to the block, that is no eigenvector: from the constant
-    vector, the leading eigenvector of every normalized operator, the
-    Krylov space breaks down at once and ARPACK restarts from a vector of
-    its own that differs per process.  When the cut splits a conjugate
-    pair, the kept member is the one with positive imaginary part, so the
-    report depends on the spectrum alone, not on which member the solver
-    returned.
+    block's bits) and holds no copy of it; a large matrix is multiplied in
+    two row halves, the second on a helper thread that lives for the
+    solve, with the same bits as on one thread.  It starts from a fixed vector on the
+    whole grid, restricted to the block, that is no eigenvector: from the
+    constant vector, the leading eigenvector of every normalized operator,
+    the Krylov space is invariant at once.  When the cut splits a
+    conjugate pair, the kept member is the one with positive imaginary
+    part, so the report depends on the spectrum alone, not on which
+    member the solver returned.
     """
     if op.kind not in ("L", "coupled"):
         raise ValueError("spectral gap is defined for normalized operator kinds")
     active = np.flatnonzero(np.diff(op.matrix.indptr))
     n = active.size
     dense = n <= _DENSE_LIMIT
-    applications = 0
     if dense:
         vals = np.linalg.eigvals(op.matrix[active][:, active].toarray())
+        solve = _ArnoldiResult(vals, 0, 0, None)
     else:
-        block = _on_cells(op.matrix, active)
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            nonlocal applications
-            applications += 1
-            return block @ v
-
-        lin = spla.LinearOperator(block.shape, matvec=matvec, dtype=block.dtype)
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n_cells)[active]
-        try:
-            vals = spla.eigs(
-                lin, k=_SPECTRUM_SIZE, which="LM", v0=v0, ncv=_ARNOLDI_NCV,
-                return_eigenvectors=False,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"Arnoldi iteration did not converge; "
-                f"{len(exc.eigenvalues)} of {_SPECTRUM_SIZE} eigenvalues found"
-            ) from exc
-    vals = _sort_eigenvalues(np.asarray(vals))[:_SPECTRUM_SIZE]
+        with _SplitBlock(op.matrix, active) as block:
+            solve = _krylov_schur(block, v0)
+    vals = np.asarray(solve.values)
+    vals = vals[_modulus_order(vals)][:_SPECTRUM_SIZE]
     # a kept pair sorts as (negative, positive) imaginary part, so a last
     # value with negative imaginary part had its partner cut
     if vals[-1].imag < 0.0:
@@ -134,7 +275,9 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
         lambda2_modulus=lam2,
         solver="dense" if dense else "arnoldi",
         cells_solved=n,
-        operator_applications=applications,
+        operator_applications=solve.applications,
+        restarts=solve.restarts,
+        ritz_residual=solve.residual,
     )
 
 

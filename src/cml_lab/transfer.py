@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -19,7 +20,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._shares import cpus, run_shares, share_count, split
 from .lattice import (
@@ -65,7 +65,7 @@ _SLAB_POINTS = 1 << 16
 # forked worker: fine's 7.08M points take two shares, desk's 262k one.
 _SHARE_POINTS = 1 << 20
 
-# Fewest non-zeros of a CSR matrix that _on_cells multiplies in two row
+# Fewest non-zeros of a CSR matrix that _SplitBlock multiplies in two row
 # halves on two threads: fine's 1.60M (raw) and 1.41M take them, desk's
 # 63k and 97k ('P') do not.
 _SPLIT_NNZ = 1 << 20
@@ -651,33 +651,86 @@ class EigenData:
         return self.v / (self.nu @ self.v)
 
 
-def _on_cells(matrix: sp.spmatrix, cells: np.ndarray) -> spla.LinearOperator:
+class _SplitBlock:
     """``matrix`` on the rows and columns ``cells`` (increasing), applied
     without a copy of that block: the iterate is scattered onto a
-    whole-grid buffer that stays zero off the cells, multiplied, and the
+    whole-grid buffer that stays zero off the cells (with every column
+    among the cells, the iterate itself is read), multiplied, and the
     cells' entries are gathered.  Each entry of the product adds the
     block's terms in the matrix's stored order, and a +0.0 for each source
     off the cells, so a matrix with sorted indices, CSR or CSC, gives the
     bits of the explicit block ``matrix[cells][:, cells]`` in CSR form.
-    A CSR matrix of at least _SPLIT_NNZ non-zeros is multiplied in two
-    row halves on two threads when two CPUs are allowed: each row's sum,
-    and so the product, is the same.  Any other matrix is multiplied on
-    one thread.
+
+    A CSR matrix of at least _SPLIT_NNZ non-zeros is multiplied in the two
+    row halves of :func:`_row_halves`; any other matrix in one part.
+    ``with`` starts a helper thread that multiplies the second half of
+    every product while the caller multiplies the first, when there are
+    two halves and two CPUs are allowed (scipy's sparse product releases
+    the interpreter lock), and joins it on the way out.  Each row's sum,
+    and so the product, is the same on one thread or two.
     """
-    buf = np.zeros(matrix.shape[1], dtype=matrix.dtype)
-    if matrix.format == "csr" and matrix.nnz >= _SPLIT_NNZ and cpus() >= 2:
-        halves = _row_halves(matrix, cells)
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            buf[cells] = x
-            return _split_product(halves, buf)
-    else:
+    def __init__(self, matrix: sp.spmatrix, cells: np.ndarray):
+        self.shape = (cells.size, cells.size)
+        self.dtype = matrix.dtype
+        whole = cells.size == matrix.shape[1]
+        self._buf = None if whole else np.zeros(matrix.shape[1], dtype=matrix.dtype)
+        if matrix.format == "csr" and matrix.nnz >= _SPLIT_NNZ:
+            self._parts = _row_halves(matrix, cells)
+        else:
+            self._parts = [(matrix, cells)]
+        self._cells = cells
+        self._helper = None
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            buf[cells] = x
-            return (matrix @ buf)[cells]
+    def __enter__(self) -> "_SplitBlock":
+        if len(self._parts) == 2 and cpus() >= 2:
+            self._tasks, self._results = queue.SimpleQueue(), queue.SimpleQueue()
+            self._helper = threading.Thread(target=self._serve, daemon=True)
+            self._helper.start()
+        return self
 
-    return spla.LinearOperator((cells.size, cells.size), matvec=matvec, dtype=matrix.dtype)
+    def __exit__(self, *exc) -> None:
+        if self._helper is not None:
+            self._tasks.put(None)
+            self._helper.join()
+            self._helper = None
+
+    def _serve(self) -> None:
+        for source, out in iter(self._tasks.get, None):
+            try:
+                self.product(1, source, out)
+            except BaseException as exc:  # re-raised by the caller
+                self._results.put(exc)
+            else:
+                self._results.put(None)
+
+    def product(self, s: int, source: np.ndarray, out: np.ndarray) -> None:
+        """Part s's rows of the matrix times ``source``, the whole-grid
+        iterate, with its cells' entries gathered straight into their span
+        of ``out``: with in-range indices, mode "clip" takes no copy."""
+        part, rows = self._parts[s]
+        lo = 0 if s == 0 else out.size - rows.size
+        np.take(part @ source, rows, out=out[lo : lo + rows.size], mode="clip")
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(self.shape[0], dtype=np.result_type(self.dtype, x.dtype))
+        source = x
+        if self._buf is not None:
+            self._buf[self._cells] = x
+            source = self._buf
+        if self._helper is None:
+            for s in range(len(self._parts)):
+                self.product(s, source, out)
+            return out
+        # the helper's half has ended when this returns or raises
+        self._tasks.put((source, out))
+        try:
+            self.product(0, source, out)
+        finally:
+            failed = self._results.get()
+        if failed is not None:
+            raise failed
+        return out
 
 
 def _row_halves(matrix: sp.csr_matrix, cells: np.ndarray) -> list:
@@ -700,38 +753,11 @@ def _row_halves(matrix: sp.csr_matrix, cells: np.ndarray) -> list:
     return halves
 
 
-def _split_product(halves: list, x: np.ndarray) -> np.ndarray:
-    """The cells' entries of the product by the stacked halves of
-    :func:`_row_halves`: the second half on a helper thread (scipy's
-    sparse product releases the interpreter lock), the first here.  The
-    helper is joined before this returns or raises."""
-    (top, top_cells), (bottom, bottom_cells) = halves
-    out = np.empty(top_cells.size + bottom_cells.size, dtype=x.dtype)
-    failed = []
-
-    # each half's cells are gathered straight into ``out``: with in-range
-    # indices, mode "clip" takes no copy of the gathered entries
-    def lower():
-        try:
-            np.take(bottom @ x, bottom_cells, out=out[top_cells.size :], mode="clip")
-        except BaseException as exc:  # re-raised by the caller
-            failed.append(exc)
-
-    helper = threading.Thread(target=lower)
-    helper.start()
-    try:
-        np.take(top @ x, top_cells, out=out[: top_cells.size], mode="clip")
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
-    return out
-
-
 def leading_eigenpair(op: UlamOperator) -> EigenData:
-    """Power iteration on the whole raw matrix M for lam and v, through
-    :func:`_on_cells` (so a large M splits in two row halves), and on its
-    CSC view ``.T`` for nu, on one thread.
+    """Power iteration on the whole raw matrix M for lam and v, through a
+    :class:`_SplitBlock` of every cell (so a large M is multiplied in two
+    row halves, the second on a helper thread), and on its CSC view ``.T``
+    for nu, on one thread.
 
     v vanishes off the reachable cells: those off the coupling range, and
     those fed only from there.  nu is the conformal measure on the whole
@@ -740,7 +766,8 @@ def leading_eigenpair(op: UlamOperator) -> EigenData:
     """
     if op.kind == "L" or op.eigen is not None:
         raise ValueError("leading eigen-data is solved for a raw operator")
-    right = power_iterate(_on_cells(op.matrix, np.arange(op.n_cells)))
+    with _SplitBlock(op.matrix, np.arange(op.n_cells)) as block:
+        right = power_iterate(block)
     support = right.v > 0.0
     fed = op.matrix @ support.astype(float) > 0.0
     if np.min(right.v) < 0.0 or not support[fed].all():

@@ -366,7 +366,7 @@ class TestMain:
             "coupled": {"solver": "arnoldi", "cells_solved": 3378, "n_cells": 4096},
             "dense": {
                 "solver": "dense", "cells_solved": 64, "n_cells": 64,
-                "operator_applications": 0,
+                "operator_applications": 0, "restarts": 0, "ritz_residual": None,
             },
         }
         for name, text in (("coupled", coupled), ("dense", dense)):
@@ -389,6 +389,11 @@ class TestMain:
             assert "passed" not in diag["spectral"]
             arnoldi = diag["spectral"]["solver"] == "arnoldi"
             assert (diag["spectral"]["operator_applications"] > 0) == arnoldi
+            if arnoldi:
+                # how the Arnoldi solve ended: its restarts, and a largest
+                # relative Ritz residual of the six values below the tolerance
+                assert diag["spectral"]["restarts"] > 0
+                assert 0.0 < diag["spectral"]["ritz_residual"] <= spectral._ARNOLDI_TOL
 
     def test_clt_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
         # the ensemble's size and the standard error of its sigma^2 go to
@@ -530,6 +535,35 @@ class TestModuleEntry:
         assert out.returncode == 0, out.stderr
         assert "config OK" in out.stdout
 
+    def test_run_loads_no_scipy_linalg_or_special(self, tmp_path):
+        # a run solves its eigenproblems and the normal CDF with numpy and
+        # math alone: scipy.sparse.linalg, scipy.linalg and scipy.special,
+        # with their import time and memory, stay out of the process
+        run = (
+            "\n[operator]\nk = 1\nn_bins = 16\n\n[run]\n"
+            "experiments = eigen, spectral, correlation, clt\n"
+            "n_steps = 300\nn_replicas = 500\nburn_in = 100\n"
+        )
+        code = (
+            "import json, sys\n"
+            "import cml_lab.cli\n"
+            "code = cml_lab.cli.main(['run', sys.argv[1]])\n"
+            "print(json.dumps([m for m in ('scipy.sparse.linalg', 'scipy.linalg',"
+            " 'scipy.special') if m in sys.modules]))\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cl.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["CML_LAB_OUTPUT_DIR"] = str(tmp_path / "out")
+        out = subprocess.run(
+            [sys.executable, "-c", code, write_cfg(tmp_path, MINIMAL + run)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert os.path.exists(tmp_path / "out" / "report.json")
+        assert json.loads(out.stdout.splitlines()[-1]) == []
+
     def test_cli_names_load_on_access(self):
         assert cl.parse_config is cli.parse_config
         assert cl.ConfigError is cli.ConfigError
@@ -563,3 +597,31 @@ class TestThreadCap:
             text=True, check=True, timeout=120,
         )
         assert out.stdout.strip() == "1"
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+    )
+    def test_thread_cap_runs_blas_on_one_thread(self):
+        # a threaded BLAS adds its dot products in an order set by its
+        # thread count, so any cap, not only 1, leaves BLAS on one thread
+        # and the reports' bits do not move with the cap
+        code = (
+            "import os, cml_lab, numpy as np\n"
+            "a = np.ones((400, 400))\n"
+            "a @ a\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " [l.split()[1] for l in open('/proc/self/status')"
+            " if l.startswith('Threads:')][0])\n"
+        )
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["CML_LAB_THREADS"] = "2"
+        src = os.path.dirname(os.path.dirname(cl.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["1", "1"]

@@ -463,6 +463,22 @@ class TestKsDistance:
         q = ndtri((np.arange(n) + 0.5) / n)
         assert cl.ks_distance_to_normal(q) == pytest.approx(0.5 / n, abs=1e-12)
 
+    def test_normal_cdf_matches_ndtr(self):
+        # math.erf and math.erfc under ndtr's branch rule: scipy's ndtr, as
+        # a reference only, to one unit in the last place of 1
+        from scipy.special import ndtr
+
+        from cml_lab.harness import _normal_cdf
+
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 8001),
+            np.random.default_rng(9).standard_normal(20_000) * 3.0,
+        ])
+        got = np.array([_normal_cdf(v) for v in x.tolist()])
+        assert np.max(np.abs(got - ndtr(x))) <= np.finfo(float).eps
+        assert _normal_cdf(0.0) == 0.5 and _normal_cdf(-40.0) == 0.0
+        assert _normal_cdf(40.0) == 1.0
+
     def test_shift_is_detected(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal(20_000) + 0.1

@@ -1251,10 +1251,11 @@ class TestConformalMeasure:
 
 
 class TestRowSplitProducts:
-    """_on_cells multiplies a CSR matrix of at least _SPLIT_NNZ non-zeros
-    in two row halves, the second on a helper thread: the bits of one
-    product, with the helper gone when the product returns.  The
-    threshold is forced down to one non-zero and two CPUs are allowed."""
+    """_SplitBlock cuts a CSR matrix of at least _SPLIT_NNZ non-zeros in
+    two row halves, and one helper thread, started by ``with`` and joined
+    at its end, runs the second: the bits of one thread, with the helper
+    gone when the block is left.  The threshold is forced down to one
+    non-zero and two CPUs are allowed."""
 
     @pytest.fixture(autouse=True)
     def split_from_one(self, monkeypatch, cpus):
@@ -1263,7 +1264,7 @@ class TestRowSplitProducts:
 
     @pytest.fixture
     def helpers(self, monkeypatch):
-        """The helper threads _on_cells starts, in order."""
+        """The helper threads _SplitBlock starts, in order."""
         started = []
 
         class Counted(threading.Thread):
@@ -1298,34 +1299,36 @@ class TestRowSplitProducts:
             buf = np.zeros(3000, dtype=dtype)
             buf[cells] = x
             ref = (m @ buf)[cells]
-            cpus(2)
-            split = transfer._on_cells(m, cells) @ x
-            cpus(1)
-            single = transfer._on_cells(m, cells) @ x
-            for got in (split, single):
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-            assert threading.active_count() == start
+            got = []
+            for n in (2, 1):
+                cpus(n)
+                with transfer._SplitBlock(m, cells) as block:
+                    got += [block @ x, block @ x]
+                assert threading.active_count() == start
+            for product in got:
+                assert product.dtype == ref.dtype and product.tobytes() == ref.tobytes()
+        # one helper per block on two CPUs, none on one
         assert len(helpers) == 3
         assert not any(h.is_alive() for h in helpers)
 
     def test_split_products_under_fast_thread_switches(self, helpers):
         # the two threads write disjoint parts of one output; with the
         # interpreter switching threads every microsecond, 300 products
-        # must still give the single product's bits and leave no thread
+        # on one helper must still give the single product's bits
         m = self._matrix(float)
         cells = np.arange(1, 3000, 2)
         x = np.random.default_rng(8).standard_normal(cells.size)
         buf = np.zeros(3000)
         buf[cells] = x
         ref = (m @ buf)[cells].tobytes()
-        op = transfer._on_cells(m, cells)
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert all((op @ x).tobytes() == ref for _ in range(300))
+            with transfer._SplitBlock(m, cells) as block:
+                assert all((block @ x).tobytes() == ref for _ in range(300))
         finally:
             sys.setswitchinterval(previous)
-        assert len(helpers) == 300
+        assert len(helpers) == 1
         assert not any(h.is_alive() for h in helpers)
 
     def test_halves_share_the_matrix(self):
@@ -1340,15 +1343,28 @@ class TestRowSplitProducts:
         _assert_same_bytes(sp.vstack([top, bottom], format="csr"), m)
         assert np.array_equal(np.concatenate([top_cells, bottom_cells + top.shape[0]]), cells)
 
-    def test_csc_transpose_runs_on_one_thread(self, raw_coupled_eps01, helpers):
-        # every v step splits; the nu solve, on the CSC transpose, and the
-        # positivity check's product start no helper
+    def test_csc_transpose_runs_on_one_thread(self, raw_coupled_eps01, helpers, monkeypatch):
+        # every v step splits, on the one helper of the eigenpair; the nu
+        # solve, on the CSC transpose, and the positivity check's product
+        # run here
+        parts = []
+        product = transfer._SplitBlock.product
+
+        def counted(block, s, x, out):
+            parts.append((s, threading.current_thread()))
+            product(block, s, x, out)
+
+        monkeypatch.setattr(transfer._SplitBlock, "product", counted)
         eigen = cl.leading_eigenpair(raw_coupled_eps01)
-        assert len(helpers) == eigen.v_iteration[0]
+        assert len(helpers) == 1
+        steps = eigen.v_iteration[0]
+        assert [s for s, _ in parts] == [0, 1] * steps
+        assert {t for s, t in parts if s == 1} == {helpers[0]}
 
     def test_solves_are_bitwise_equal(self, raw_coupled_eps01, helpers, cpus):
         # eps = 0.1, N = 16: 3,378 reachable cells, so the gap solve runs
-        # Arnoldi on _on_cells
+        # Arnoldi with its products in two row halves; the row cut does
+        # not depend on the CPUs, and each row sums in the same order
         start = threading.active_count()
         runs = []
         for n in (2, 1):
@@ -1359,12 +1375,10 @@ class TestRowSplitProducts:
             assert threading.active_count() == start
             assert spectrum.solver == "arnoldi"
             runs.append((eigen, spectrum))
-            if n == 2:
-                # the v steps split; the nu steps, on the CSC transpose,
-                # do not
-                solve = len(helpers) - spectrum.operator_applications
-                assert solve == eigen.v_iteration[0]
-        assert len(helpers) == solve + runs[0][1].operator_applications
+            # one helper for the v iteration and one for the gap solve on
+            # two CPUs, none on one
+            assert len(helpers) == 2
+        assert not any(h.is_alive() for h in helpers)
         (split, split_gap), (single, single_gap) = runs
         assert split.lam == single.lam
         assert split.v_iteration == single.v_iteration
@@ -1372,6 +1386,52 @@ class TestRowSplitProducts:
         for name in ("v", "nu", "mu"):
             assert getattr(split, name).tobytes() == getattr(single, name).tobytes()
         assert split_gap == single_gap
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_helper_is_joined_when_a_product_raises(
+        self, raw_coupled_eps01, helpers, monkeypatch, failing
+    ):
+        # a product that raises on the caller's part or on the helper's
+        # ends the solve with that error, and the helper with it
+        op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
+        product = transfer._SplitBlock.product
+        calls = itertools.count()
+
+        def fails_later(block, s, x, out):
+            if s == failing and next(calls) == 40:
+                raise FloatingPointError("product failed")
+            product(block, s, x, out)
+
+        monkeypatch.setattr(transfer._SplitBlock, "product", fails_later)
+        start = threading.active_count()
+        with pytest.raises(FloatingPointError, match="product failed"):
+            cl.spectral_gap(op)
+        assert threading.active_count() == start
+        assert not any(h.is_alive() for h in helpers)
+
+    def test_solves_under_fast_thread_switches(self, perturbed, metric, monkeypatch, cpus):
+        # 300 gap solves, with the interpreter switching threads every
+        # microsecond, keep the bits of the solve on one thread: k=1, N=8
+        # (512 cells) solved by Arnoldi below the dense limit
+        from cml_lab import spectral
+
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", 64)
+        pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+        op = cl.ulam_matrix(
+            "coupled", 1, 8, perturbed, potential=pot, coupling=cl.Coupling(epsilon=0.05)
+        )
+        cpus(1)
+        ref = cl.spectral_gap(op)
+        assert ref.solver == "arnoldi"
+        cpus(2)
+        start = threading.active_count()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all(cl.spectral_gap(op) == ref for _ in range(300))
+        finally:
+            sys.setswitchinterval(previous)
+        assert threading.active_count() == start
 
 
 class TestKroneckerEigenData:
