@@ -330,9 +330,11 @@ class RunReport:
     per-experiment durations in seconds, ``peak_rss_mb`` the process's
     resident-set high-water mark in MB after each experiment and
     ``counts`` an experiment's work counts by name: the processes its
-    ensemble ran in (``shares``) and those of the coupled assembly it
-    built (``assembly_shares``), which depend on the machine, not the config,
-    and the quadrature points it summed (``points``).
+    ensemble ran in (``shares``), those of the coupled assembly it built
+    (``assembly_shares``) and the threads of its Arnoldi gap solve
+    (``gap_threads``), which depend on the machine, not the config, the
+    row parts that solve ran in (``gap_parts``) and the quadrature points
+    it summed (``points``).
     """
 
     fingerprint: str
@@ -489,6 +491,8 @@ def _step_spectral(cfg, state, report):
         "ritz_residual": spec.ritz_residual,
         **_power_diagnostics(op.eigen),
     }
+    if spec.solver == "arnoldi":
+        report.counts["spectral"] = {"gap_parts": spec.parts, "gap_threads": spec.threads}
     eigs = np.asarray(spec.eigenvalues)
     report.arrays["spectrum"] = np.column_stack([eigs.real, eigs.imag])
     state["sigma_hat"] = sigma_hat

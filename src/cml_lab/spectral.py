@@ -9,9 +9,10 @@ a Green-Kubo sum with a twisted-eigenvalue curvature cross-check.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -63,8 +64,10 @@ class SpectrumReport:
     (ties broken by argument, documented for reproducibility), with how
     the solve ran: the solver ('dense' or 'arnoldi'), the cells of the
     block it solved, its operator applications and restarts (0 when
-    dense), and the largest relative Ritz residual of the reported values
-    (None when dense)."""
+    dense), the largest relative Ritz residual of the reported values
+    (None when dense), and the parts and threads Arnoldi ran on (1 when
+    dense).  The threads depend on the CPUs allowed, not on the operator,
+    so reports that differ only in them compare equal."""
 
     eigenvalues: tuple[complex, ...]
     lambda1: float
@@ -74,6 +77,8 @@ class SpectrumReport:
     operator_applications: int
     restarts: int
     ritz_residual: float | None
+    parts: int = 1
+    threads: int = field(default=1, compare=False)
 
     @property
     def gap(self) -> float:
@@ -129,6 +134,15 @@ def _invariant_basis(h: np.ndarray, columns: np.ndarray) -> np.ndarray:
     )
 
 
+def _in_part_order(partials: Sequence):
+    """The parts' partial sums added in part order, so the total has the
+    same bits whichever thread ran each part; one part's is taken whole."""
+    total = partials[0]
+    for more in partials[1:]:
+        total = total + more
+    return total
+
+
 def _krylov_schur(block: _SplitBlock, v0: np.ndarray) -> _ArnoldiResult:
     """The _SPECTRUM_SIZE eigenvalues of largest modulus of a real block,
     by Arnoldi with Krylov-Schur restarts (Stewart, SIAM J. Matrix Anal.
@@ -150,28 +164,64 @@ def _krylov_schur(block: _SplitBlock, v0: np.ndarray) -> _ArnoldiResult:
     |A v|) ends the solve at once when it holds _SPECTRUM_SIZE vectors; a
     smaller one is extended by a fixed random vector orthogonal to it, as
     ARPACK extends it, since its residual is roundoff, whose direction is
-    not orthogonal to it.  Only the block's products can use a second
-    thread; the vector work runs here.
+    not orthogonal to it.
+
+    The vector work runs on the block's parts (:meth:`_SplitBlock.run`),
+    on two threads when the helper runs: each part holds the basis
+    columns of its span, contiguous, whose products with a vector
+    ``np.dot`` takes without holding the interpreter lock.  A step takes
+    three passes: the product with the new vector's dot products against
+    the basis and itself, the Gram-Schmidt update with its norm (and
+    DGKS's dot products and update when it repeats), and the
+    normalization, which loads the vector for the next product.  The
+    caller adds the parts' partial sums in part order
+    (:func:`_in_part_order`), so the solve has the same bits on one thread
+    or two.  A restart rotates each part's columns in chunks of
+    _ROTATE_COLUMNS.  The extension vector is drawn whole, here.
     """
     k, m = _SPECTRUM_SIZE, _ARNOLDI_NCV
-    basis = np.empty((m + 1, v0.size))
+    spans = block.spans
+    bases = [np.empty((m + 1, span.stop - span.start)) for span in spans]
+    w = np.empty(v0.size)
     rq = np.zeros((m + 1, m))
-    basis[0] = v0 / np.linalg.norm(v0)
+
+    def dots(s, j):
+        return np.dot(bases[s][: j + 1], w[spans[s]])
+
+    def multiply(s, j):
+        block.product(s, w)
+        part = w[spans[s]]
+        return dots(s, j), np.dot(part, part)
+
+    def update(s, j, h):
+        part = w[spans[s]]
+        part -= h @ bases[s][: j + 1]
+        return np.dot(part, part)
+
+    def normalize(s, j, beta):
+        np.divide(w[spans[s]], beta, out=bases[s][j + 1])
+        block.load(s, bases[s][j + 1])
+
+    def rotate(s, qt, kept):
+        basis = bases[s]
+        for lo in range(0, basis.shape[1], _ROTATE_COLUMNS):
+            cols = slice(lo, lo + _ROTATE_COLUMNS)
+            basis[:kept, cols] = qt @ basis[:m, cols]
+        basis[kept] = basis[m]
+
+    # basis row 0 is v0 normalized, as row j + 1 is w
+    w[:] = v0
+    block.run(normalize, -1, np.linalg.norm(v0))
     kept = applications = 0
     for restarts in range(_ARNOLDI_RESTARTS + 1):
         for j in range(kept, m):
-            done = basis[: j + 1]
-            w = block @ basis[j]
+            h, ww = map(_in_part_order, zip(*block.run(multiply, j)))
             applications += 1
-            ww = w @ w
-            h = done @ w
-            w -= h @ done
-            rr = w @ w
+            rr = _in_part_order(block.run(update, j, h))
             if rr <= 0.5 * ww:
-                again = done @ w
+                again = _in_part_order(block.run(dots, j))
                 h += again
-                w -= again @ done
-                rr = w @ w
+                rr = _in_part_order(block.run(update, j, again))
             beta = math.sqrt(rr)
             rq[: j + 1, j] = h
             rq[j + 1, j] = beta
@@ -181,12 +231,13 @@ def _krylov_schur(block: _SplitBlock, v0: np.ndarray) -> _ArnoldiResult:
             if invariant:
                 # a fixed random vector, orthogonalized twice, in place of
                 # a residual that is roundoff
-                w = np.random.default_rng(j + 1).uniform(-1.0, 1.0, w.size)
+                w[:] = np.random.default_rng(j + 1).uniform(-1.0, 1.0, w.size)
                 for _ in range(2):
-                    w -= (done @ w) @ done
-                beta = math.sqrt(w @ w)
+                    again = _in_part_order(block.run(dots, j))
+                    rr = _in_part_order(block.run(update, j, again))
+                beta = math.sqrt(rr)
                 rq[j + 1, j] = 0.0
-            np.divide(w, beta, out=basis[j + 1])
+            block.run(normalize, j, beta)
         size = j + 1
         theta, vecs = np.linalg.eig(rq[:size, :size])
         order = _modulus_order(theta)
@@ -212,10 +263,8 @@ def _krylov_schur(block: _SplitBlock, v0: np.ndarray) -> _ArnoldiResult:
         q = _invariant_basis(rq[:m, :m], np.column_stack(columns))
         kept = q.shape[1]
         qt = np.ascontiguousarray(q.T)
-        for lo in range(0, v0.size, _ROTATE_COLUMNS):
-            cols = slice(lo, lo + _ROTATE_COLUMNS)
-            basis[:kept, cols] = qt @ basis[:m, cols]
-        basis[kept] = basis[m]
+        # the new last row is the residual's direction, which is loaded
+        block.run(rotate, qt, kept)
         rotated = qt @ rq[:m, :m] @ q, rq[m, :m] @ q
         rq[:] = 0.0
         rq[:kept, :kept], rq[kept, :kept] = rotated
@@ -237,9 +286,10 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
     Arnoldi applies ``op.matrix`` itself on the block's cells through a
     :class:`~cml_lab.transfer._SplitBlock` (the matrix has no entries off
     the block, so each product only adds +0.0 terms and has the explicit
-    block's bits) and holds no copy of it; a large matrix is multiplied in
-    two row halves, the second on a helper thread that lives for the
-    solve, with the same bits as on one thread.  It starts from a fixed vector on the
+    block's bits) and holds no copy of it; a large matrix is cut in two
+    row halves, and each step's product and vector work runs on both, the
+    second on a helper thread that lives for the solve, with the same bits
+    as on one thread.  It starts from a fixed vector on the
     whole grid, restricted to the block, that is no eigenvector: from the
     constant vector, the leading eigenvector of every normalized operator,
     the Krylov space is invariant at once.  When the cut splits a
@@ -252,6 +302,7 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
     active = np.flatnonzero(np.diff(op.matrix.indptr))
     n = active.size
     dense = n <= _DENSE_LIMIT
+    parts = threads = 1
     if dense:
         vals = np.linalg.eigvals(op.matrix[active][:, active].toarray())
         solve = _ArnoldiResult(vals, 0, 0, None)
@@ -259,6 +310,7 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n_cells)[active]
         with _SplitBlock(op.matrix, active) as block:
             solve = _krylov_schur(block, v0)
+            parts, threads = len(block.spans), block.threads
     vals = np.asarray(solve.values)
     vals = vals[_modulus_order(vals)][:_SPECTRUM_SIZE]
     # a kept pair sorts as (negative, positive) imaginary part, so a last
@@ -278,6 +330,8 @@ def spectral_gap(op: UlamOperator) -> SpectrumReport:
         operator_applications=solve.applications,
         restarts=solve.restarts,
         ritz_residual=solve.residual,
+        parts=parts,
+        threads=threads,
     )
 
 
@@ -292,16 +346,19 @@ def _correlation_terms(
     phi1: Potential, phi2: Potential, op: UlamOperator
 ) -> Iterator[float]:
     """C_0, C_1, ... of :func:`operator_correlation`, one operator
-    application per term, without end."""
+    application per term, without end.  The products go through a
+    :class:`~cml_lab.transfer._SplitBlock` of every cell, whose helper
+    thread, if any, ends when the generator is closed."""
     grid = op.grid
     reps = grid.reps()
     mu = stationary_distribution(op)
     v1 = phi1.on_array(reps, grid.k)
     v2 = phi2.on_array(reps, grid.k)
     v = v2 - float(mu @ v2)
-    while True:
-        yield float(mu @ (v1 * v))
-        v = op.matrix @ v
+    with _SplitBlock(op.matrix, np.arange(op.n_cells)) as block:
+        while True:
+            yield float(mu @ (v1 * v))
+            v = block @ v
 
 
 def operator_correlation(
@@ -312,8 +369,8 @@ def operator_correlation(
     Returns the signed values for lags 0..n_max; C_0 is the covariance of
     the two observables under the stationary cell measure.
     """
-    terms = _correlation_terms(phi1, phi2, op)
-    return np.fromiter(itertools.islice(terms, n_max + 1), float, n_max + 1)
+    with contextlib.closing(_correlation_terms(phi1, phi2, op)) as terms:
+        return np.fromiter(itertools.islice(terms, n_max + 1), float, n_max + 1)
 
 
 def twisted_matrix(
@@ -395,21 +452,21 @@ def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
     |C_n| / |C_{n-1}| of the last two terms, is added.
     A materially negative result signals a discretization artifact.
     """
-    terms = _correlation_terms(phi, phi, op)
-    c0 = next(terms)
-    if c0 == 0.0:
-        return GreenKubo(sigma2=0.0, lags=0, capped=False, tail=0.0)
-    total = c0
-    prev = last = abs(c0)
-    c_n = c0
-    n_used = 0
-    for n in range(1, _GK_MAX_LAG + 1):
-        c_n = next(terms)
-        total += 2.0 * c_n
-        n_used = n
-        prev, last = last, abs(c_n)
-        if last < _GK_TAIL_TOL * abs(c0):
-            break
+    with contextlib.closing(_correlation_terms(phi, phi, op)) as terms:
+        c0 = next(terms)
+        if c0 == 0.0:
+            return GreenKubo(sigma2=0.0, lags=0, capped=False, tail=0.0)
+        total = c0
+        prev = last = abs(c0)
+        c_n = c0
+        n_used = 0
+        for n in range(1, _GK_MAX_LAG + 1):
+            c_n = next(terms)
+            total += 2.0 * c_n
+            n_used = n
+            prev, last = last, abs(c_n)
+            if last < _GK_TAIL_TOL * abs(c0):
+                break
     tail = 0.0
     if n_used >= 2 and prev > 0.0 and last > 0.0:
         r = last / prev

@@ -653,34 +653,44 @@ class EigenData:
 
 class _SplitBlock:
     """``matrix`` on the rows and columns ``cells`` (increasing), applied
-    without a copy of that block: the iterate is scattered onto a
-    whole-grid buffer that stays zero off the cells (with every column
-    among the cells, the iterate itself is read), multiplied, and the
-    cells' entries are gathered.  Each entry of the product adds the
-    block's terms in the matrix's stored order, and a +0.0 for each source
-    off the cells, so a matrix with sorted indices, CSR or CSC, gives the
-    bits of the explicit block ``matrix[cells][:, cells]`` in CSR form.
+    without a copy of that block: the iterate is loaded onto a whole-grid
+    source that stays zero off the cells, multiplied, and the cells'
+    entries are gathered.  Each entry of the product adds the block's
+    terms in the matrix's stored order, and a +0.0 for each source off the
+    cells, so a matrix with sorted indices, CSR or CSC, gives the bits of
+    the explicit block ``matrix[cells][:, cells]`` in CSR form.
 
-    A CSR matrix of at least _SPLIT_NNZ non-zeros is multiplied in the two
-    row halves of :func:`_row_halves`; any other matrix in one part.
-    ``with`` starts a helper thread that multiplies the second half of
-    every product while the caller multiplies the first, when there are
-    two halves and two CPUs are allowed (scipy's sparse product releases
-    the interpreter lock), and joins it on the way out.  Each row's sum,
-    and so the product, is the same on one thread or two.
+    A CSR matrix of at least _SPLIT_NNZ non-zeros is cut in the two row
+    halves of :func:`_row_halves`; any other matrix is one part.  A part's
+    cells are a contiguous span of the block (``spans``), and :meth:`run`
+    runs a function on each part: ``with`` starts a helper thread that
+    runs the second part of every call while the caller runs the first,
+    when there are two parts and two CPUs are allowed (``threads``), and
+    joins it on the way out.  A product takes two such calls, one that
+    loads each part of the iterate and one that multiplies each part's
+    rows (scipy's sparse product releases the interpreter lock), and the
+    gap solve runs its vector work the same way.  Each row's sum, and so
+    the product, is the same on one thread or two.
     """
 
     def __init__(self, matrix: sp.spmatrix, cells: np.ndarray):
         self.shape = (cells.size, cells.size)
         self.dtype = matrix.dtype
-        whole = cells.size == matrix.shape[1]
-        self._buf = None if whole else np.zeros(matrix.shape[1], dtype=matrix.dtype)
         if matrix.format == "csr" and matrix.nnz >= _SPLIT_NNZ:
             self._parts = _row_halves(matrix, cells)
         else:
             self._parts = [(matrix, cells)]
-        self._cells = cells
+        first = self._parts[0][1].size
+        self.spans = [slice(0, first), slice(first, cells.size)][: len(self._parts)]
+        self._source = np.zeros(matrix.shape[1], dtype=matrix.dtype)
+        whole = cells.size == matrix.shape[1]
+        self._targets = self.spans if whole else [cells[span] for span in self.spans]
         self._helper = None
+
+    @property
+    def threads(self) -> int:
+        """The threads :meth:`run` runs the parts on: 2 while the helper runs."""
+        return 1 if self._helper is None else 2
 
     def __enter__(self) -> "_SplitBlock":
         if len(self._parts) == 2 and cpus() >= 2:
@@ -696,40 +706,45 @@ class _SplitBlock:
             self._helper = None
 
     def _serve(self) -> None:
-        for source, out in iter(self._tasks.get, None):
+        for work, args in iter(self._tasks.get, None):
             try:
-                self.product(1, source, out)
+                self._results.put((work(1, *args), None))
             except BaseException as exc:  # re-raised by the caller
-                self._results.put(exc)
-            else:
-                self._results.put(None)
+                self._results.put((None, exc))
 
-    def product(self, s: int, source: np.ndarray, out: np.ndarray) -> None:
-        """Part s's rows of the matrix times ``source``, the whole-grid
-        iterate, with its cells' entries gathered straight into their span
-        of ``out``: with in-range indices, mode "clip" takes no copy."""
-        part, rows = self._parts[s]
-        lo = 0 if s == 0 else out.size - rows.size
-        np.take(part @ source, rows, out=out[lo : lo + rows.size], mode="clip")
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(self.shape[0], dtype=np.result_type(self.dtype, x.dtype))
-        source = x
-        if self._buf is not None:
-            self._buf[self._cells] = x
-            source = self._buf
+    def run(self, work, *args) -> list:
+        """``[work(s, *args) for each part s]``, in part order.  With the
+        helper running, the caller runs part 0 while the helper runs part
+        1, and the helper's exception is re-raised once the caller's part
+        has ended (the caller's own exception first)."""
         if self._helper is None:
-            for s in range(len(self._parts)):
-                self.product(s, source, out)
-            return out
-        # the helper's half has ended when this returns or raises
-        self._tasks.put((source, out))
+            return [work(s, *args) for s in range(len(self._parts))]
+        self._tasks.put((work, args))
         try:
-            self.product(0, source, out)
+            first = work(0, *args)
         finally:
-            failed = self._results.get()
+            second, failed = self._results.get()
         if failed is not None:
             raise failed
+        return [first, second]
+
+    def load(self, s: int, x: np.ndarray) -> None:
+        """Part s's entries of the iterate, ``x``, onto the source, which
+        has the matrix's dtype."""
+        self._source[self._targets[s]] = x
+
+    def product(self, s: int, out: np.ndarray) -> None:
+        """Part s's rows of the matrix times the source, once every part
+        is loaded, with its cells' entries gathered straight into their
+        span of ``out``: with in-range indices, mode "clip" takes no
+        copy."""
+        part, rows = self._parts[s]
+        np.take(part @ self._source, rows, out=out[self.spans[s]], mode="clip")
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(self.shape[0], dtype=self.dtype)
+        self.run(lambda s: self.load(s, x[self.spans[s]]))
+        self.run(self.product, out)
         return out
 
 
@@ -756,8 +771,8 @@ def _row_halves(matrix: sp.csr_matrix, cells: np.ndarray) -> list:
 def leading_eigenpair(op: UlamOperator) -> EigenData:
     """Power iteration on the whole raw matrix M for lam and v, through a
     :class:`_SplitBlock` of every cell (so a large M is multiplied in two
-    row halves, the second on a helper thread), and on its CSC view ``.T``
-    for nu, on one thread.
+    row halves, the second on a helper thread), as is the check's product
+    below, and on its CSC view ``.T`` for nu, on one thread.
 
     v vanishes off the reachable cells: those off the coupling range, and
     those fed only from there.  nu is the conformal measure on the whole
@@ -768,8 +783,8 @@ def leading_eigenpair(op: UlamOperator) -> EigenData:
         raise ValueError("leading eigen-data is solved for a raw operator")
     with _SplitBlock(op.matrix, np.arange(op.n_cells)) as block:
         right = power_iterate(block)
-    support = right.v > 0.0
-    fed = op.matrix @ support.astype(float) > 0.0
+        support = right.v > 0.0
+        fed = block @ support.astype(float) > 0.0
     if np.min(right.v) < 0.0 or not support[fed].all():
         raise ValueError("eigenfunction is not strictly positive on the reachable cells")
     left = power_iterate(op.matrix.T)

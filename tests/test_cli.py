@@ -474,6 +474,30 @@ class TestMain:
         assert mismatch == [] and errors == []
         assert_no_children()
 
+    def test_gap_parts_and_threads_in_timing_only(self, tmp_path, monkeypatch, cpus, capsys):
+        # the spectral line gives the row parts and threads of the Arnoldi
+        # gap solve (k=1, N=16: 4,096 cells); the threads depend on the
+        # CPUs, so report.json holds neither, and every other file keeps
+        # its bytes whatever the threads
+        path = write_cfg(tmp_path, MINIMAL + "[run]\nexperiments = spectral\n")
+        line = r"spectral: \d+\.\d{{3}} s  peak RSS \d+\.\d MB  gap_parts {}  gap_threads {}  assembly_shares 1"
+        outs = []
+        for split_nnz, parts, n in ((transfer._SPLIT_NNZ, 1, 2), (1, 2, 2), (1, 2, 1)):
+            monkeypatch.setattr(transfer, "_SPLIT_NNZ", split_nnz)
+            cpus(n)
+            out = os.path.join(tmp_path, f"rep{parts}{n}")
+            monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
+            assert main(["run", path]) == 0
+            with open(os.path.join(out, "timing.txt")) as fh:
+                (spectral_line,) = fh.read().splitlines()
+            assert re.fullmatch(line.format(parts, min(parts, n)), spectral_line)
+            with open(os.path.join(out, "report.json")) as fh:
+                assert "gap_" not in fh.read()
+            outs.append(out)
+        names = sorted(n for n in os.listdir(outs[1]) if n != "timing.txt")
+        _, mismatch, errors = filecmp.cmpfiles(outs[1], outs[2], names, shallow=False)
+        assert mismatch == [] and errors == []
+
     def test_correlation_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
         # how the Green-Kubo sum ended goes to diagnostics: the lags it
         # summed, whether it stopped at the lag cap, and the tail's share

@@ -152,17 +152,22 @@ class TestSpectralGap:
         assert rep.lambda1 == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < rep.lambda2_modulus <= 1e-4
 
-    def test_arnoldi_extends_a_small_invariant_space(self):
+    def test_arnoldi_extends_a_small_invariant_space(self, monkeypatch, cpus):
         # the identity fixes every vector: each Krylov space is invariant,
-        # and is extended by fresh vectors until it holds six
+        # and is extended by fresh vectors until it holds six, in one part
+        # and in two row halves on two threads
         op = cl.UlamOperator(
             kind="L", grid=cl.Grid(k=0, n_bins=2100), quad=1,
             matrix=sp.identity(2100, format="csr"),
         )
-        rep = cl.spectral_gap(op)
-        assert (rep.solver, rep.operator_applications, rep.restarts) == ("arnoldi", 6, 0)
-        assert np.max(np.abs(np.array(rep.eigenvalues) - 1.0)) < 1e-12
-        assert rep.gap == pytest.approx(0.0, abs=1e-12)
+        cpus(2)
+        for parts, split_nnz in ((1, transfer._SPLIT_NNZ), (2, 1)):
+            monkeypatch.setattr(transfer, "_SPLIT_NNZ", split_nnz)
+            rep = cl.spectral_gap(op)
+            assert (rep.solver, rep.operator_applications, rep.restarts) == ("arnoldi", 6, 0)
+            assert (rep.parts, rep.threads) == (parts, parts)
+            assert np.max(np.abs(np.array(rep.eigenvalues) - 1.0)) < 1e-12
+            assert rep.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_restart_cap_raises(self, raw_coupled_eps01, monkeypatch):
         op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
@@ -246,6 +251,51 @@ class TestGapOnTheMatrix:
             vals[-1] = np.conj(vals[-1])
         return tuple(complex(v) for v in vals), solve.applications, solve.restarts, solve.residual
 
+    def test_one_part_solve_keeps_its_bits(self, coupled_op_k1):
+        # desk's operator is below _SPLIT_NNZ: one part, whose passes take
+        # each sum whole.  Its six values, products, restarts and residual
+        # are pinned bit for bit, so the one-part path cannot drift unseen.
+        rep = cl.spectral_gap(coupled_op_k1)
+        assert (rep.solver, rep.cells_solved, rep.parts, rep.threads) == ("arnoldi", 4096, 1, 1)
+        assert [(v.real.hex(), v.imag.hex()) for v in rep.eigenvalues] == [
+            ("0x1.0000000000001p+0", "0x0.0p+0"),
+            ("-0x1.e626822564a2ep-2", "0x0.0p+0"),
+            ("-0x1.d55d2b74caf31p-2", "0x0.0p+0"),
+            ("-0x1.b1ab27cb1ac1fp-3", "-0x1.91bf7f21c35e3p-2"),
+            ("-0x1.b1ab27cb1ac1fp-3", "0x1.91bf7f21c35e3p-2"),
+            ("-0x1.ae803af0dbb94p-3", "0x1.8df92df476247p-2"),
+        ]
+        assert (rep.operator_applications, rep.restarts) == (119, 8)
+        assert rep.ritz_residual.hex() == "0x1.16f4bc446b5d5p-51"
+
+    def test_split_solve_has_the_same_bits_on_one_or_two_threads(
+        self, raw_coupled_eps01, monkeypatch, cpus
+    ):
+        # eps = 0.1, N=16 cut in two row halves: the parts do not depend on
+        # the CPUs, and the caller adds their partial sums in part order,
+        # so one thread and two give the same bits; they differ from the
+        # one-part solve's only by the order of the sums
+        op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
+        whole = cl.spectral_gap(op)
+        assert whole.parts == 1
+        monkeypatch.setattr(transfer, "_SPLIT_NNZ", 1)
+        runs = []
+        for n in (1, 2):
+            cpus(n)
+            rep = cl.spectral_gap(op)
+            assert (rep.solver, rep.parts, rep.threads) == ("arnoldi", 2, n)
+            runs.append(rep)
+        one, two = (
+            (
+                [(v.real.hex(), v.imag.hex()) for v in rep.eigenvalues],
+                rep.operator_applications, rep.restarts, rep.ritz_residual.hex(),
+            )
+            for rep in runs
+        )
+        assert one == two
+        assert np.max(np.abs(np.subtract(runs[0].eigenvalues, whole.eigenvalues))) <= 1e-13
+        assert runs[0].ritz_residual <= spectral._ARNOLDI_TOL
+
     def test_matches_explicit_block(self, raw_coupled_eps01):
         # eps = 0.1, N=16: 718 of the 4,096 cells are unreachable
         op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
@@ -255,7 +305,7 @@ class TestGapOnTheMatrix:
             rep.eigenvalues, rep.operator_applications, rep.restarts, rep.ritz_residual
         ) == self.explicit_block_spectrum(op)
 
-    def test_memory_is_matrix_and_krylov_basis(self, perturbed, metric, monkeypatch):
+    def test_memory_is_matrix_and_krylov_basis(self, perturbed, metric, monkeypatch, cpus):
         # k=1, N=24, the Arnoldi path: peak traced memory from the end of
         # the coupled assembly, through its eigen-solve and normalization,
         # to the end of spectral_gap, above the raw matrix.  Measured 4.6 MB:
@@ -263,7 +313,9 @@ class TestGapOnTheMatrix:
         # doubles (3.2 MB; the raw matrix is freed by then).  ARPACK, whose
         # scipy wrapper copies the basis to extract the eigenvalues, read
         # 7.6 MB against this bound of 6.9 MB, and the explicit blocks that
-        # the solves copied out of the matrix 9.6 MB.
+        # the solves copied out of the matrix 9.6 MB.  The bound holds in
+        # one part and in two row halves on two threads, whose parts hold
+        # the basis between them and copy neither it nor the matrix.
         assembled = {}
         assemble = transfer._assemble_coupled_matrix
 
@@ -275,21 +327,24 @@ class TestGapOnTheMatrix:
 
         monkeypatch.setattr(transfer, "_assemble_coupled_matrix", assemble_then_reset)
         pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
-        tracemalloc.start()
-        try:
-            op = cl.ulam_matrix(
-                "coupled", 1, 24, perturbed, potential=pot,
-                coupling=cl.Coupling(epsilon=0.05),
-            )
-            rep = cl.spectral_gap(op)
-            peak = tracemalloc.get_traced_memory()[1] - assembled["traced"]
-        finally:
-            tracemalloc.stop()
-        assert rep.solver == "arnoldi"
-        matrix = op.matrix
-        matrix_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        basis_bytes = rep.cells_solved * spectral._ARNOLDI_NCV * 8
-        assert peak <= matrix_bytes + 3 * basis_bytes // 2
+        cpus(2)
+        for parts, split_nnz in ((1, transfer._SPLIT_NNZ), (2, 1)):
+            monkeypatch.setattr(transfer, "_SPLIT_NNZ", split_nnz)
+            tracemalloc.start()
+            try:
+                op = cl.ulam_matrix(
+                    "coupled", 1, 24, perturbed, potential=pot,
+                    coupling=cl.Coupling(epsilon=0.05),
+                )
+                rep = cl.spectral_gap(op)
+                peak = tracemalloc.get_traced_memory()[1] - assembled["traced"]
+            finally:
+                tracemalloc.stop()
+            assert (rep.solver, rep.parts, rep.threads) == ("arnoldi", parts, parts)
+            matrix = op.matrix
+            matrix_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+            basis_bytes = rep.cells_solved * spectral._ARNOLDI_NCV * 8
+            assert peak <= matrix_bytes + 3 * basis_bytes // 2
 
 
 class TestStationaryDistribution:

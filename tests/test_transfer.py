@@ -1253,7 +1253,8 @@ class TestConformalMeasure:
 class TestRowSplitProducts:
     """_SplitBlock cuts a CSR matrix of at least _SPLIT_NNZ non-zeros in
     two row halves, and one helper thread, started by ``with`` and joined
-    at its end, runs the second: the bits of one thread, with the helper
+    at its end, runs the second part of each product and of each of the
+    gap solve's vector passes: the bits of one thread, with the helper
     gone when the block is left.  The threshold is forced down to one
     non-zero and two CPUs are allowed."""
 
@@ -1331,6 +1332,35 @@ class TestRowSplitProducts:
         assert len(helpers) == 1
         assert not any(h.is_alive() for h in helpers)
 
+    def test_run_keeps_part_order_and_reraises(self, helpers, monkeypatch):
+        # run gives part 0 to the caller and part 1 to the helper, results
+        # in part order; an exception on either part reaches the caller
+        # (the caller's own first), and the helper serves on after it
+        m = self._matrix(float)
+        start = threading.active_count()
+
+        def fails(s, which):
+            if s in which:
+                raise FloatingPointError(f"part {s} failed")
+            return s
+
+        with transfer._SplitBlock(m, np.arange(3000)) as block:
+            assert block.threads == 2
+            ran = block.run(lambda s: (s, threading.current_thread()))
+            assert ran == [(0, threading.current_thread()), (1, helpers[0])]
+            for which, raised in (((1,), "part 1"), ((0,), "part 0"), ((0, 1), "part 0")):
+                with pytest.raises(FloatingPointError, match=raised):
+                    block.run(fails, which)
+                assert block.run(fails, ()) == [0, 1]
+        assert threading.active_count() == start
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        with transfer._SplitBlock(m, np.arange(3000)) as block:
+            assert (len(block.spans), block.threads) == (2, 2)
+        monkeypatch.setattr(transfer, "_SPLIT_NNZ", m.nnz + 1)
+        with transfer._SplitBlock(m, np.arange(3000)) as block:
+            assert (block.spans, block.threads) == ([slice(0, 3000)], 1)
+            assert block.run(fails, ()) == [0]
+
     def test_halves_share_the_matrix(self):
         m = self._matrix(float)
         cells = np.arange(0, 3000, 3)
@@ -1344,21 +1374,21 @@ class TestRowSplitProducts:
         assert np.array_equal(np.concatenate([top_cells, bottom_cells + top.shape[0]]), cells)
 
     def test_csc_transpose_runs_on_one_thread(self, raw_coupled_eps01, helpers, monkeypatch):
-        # every v step splits, on the one helper of the eigenpair; the nu
-        # solve, on the CSC transpose, and the positivity check's product
-        # run here
+        # every v step and the positivity check's product split, on the
+        # one helper of the eigenpair; the nu solve, on the CSC transpose,
+        # runs here
         parts = []
         product = transfer._SplitBlock.product
 
-        def counted(block, s, x, out):
+        def counted(block, s, out):
             parts.append((s, threading.current_thread()))
-            product(block, s, x, out)
+            product(block, s, out)
 
         monkeypatch.setattr(transfer._SplitBlock, "product", counted)
         eigen = cl.leading_eigenpair(raw_coupled_eps01)
         assert len(helpers) == 1
         steps = eigen.v_iteration[0]
-        assert [s for s, _ in parts] == [0, 1] * steps
+        assert [s for s, _ in parts] == [0, 1] * (steps + 1)
         assert {t for s, t in parts if s == 1} == {helpers[0]}
 
     def test_solves_are_bitwise_equal(self, raw_coupled_eps01, helpers, cpus):
@@ -1387,6 +1417,36 @@ class TestRowSplitProducts:
             assert getattr(split, name).tobytes() == getattr(single, name).tobytes()
         assert split_gap == single_gap
 
+    def test_correlations_keep_their_bits_and_join_the_helper(
+        self, raw_coupled_eps01, helpers, monkeypatch, cpus
+    ):
+        # Green-Kubo and operator_correlation multiply through a block of
+        # every cell, in two row halves here: the bits of the unsplit
+        # matrix product, and the helper joined when the step returns,
+        # also when the Green-Kubo sum stops before its lag cap
+        from cml_lab import spectral
+
+        op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
+        phi = cl.node_coordinate(0)
+        start = threading.active_count()
+        runs = []
+        for n in (2, 1):
+            cpus(n)
+            helpers.clear()
+            gk = spectral.variance_green_kubo(phi, op)
+            assert threading.active_count() == start
+            c_n = spectral.operator_correlation(phi, phi, op, 10)
+            assert threading.active_count() == start
+            assert len(helpers) == (2 if n == 2 else 0)
+            assert not any(h.is_alive() for h in helpers)
+            runs.append((gk, c_n.tobytes()))
+        assert runs[0][0].lags < spectral._GK_MAX_LAG
+        monkeypatch.setattr(transfer, "_SPLIT_NNZ", op.matrix.nnz + 1)
+        assert runs[0] == runs[1] == (
+            spectral.variance_green_kubo(phi, op),
+            spectral.operator_correlation(phi, phi, op, 10).tobytes(),
+        )
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_helper_is_joined_when_a_product_raises(
         self, raw_coupled_eps01, helpers, monkeypatch, failing
@@ -1397,10 +1457,10 @@ class TestRowSplitProducts:
         product = transfer._SplitBlock.product
         calls = itertools.count()
 
-        def fails_later(block, s, x, out):
+        def fails_later(block, s, out):
             if s == failing and next(calls) == 40:
                 raise FloatingPointError("product failed")
-            product(block, s, x, out)
+            product(block, s, out)
 
         monkeypatch.setattr(transfer._SplitBlock, "product", fails_later)
         start = threading.active_count()
@@ -1409,10 +1469,35 @@ class TestRowSplitProducts:
         assert threading.active_count() == start
         assert not any(h.is_alive() for h in helpers)
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_helper_is_joined_when_a_vector_pass_raises(
+        self, raw_coupled_eps01, helpers, monkeypatch, failing
+    ):
+        # the gap solve's normalization pass loads each part of the new
+        # basis vector; one that raises on either part, the helper's
+        # included, ends the solve with that error, and the helper with it
+        op = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
+        load = transfer._SplitBlock.load
+        calls = itertools.count()
+
+        def fails_later(block, s, x):
+            if s == failing and next(calls) == 40:
+                raise FloatingPointError("load failed")
+            load(block, s, x)
+
+        monkeypatch.setattr(transfer._SplitBlock, "load", fails_later)
+        start = threading.active_count()
+        with pytest.raises(FloatingPointError, match="load failed"):
+            cl.spectral_gap(op)
+        assert threading.active_count() == start
+        assert len(helpers) == 2 and not any(h.is_alive() for h in helpers)
+
     def test_solves_under_fast_thread_switches(self, perturbed, metric, monkeypatch, cpus):
         # 300 gap solves, with the interpreter switching threads every
         # microsecond, keep the bits of the solve on one thread: k=1, N=8
-        # (512 cells) solved by Arnoldi below the dense limit
+        # (512 cells) solved by Arnoldi below the dense limit, whose
+        # products, dot products, updates, loads and rotations run on the
+        # two row halves
         from cml_lab import spectral
 
         monkeypatch.setattr(spectral, "_DENSE_LIMIT", 64)
@@ -1422,15 +1507,16 @@ class TestRowSplitProducts:
         )
         cpus(1)
         ref = cl.spectral_gap(op)
-        assert ref.solver == "arnoldi"
+        assert (ref.solver, ref.parts, ref.threads) == ("arnoldi", 2, 1)
         cpus(2)
         start = threading.active_count()
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert all(cl.spectral_gap(op) == ref for _ in range(300))
+            solves = [cl.spectral_gap(op) for _ in range(300)]
         finally:
             sys.setswitchinterval(previous)
+        assert all(rep == ref and rep.threads == 2 for rep in solves)
         assert threading.active_count() == start
 
 
