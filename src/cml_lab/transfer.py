@@ -191,7 +191,13 @@ class Grid:
 
     def bin_of(self, values: np.ndarray) -> np.ndarray:
         """Bin index of each coordinate, elementwise."""
-        bins = np.floor(np.asarray(values) * self.n_bins).astype(np.int64)
+        values = np.asarray(values)
+        # the cast truncates: the floor of a non-negative product, and the
+        # clip puts a negative one in bin 0 either way
+        bins = np.multiply(
+            values, self.n_bins, out=np.empty(values.shape, dtype=np.int64),
+            casting="unsafe",
+        )
         np.clip(bins, 0, self.n_bins - 1, out=bins)
         return bins
 
@@ -303,10 +309,13 @@ def ulam_matrix(
 
     Both assemblies run the node map once per quadrature axis.  'P' is the
     Kronecker product of one 1-d factor per node; 'coupled' reads the node
-    map and the potential's node terms at the quadrature points from
-    per-axis tables, in slabs of whole cells, and sums each entry's
-    weights in the order of its points, cell by cell in C order, so its
-    matrix does not depend on the slab size.
+    map, its log-derivative and the potential's node terms from per-axis
+    tables on each node's own axis, in slabs of whole cells, and forms a
+    node's image coordinate on the at most three axes it reads, so only
+    the interior nodes' images, the last sums, exp and the grouping of
+    points by entry run over every point.  It sums each entry's weights in
+    the order of its points, cell by cell in C order, so its matrix does
+    not depend on the slab size.
     """
     grid = Grid(k=k, n_bins=n_bins)
     if grid.n_cells > cell_budget:
@@ -361,26 +370,31 @@ def _slab_cells(grid: Grid, quad: int, max_points: int) -> int:
 
 def _cell_slabs(
     grid: Grid, quad: int, max_points: int, slabs: range | None = None
-) -> Iterator[np.ndarray]:
+) -> Iterator[list[np.ndarray]]:
     """Midpoint-refined quadrature, quad**d points per cell, in slabs of
     whole cells.
 
     A slab is a run of consecutive cells, at most max_points // quad**d of
-    them and at least one, with all quad**d points of each, cell by cell
-    and in C order within a cell.  Yields, per slab of n cells, the index
-    on the quadrature axis of each coordinate of its points,
-    bin * quad + offset, shape (d, n * quad**d): every slab, or those
-    numbered in ``slabs``.
+    them and at least one, with all quad**d points of each.  Yields, per
+    slab of n cells, the index on the quadrature axis of each coordinate
+    of its points, bin * quad + offset, as one array per axis: axis a's
+    has shape (1, ..., quad, ..., 1, n), quad on dimension a, so the d
+    arrays broadcast to the slab's points, shape (quad, ..., quad, n):
+    a cell's points in C order down a column, the cells in order along
+    the last dimension, which a broadcast operation runs its inner loop
+    over.  Every slab, or those numbered in ``slabs``.
     """
-    d, per_cell = grid.d, quad ** grid.d
-    offsets = np.stack(np.unravel_index(np.arange(per_cell), (quad,) * d))
+    d = grid.d
+    offsets = [
+        np.arange(quad).reshape((1,) * a + (quad,) + (1,) * (d - a)) for a in range(d)
+    ]
     step = _slab_cells(grid, quad, max_points)
     if slabs is None:
         slabs = range(-(-grid.n_cells // step))
     for lo in range(slabs.start * step, min(slabs.stop * step, grid.n_cells), step):
         cells = np.arange(lo, min(lo + step, grid.n_cells))
-        bins = np.stack(np.unravel_index(cells, (grid.n_bins,) * d))
-        yield (bins[:, :, None] * quad + offsets[:, None, :]).reshape(d, -1)
+        bins = np.unravel_index(cells, (grid.n_bins,) * d)
+        yield [b * quad + o for b, o in zip(bins, offsets)]
 
 
 def _assemble_p_matrix(
@@ -480,16 +494,23 @@ def _assemble_coupled_matrix(
     so it moves no bits of the normalized matrix.
 
     The node map, its log-derivative and the potential's node terms run
-    once, on the quadrature axis, and are read from those tables, summed
-    from node -k to node k as :meth:`Potential.on_array` sums them; the
-    coupling step and the image cells are evaluated per point.  A slab of
-    whole cells owns its columns: each entry is the sum of its points'
-    weights in point order (the cell's points in C order), and the slab
-    is kept as a CSC column block, so memory holds the matrix and one
-    slab, not the quadrature cloud.  The slabs are split into the
-    contiguous runs of :func:`assembly_shares`, each other than the first
-    computed by a forked worker; the blocks are joined in slab order, so
-    the matrix has the same bytes for any number of shares.
+    once, on the quadrature axis.  A slab's points are the broadcast of
+    one index array per axis (:func:`_cell_slabs`), and every per-point
+    quantity is formed on the axes it reads: the tables are read at their
+    own axis's indices, and the sums of node terms and of log-derivatives
+    run from node -k to node k, as :meth:`Potential.on_array` sums, so
+    only their last sum is over every point.  Node j's image coordinate
+    (:meth:`Coupling.node_image`) and its bin (:meth:`Grid.bin_of`) are
+    formed on the axes j-1, j and j+1, and the bins times their cell
+    strides add up to each point's image cell, bit for bit the cells of
+    the coupled step applied to whole points.  A slab of whole cells owns
+    its columns: each entry is the sum of its points' weights in point
+    order (the cell's points in C order), and the slab is kept as a CSC
+    column block, so memory holds the matrix and one slab, not the
+    quadrature cloud.  The slabs are split into the contiguous runs of
+    :func:`assembly_shares`, each other than the first computed by a
+    forked worker; the blocks are joined in slab order, so the matrix has
+    the same bytes for any number of shares.
     """
     if node_map.forward_deriv is None:
         raise ValueError(
@@ -510,28 +531,58 @@ def _assemble_coupled_matrix(
     log_deriv = np.log(node_map.forward_deriv(axis))
     terms = [potential.node_term(j, axis, grid.k) for j in range(-grid.k, grid.k + 1)]
     scale = (node_map.b * quad) ** grid.d
+    # a point's sort key, image cell * quad**d + point, is its point number
+    # plus each node's bin times that node's cell stride times quad**d
+    key_strides = [grid.n_bins ** (grid.d - 1 - j) * per_cell for j in range(grid.d)]
+    point = np.arange(per_cell).reshape((quad,) * grid.d + (1,))
 
     def column_block(idx):
         """Row counts, data and row indices of a slab's columns, from its
-        points' axis indices; its temporaries go when it returns."""
-        images = coupling.apply_to_array(forward[idx].T, grid.k, node_map.p_tau).T
-        np.clip(images, 0.0, _ONE_MINUS, out=images)
-        log_det = reduce(np.add, log_deriv[idx])
+        per-axis indices."""
+        n = idx[0].shape[-1]
+        shape = point.shape[:-1] + (n,)
+        # the slab's full-size arrays are rows of one block, which the C
+        # allocator hands back to the next slab, where separate arrays'
+        # pages go back to the system and fault in anew (a cold one-share
+        # fine assembly: 8.6k minor faults, 45k-95k with separate arrays)
+        work = np.empty((5, n * per_cell))
+        weight, log_det = (w.reshape(shape) for w in work[:2])
+        key = work[2].view(np.int64).reshape(shape)
+        order, rows = (w.view(np.int64).reshape(n, per_cell) for w in work[3:])
+        # sums from node -k to node k, each node's operand read on its own
+        # axis: only the last sum of each runs over every point
+        _sum_into(weight, [t[i] for t, i in zip(terms, idx)])
+        _sum_into(log_det, [log_deriv[i] for i in idx])
         log_det += log_det_e
-        weight = np.exp(reduce(np.add, [t[i] for t, i in zip(terms, idx)]) + log_det)
+        weight += log_det
+        np.exp(weight, out=weight)
         weight /= scale
-        # one int64 key per point, image cell * quad**d + point, sorted cell
-        # by cell: each column's rows in CSC order, and each entry's points
-        # in point order, the order bincount sums them in
-        order = grid.cell_of(images).reshape(-1, per_cell) * per_cell
-        order += np.arange(per_cell)
+        # node j's image coordinate reads the axes j-1, j and j+1 only
+        values = [forward[i] for i in idx]
+        key[...] = point
+        for j, stride in enumerate(key_strides):
+            bins = grid.bin_of(coupling.node_image(values, j, node_map.p_tau))
+            bins *= stride
+            key += bins
+        # one row of keys per cell, sorted: each column's rows in CSC
+        # order, and each entry's points in point order, the order
+        # bincount sums them in
+        order[...] = key.reshape(per_cell, n).T
         order.sort(axis=1)
-        rows, points = np.divmod(order, per_cell)
+        np.floor_divide(order, per_cell, out=rows)
+        # point p of cell c is weight's entry p * n + c
+        order -= rows * per_cell
+        order *= n
+        order += np.arange(n)[:, None]
         new = np.ones(rows.shape, dtype=bool)
         np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
-        points += np.arange(0, weight.size, per_cell)[:, None]
-        data = np.bincount(np.cumsum(new) - 1, weights=weight[points.ravel()])
-        return np.count_nonzero(new, axis=1), data, rows[new].astype(np.int32)
+        # each point's entry, counted from 0 in slab order: a cell's
+        # entries end at its last point's
+        entry = np.cumsum(new).reshape(n, per_cell)
+        entry -= 1
+        data = np.bincount(entry.ravel(), weights=weight.ravel()[order.ravel()])
+        counts = np.diff(entry[:, -1], prepend=-1)
+        return counts, data, rows[new].astype(np.int32)
 
     def share_blocks(slabs):
         """The column blocks of a run of slabs, as one flat list of
@@ -554,9 +605,19 @@ def _assemble_coupled_matrix(
     _check_nnz(sum(block.size for block in data))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
+    del counts
     data, indices = np.concatenate(data), np.concatenate(indices)
     # rows come out sorted and free of duplicates, so nothing is summed
     return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+
+
+def _sum_into(out: np.ndarray, operands: list[np.ndarray]) -> None:
+    """out[...] = reduce(np.add, operands): the operands broadcast and
+    added left to right, only the last sum written over out's shape."""
+    if len(operands) == 1:
+        out[...] = operands[0]
+    else:
+        np.add(reduce(np.add, operands[:-1]), operands[-1], out=out)
 
 
 def _check_nnz(nnz: int) -> None:

@@ -85,6 +85,23 @@ class TestGrid:
                 potential=cl.zero_potential(), cell_budget=100_000,
             )
 
+    @pytest.mark.parametrize("n_bins", [1, 3, 48])
+    def test_bin_of_is_the_clipped_floor(self, n_bins):
+        # every bin edge and its neighbours, and values off [0, 1): below 0
+        # and from 1 up, the clip takes the end bins
+        grid = cl.Grid(k=1, n_bins=n_bins)
+        edges = np.arange(n_bins + 1) / n_bins
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-2.0, -1.0, -0.5 / n_bins, -0.0, 1.5, 7.0],
+            np.random.default_rng(0).uniform(-0.5, 1.5, 1000),
+        ])
+        ref = np.clip(np.floor(values * n_bins), 0, n_bins - 1).astype(np.int64)
+        got = grid.bin_of(values)
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+        block = values[:1000].reshape(10, 100, 1)
+        assert np.array_equal(grid.bin_of(block), ref[:1000].reshape(block.shape))
+
     def test_cell_of_roundtrip(self):
         grid = cl.Grid(k=1, n_bins=8)
         reps = grid.reps()
@@ -97,6 +114,18 @@ class TestGrid:
         assert np.array_equal(reps, cl.Grid(k=1, n_bins=8).reps())
         with pytest.raises(ValueError):
             reps[0, 0] = 0.0
+
+    def test_grid_is_frozen(self):
+        # the bins and midpoints are cached on first use: a grid whose
+        # n_bins could be assigned would serve the old ones
+        grid = cl.Grid(k=1, n_bins=8)
+        reps = grid.reps().copy()
+        for name, value in (("n_bins", 4), ("k", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(grid, name, value)
+        assert (grid.k, grid.n_bins) == (1, 8)
+        assert np.array_equal(grid.reps(), reps)
+        assert np.array_equal(grid.reps(), cl.Grid(k=1, n_bins=8).reps())
 
 
 class TestPMatrix:
@@ -877,6 +906,14 @@ def _scipy_coupled(grid, node_map, potential, coupling, quad):
     ).tocsr()
 
 
+def _slab_points(idx):
+    """A slab's per-axis quadrature indices broadcast to its points, as one
+    (d, n * quad**d) array: cell by cell, and C order within a cell."""
+    d, n = len(idx), idx[0].shape[-1]
+    full = np.stack(np.broadcast_arrays(*idx)).reshape(d, -1, n)
+    return full.transpose(0, 2, 1).reshape(d, -1)
+
+
 def _assert_same_bytes(got, ref, names=("indptr", "indices", "data")):
     for name in names:
         a, b = getattr(got, name), getattr(ref, name)
@@ -916,15 +953,23 @@ class TestSlabAssembly:
     )
     def test_slabs_enumerate_all_points_in_order(self, k, n_bins, budget):
         # the slabs are runs of whole cells, every cell once and in order;
-        # the axis table read at their indices gives every quadrature point
-        # of each cell, cell by cell and in C order within a cell
+        # axis a's indices vary on dimension a and the cells on the last,
+        # and the axis table read at their broadcast gives every quadrature
+        # point of each cell, cell by cell and in C order within a cell
         grid = cl.Grid(k=k, n_bins=n_bins)
         per_cell = 4 ** grid.d
         max_points = self._budget(grid, 4, budget)
         axis = transfer._quad_axis(grid, 4)
         slabs = list(transfer._cell_slabs(grid, 4, max_points))
-        sizes = [idx.shape[1] // per_cell for idx in slabs]
-        assert all(idx.shape == (grid.d, n * per_cell) for idx, n in zip(slabs, sizes))
+        sizes = [idx[0].shape[-1] for idx in slabs]
+        assert all(
+            len(idx) == grid.d
+            and all(
+                i.shape == (1,) * a + (4,) + (1,) * (grid.d - 1 - a) + (n,)
+                for a, i in enumerate(idx)
+            )
+            for idx, n in zip(slabs, sizes)
+        )
         # full slabs of at most the budget (one cell if a cell is over
         # it), a short one last
         step = max(1, max_points // per_cell)
@@ -932,7 +977,7 @@ class TestSlabAssembly:
         assert max(sizes) * per_cell <= max(max_points, per_cell)
         pts, parent = _all_quad_points(grid, 4)
         order = np.argsort(parent, kind="stable")
-        got = np.concatenate([axis[idx] for idx in slabs], axis=1)
+        got = np.concatenate([axis[_slab_points(idx)] for idx in slabs], axis=1)
         assert np.array_equal(got, pts[:, order])
 
     def test_slabs_hold_the_budget_at_five_nodes(self):
@@ -940,7 +985,7 @@ class TestSlabAssembly:
         # whole cells, the budget exactly
         grid = cl.Grid(k=2, n_bins=8)
         slabs = transfer._cell_slabs(grid, 4, transfer._SLAB_POINTS)
-        assert {idx.shape[1] for idx in slabs} == {transfer._SLAB_POINTS}
+        assert {idx[0].shape[-1] * 4 ** 5 for idx in slabs} == {transfer._SLAB_POINTS}
 
     # The reference sums exp(f) over each point's b**d branch preimages.
     # At k=0 'P' is its one factor, built from the reference's triplets in
@@ -1015,6 +1060,37 @@ class TestSlabAssembly:
                 raw, _scipy_coupled(grid, perturbed, pot, coupling, 4), 1e-15
             )
 
+    # Where the per-axis kernel differs in structure: at d = 5 three
+    # interior nodes read three of the five axes and no node reads all;
+    # quad 1 and 3 put one point and an odd number of points in each bin;
+    # at eps = 0 a node's image is its own coordinate.  The budgets are one
+    # cell a slab, 7 cells (which divide none of the cell counts) and one
+    # slab.  decaying_sine has a different term on every node, so the
+    # order of the node-term sum shows in the bits; srb's cancels against
+    # log|det DT| to within the rounding of the sum.
+    @pytest.mark.parametrize("cells", [1, 7, None])
+    @pytest.mark.parametrize(
+        "k,n_bins,quad,eps",
+        [(2, 2, 4, 0.05), (2, 3, 4, 0.05), (1, 6, 1, 0.05), (1, 6, 3, 0.05),
+         (1, 6, 4, 0.0)],
+    )
+    def test_coupled_matrix_matches_monolithic_on_every_shape(
+        self, k, n_bins, quad, eps, cells, perturbed, metric, monkeypatch
+    ):
+        grid = cl.Grid(k=k, n_bins=n_bins)
+        per_cell = quad ** grid.d
+        monkeypatch.setattr(transfer, "_SLAB_POINTS", (cells or grid.n_cells) * per_cell)
+        coupling = cl.Coupling(epsilon=eps)
+        for pot in (
+            cl.srb_potential(perturbed, max_k=k, metric=metric),
+            cl.node_sine_potential(0.1, 1, metric),
+            cl.decaying_sine_potential(0.1, 4.0, metric),
+        ):
+            raw = transfer._assemble_coupled_matrix(grid, perturbed, pot, coupling, quad)
+            _assert_same_bytes(
+                raw, _monolithic_coupled(grid, perturbed, pot, coupling, quad)
+            )
+
     # k=0, N=64: 64 cells of 4 points, 256 sort keys up to 255, and 159
     # non-zeros; a limit one below either raises before it wraps
     @pytest.mark.parametrize(
@@ -1045,10 +1121,11 @@ class TestSlabAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a slab's temporaries at d=3: the axis indices, forward values and
-        # images (3 * 8d bytes a point) and about ten 8-byte vectors, so
-        # 160 bytes a point; measured peak 9.6 MB, bound 18.0 MB, and
-        # 30.2 MB for the triplet assembly
+        # a slab's temporaries at d=3: the five 8-byte rows of its work
+        # block and, at most, a node's image and bins or the grouping's
+        # gathered weights, entries and row products, so under 160 bytes
+        # a point; measured peak 6.5 MB, bound 18.0 MB, and 30.2 MB for
+        # the triplet assembly
         matrix_bytes = raw.data.nbytes + raw.indices.nbytes + raw.indptr.nbytes
         assert peak <= 3 * matrix_bytes + 160 * transfer._SLAB_POINTS
 
@@ -1103,23 +1180,26 @@ class TestAssemblyShares:
         shares = transfer.assembly_shares(self.GRID, 4)
         assert [s.start for s in shares[1:]] == [s.stop for s in shares[:-1]]
         assert shares[0].start == 0 and shares[-1].stop == 31
-        whole = np.concatenate(list(transfer._cell_slabs(self.GRID, 4, 448)), axis=1)
+        whole = np.concatenate(
+            [_slab_points(idx) for idx in transfer._cell_slabs(self.GRID, 4, 448)], axis=1
+        )
         parts = [
-            idx for share in shares for idx in transfer._cell_slabs(self.GRID, 4, 448, share)
+            _slab_points(idx)
+            for share in shares for idx in transfer._cell_slabs(self.GRID, 4, 448, share)
         ]
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
         assert whole.shape == (3, 216 * 64)
 
     def test_worker_error_surfaces_and_is_reaped(self, assemble, cpus, monkeypatch):
         parent = os.getpid()
-        apply = cl.Coupling.apply_to_array
+        image = cl.Coupling.node_image
 
         def in_worker(self, *args):
             if os.getpid() != parent:
                 raise ZeroDivisionError(f"in worker {os.getpid()}")
-            return apply(self, *args)
+            return image(self, *args)
 
-        monkeypatch.setattr(cl.Coupling, "apply_to_array", in_worker)
+        monkeypatch.setattr(cl.Coupling, "node_image", in_worker)
         cpus(3)
         with pytest.raises(ZeroDivisionError, match="in worker"):
             assemble()
@@ -1127,14 +1207,14 @@ class TestAssemblyShares:
 
     def test_worker_exit_without_result_raises(self, assemble, cpus, monkeypatch):
         parent = os.getpid()
-        apply = cl.Coupling.apply_to_array
+        image = cl.Coupling.node_image
 
         def in_worker(self, *args):
             if os.getpid() != parent:
                 os._exit(3)
-            return apply(self, *args)
+            return image(self, *args)
 
-        monkeypatch.setattr(cl.Coupling, "apply_to_array", in_worker)
+        monkeypatch.setattr(cl.Coupling, "node_image", in_worker)
         cpus(2)
         with pytest.raises(RuntimeError, match="slabs 15-30 exited without a result"):
             assemble()
