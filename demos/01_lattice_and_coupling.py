@@ -13,30 +13,30 @@ def main() -> None:
     m = cl.MetricParams()  # theta = 0.5, beta = 1
     x = cl.state([0.2, 0.5, 0.9])
     y = cl.state([0.2, 0.5, 0.5])
+    weights = m.theta ** np.abs(np.arange(-x.k, x.k + 1))
+    dist = np.max(weights * np.abs(x.values - y.values))
     print("window half-width k =", x.k, "-> nodes", list(x.values))
-    print(f"weighted metric d(x, y) = {cl.metric_d(x, y, m):.3f}  "
+    print(f"weighted metric d(x, y) = {dist:.3f}  "
           "(node +1 differs by 0.4, weight theta^1 = 0.5)")
 
     nm = cl.perturbed_doubling_map(0.05)
     print("\nnodewise map:", nm.name, "with", nm.b, "branches, eta =", nm.eta)
-    print("bar-tau(x) =", np.round(cl.apply_bar_tau(x, nm).values, 4))
+    print("bar-tau(x) =", np.round(nm.forward(x.values), 4))
 
     e = cl.Coupling(epsilon=0.1)
-    cx = cl.apply_coupling(x, e, nm)
+    cx = e.apply_to_array(x.values, x.k, nm.p_tau)
     print("\ndiffusive coupling eps = 0.1 mixes each node with its neighbors:")
-    print("E(x) =", np.round(cx.values, 4))
-    back = cl.invert_coupling(cx, e, nm)
-    print("E^-1(E(x)) recovers x exactly:", np.allclose(back.values, x.values))
+    print("E(x) =", np.round(cx, 4))
+    back = e.inverse_matrix(x.k) @ (cx - e.boundary_offset(x.k, nm.p_tau))
+    print("E^-1(E(x)) recovers x exactly:", np.allclose(back, x.values))
 
     print("\nfull coupled step T = E after bar-tau:")
-    print("T(x) =", np.round(cl.apply_T(x, nm, e).values, 4))
+    print("T(x) =", np.round(e.apply_to_array(nm.forward(x.values), x.k, nm.p_tau), 4))
 
-    print("\ninverse branches of the nodewise map (first 4 of "
-          f"{nm.b ** x.width}):")
-    for i, pre in enumerate(cl.enumerate_inverse_branches(x, nm)):
-        print("  preimage", i, "=", np.round(pre.values, 4))
-        if i == 3:
-            break
+    pres = cl.lattice.branch_preimage_table(x.values[:, None], nm)[:, :, 0]
+    print(f"\ninverse branches of the nodewise map (first 4 of {len(pres)}):")
+    for i, pre in enumerate(pres[:4]):
+        print("  preimage", i, "=", np.round(pre, 4))
 
     est = cl.estimate_coupling_constant(e, nm, m)
     print(f"\ninteraction constant C_E = {est.value:.3f}; "

@@ -24,15 +24,9 @@ from .lattice import (
     MetricParams,
     NodeMap,
     Potential,
-    apply_T,
-    apply_bar_tau,
-    apply_coupling,
     doubling_map,
     embed,
-    enumerate_inverse_branches,
     estimate_coupling_constant,
-    invert_coupling,
-    metric_d,
     perturbed_doubling_map,
     project,
     state,

@@ -282,6 +282,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append(f"k={cfg.k} must be nonnegative")
     if cfg.n_bins < 2:
         v.append(f"n_bins={cfg.n_bins} must be at least 2")
+    cells = cfg.n_bins ** (2 * cfg.k + 1) if cfg.k >= 0 and cfg.n_bins >= 2 else 0
+    if cells > cfg.cell_budget:
+        v.append(
+            f"grid needs {cells} cells, over the budget of {cfg.cell_budget}; "
+            f"raise cell_budget to at least {cells} to proceed"
+        )
     if cfg.quad < 1:
         v.append(f"quad={cfg.quad} must be at least 1")
     unknown = [e for e in cfg.experiments if e not in EXPERIMENTS]
@@ -495,7 +501,6 @@ def _step_spectral(cfg, state, report):
         report.counts["spectral"] = {"gap_parts": spec.parts, "gap_threads": spec.threads}
     eigs = np.asarray(spec.eigenvalues)
     report.arrays["spectrum"] = np.column_stack([eigs.real, eigs.imag])
-    state["sigma_hat"] = sigma_hat
 
 
 def _step_correlation(cfg, state, report):

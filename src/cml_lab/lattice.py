@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,14 +28,8 @@ __all__ = [
     "doubling_map",
     "perturbed_doubling_map",
     "state",
-    "metric_d",
     "embed",
     "project",
-    "apply_bar_tau",
-    "apply_coupling",
-    "invert_coupling",
-    "apply_T",
-    "enumerate_inverse_branches",
     "estimate_coupling_constant",
 ]
 
@@ -197,12 +191,6 @@ class FiniteState:
     def width(self) -> int:
         return 2 * self.k + 1
 
-    def node(self, index: int) -> float:
-        """Value at lattice node ``index`` (0 is the center)."""
-        if abs(index) > self.k:
-            raise IndexError(f"node {index} outside window of half-width {self.k}")
-        return float(self.values[index + self.k])
-
 
 def state(values: Sequence[float]) -> FiniteState:
     """Build a FiniteState from an odd-length sequence of node values."""
@@ -210,28 +198,6 @@ def state(values: Sequence[float]) -> FiniteState:
     if vals.ndim != 1 or vals.size % 2 == 0:
         raise ValueError("state needs an odd-length 1-d sequence of node values")
     return FiniteState(k=(vals.size - 1) // 2, values=vals)
-
-
-def _node_indices(k: int) -> np.ndarray:
-    return np.arange(-k, k + 1)
-
-
-def metric_d(
-    x: FiniteState,
-    y: FiniteState,
-    m: MetricParams,
-    node_map: NodeMap | None = None,
-) -> float:
-    """Weighted sup-metric; states of unequal width are compared after
-    embedding the narrower one (tails agree at p_tau and contribute 0)."""
-    if x.k != y.k:
-        if node_map is None:
-            raise ValueError("states of unequal width need a node_map for embedding")
-        big = max(x.k, y.k)
-        x = embed(x, big, node_map)
-        y = embed(y, big, node_map)
-    weights = m.theta ** np.abs(_node_indices(x.k))
-    return float(np.max(weights * m.node_distance(x.values, y.values)))
 
 
 def embed(x: FiniteState, k2: int, node_map: NodeMap) -> FiniteState:
@@ -254,11 +220,6 @@ def project(x: FiniteState, k1: int, node_map: NodeMap | None = None) -> FiniteS
         return x
     drop = x.k - k1
     return FiniteState(k=k1, values=x.values[drop : drop + 2 * k1 + 1])
-
-
-def apply_bar_tau(x: FiniteState, node_map: NodeMap) -> FiniteState:
-    """Apply the node map at every lattice site."""
-    return FiniteState(k=x.k, values=node_map.forward(x.values))
 
 
 @dataclass(frozen=True)
@@ -346,53 +307,12 @@ class Coupling:
         return rhs @ self.inverse_matrix(k).T
 
 
-def apply_coupling(x: FiniteState, coupling: Coupling, node_map: NodeMap) -> FiniteState:
-    out = coupling.apply_to_array(x.values, x.k, node_map.p_tau)
-    if np.any(out < 0.0) or np.any(out >= 1.0):
-        raise ValueError("coupling output escapes [0,1)")
-    return FiniteState(k=x.k, values=out)
-
-
-def invert_coupling(y: FiniteState, coupling: Coupling, node_map: NodeMap) -> FiniteState:
-    """Invert the coupling by a direct linear solve; rejects inputs outside
-    the range of E (solution leaves [0,1))."""
-    sol = coupling.invert_on_array(y.values, y.k, node_map.p_tau)
-    if np.any(sol < 0.0) or np.any(sol >= 1.0):
-        raise ValueError("input is not in the range of the coupling on this window")
-    residual = coupling.apply_to_array(sol, y.k, node_map.p_tau) - y.values
-    if np.max(np.abs(residual)) > 1e-12:
-        raise ValueError("coupling solve did not converge to tolerance 1e-12")
-    return FiniteState(k=y.k, values=sol)
-
-
-def apply_T(x: FiniteState, node_map: NodeMap, coupling: Coupling) -> FiniteState:
-    """One step of the coupled dynamics: interaction after the nodewise map."""
-    return apply_coupling(apply_bar_tau(x, node_map), coupling, node_map)
-
-
-def enumerate_inverse_branches(
-    x: FiniteState, node_map: NodeMap
-) -> Iterator[FiniteState]:
-    """Lazily yield the b**(2k+1) preimages of x under the nodewise map.
-
-    Order is lexicographic in (node index from -k to k, branch index); the
-    leftmost node's branch index varies slowest.  Required for reproducible
-    truncated sums.
-    """
-    per_node = [
-        np.array([float(br(np.array(v))) for br in node_map.inverse_branches])
-        for v in x.values
-    ]
-    for choice in itertools.product(range(node_map.b), repeat=x.width):
-        vals = np.array([per_node[i][j] for i, j in enumerate(choice)])
-        yield FiniteState(k=x.k, values=vals)
-
-
 def branch_preimage_table(values: np.ndarray, node_map: NodeMap) -> np.ndarray:
-    """All nodewise branch preimages of point arrays.
+    """All b**d nodewise branch preimages of point arrays.
 
     ``values`` has shape (d, n); the result has shape (b**d, d, n), rows
-    ordered like :func:`enumerate_inverse_branches`.
+    in lexicographic order of the branch choice: node -k's branch index
+    varies slowest.
     """
     values = np.asarray(values, dtype=float)
     d, _ = values.shape
@@ -430,7 +350,7 @@ def estimate_coupling_constant(
     largest absolute row sum, attained by x - y = D_s^-1 sign(that row).
     """
     e_inv = coupling.inverse_matrix(k)
-    nodes = _node_indices(k)
+    nodes = np.arange(-k, k + 1)
     # weights[s, j] = theta^|j - s| re-centres the metric on node s
     weights = m.theta ** np.abs(nodes[None, :] - nodes[:, None])
     scaled = weights[:, :, None] * e_inv[None, :, :] / weights[:, None, :]
@@ -457,9 +377,6 @@ class Potential:
     node_term: Callable[[int, np.ndarray, int], np.ndarray]
     declared_sup_norm: float
     declared_beta_norm: float
-
-    def __call__(self, x: FiniteState) -> float:
-        return float(self.on_array(x.values[:, None], x.k)[0])
 
     def on_array(self, values: np.ndarray, k: int) -> np.ndarray:
         """Evaluate on (d, n) arrays of window values, d = 2k+1, rows

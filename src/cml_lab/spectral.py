@@ -57,6 +57,9 @@ _EPS23 = np.finfo(float).eps ** (2.0 / 3.0)
 _GK_TAIL_TOL = 1e-6
 _GK_MAX_LAG = 500
 
+# Finite-difference step of the twisted-eigenvalue curvature.
+_CURVATURE_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -483,20 +486,17 @@ def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
     )
 
 
-def variance_from_twisted_curvature(
-    op: UlamOperator,
-    observable: Potential,
-    step: float = 1e-3,
-) -> float:
+def variance_from_twisted_curvature(op: UlamOperator, observable: Potential) -> float:
     """Variance as minus the curvature of log lambda(t) at t=0, by central
-    differences with one Richardson refinement.  lambda(-h) is the
-    conjugate of lambda(h) (see :func:`check_twisted_bound`), so the
-    central sum log lambda(h) + log lambda(-h) is 2 Re log lambda(h)."""
+    differences at _CURVATURE_STEP and twice it, with one Richardson
+    refinement.  lambda(-h) is the conjugate of lambda(h) (see
+    :func:`check_twisted_bound`), so the central sum
+    log lambda(h) + log lambda(-h) is 2 Re log lambda(h)."""
 
     def curvature(h: float) -> float:
         lam = power_iterate(twisted_matrix(op, observable, h)).lam
         return -2.0 * np.log(lam).real / h ** 2
 
-    d1 = curvature(step)
-    d2 = curvature(2.0 * step)
+    d1 = curvature(_CURVATURE_STEP)
+    d2 = curvature(2.0 * _CURVATURE_STEP)
     return float((4.0 * d1 - d2) / 3.0)

@@ -1,7 +1,8 @@
 """Pointwise and discretized transfer operators on lattice windows.
 
 The pointwise operator averages an observable over the b**(2k+1) inverse
-branches of the nodewise map, weighted by the exponential of a potential.
+branches of the nodewise map, weighted by the exponential of a potential;
+both are sums of node terms, so the average is built from per-node factors.
 The discretized version is an Ulam-type sparse matrix over a tensor grid
 of half-open cells, assembled by midpoint-refined quadrature of the
 branch sum, from which the leading eigen-triple (growth rate,
@@ -28,7 +29,6 @@ from .lattice import (
     MetricParams,
     NodeMap,
     Potential,
-    branch_preimage_table,
     embed,
     project,
 )
@@ -84,16 +84,6 @@ _INDEX_MAX = np.iinfo(np.int32).max
 # pointwise operators
 
 
-def _branch_values(x: FiniteState, k: int, node_map: NodeMap) -> np.ndarray:
-    """All branch preimages of x at window half-width k, shape (d, b**d)."""
-    if x.k > k:
-        x = project(x, k)
-    elif x.k < k:
-        x = embed(x, k, node_map)
-    table = branch_preimage_table(x.values[:, None], node_map)  # (b**d, d, 1)
-    return table[:, :, 0].T
-
-
 def eval_Pk(
     phi: Potential,
     f: Potential,
@@ -104,16 +94,28 @@ def eval_Pk(
     """Branch-sum average (1/b_k) sum_zeta exp(f(zeta_x)) phi(zeta_x).
 
     The operator at width k only sees the central 2k+1 nodes of x; wider
-    states are projected, narrower ones embedded.  When the potential is
-    large the weights are accumulated in log space.
+    states are projected, narrower ones embedded.  f and phi are sums of
+    node terms and a branch choice is one branch per node, so the average
+    factors node by node: with A_j the branch mean of exp(f_j) and B_j
+    that of exp(f_j) phi_j at node j,
+
+        P_k phi(x) = exp(sum_j log A_j) * sum_j B_j / A_j,
+
+    d*b terms in place of b**d.  Each node's weights are shifted by their
+    largest exponent, which cancels in B_j / A_j, so no weight overflows
+    however large the potential.
     """
-    vals = _branch_values(x, k, node_map)
-    fv = f.on_array(vals, k)
-    pv = phi.on_array(vals, k)
-    if f.declared_sup_norm > 30.0:
-        m = np.max(fv)
-        return float(math.exp(m) * np.mean(np.exp(fv - m) * pv))
-    return float(np.mean(np.exp(fv) * pv))
+    x = project(x, k) if x.k > k else embed(x, k, node_map)
+    pre = np.stack([br(x.values) for br in node_map.inverse_branches], axis=1)
+    log_a = ratio = 0.0
+    for j, values in zip(range(-k, k + 1), pre):
+        exponent = f.node_term(j, values, k)
+        top = float(np.max(exponent))
+        weights = np.exp(exponent - top)
+        a = float(np.mean(weights))
+        log_a += top + math.log(a)
+        ratio += float(np.mean(weights * phi.node_term(j, values, k))) / a
+    return math.exp(log_a) * ratio
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def check_Pk_cauchy(
 ) -> CauchyReport:
     """Measure sup_x |P_{k+1} phi(x) - P_k phi(x)| for k < k_max.
 
-    The cost grows as b**(2k+1); k_max beyond 5 is not desk scale.
+    Each evaluation costs (2k+1)*b node terms, so the cost grows linearly in k.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")

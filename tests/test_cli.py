@@ -311,6 +311,16 @@ class TestMain:
         assert main(["validate", path]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_validate_rejects_grid_over_cell_budget(self, tmp_path, capsys):
+        # 16^3 = 4,096 cells over a budget of 1,000 fails at validate, with
+        # ulam_matrix's numbers, rather than in every experiment of a run
+        path = write_cfg(tmp_path, MINIMAL + "\n[operator]\ncell_budget = 1000\n")
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert "grid needs 4096 cells, over the budget of 1000" in err
+        assert "raise cell_budget to at least 4096" in err
+        assert validate_config(cl.ExperimentConfig(cell_budget=4096)) == []
+
     def test_run_writes_reports(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")
         path = write_cfg(tmp_path, EIGEN_ONLY.format(out=out))

@@ -15,44 +15,48 @@ def vals(n):
     return st.lists(unit, min_size=n, max_size=n)
 
 
+def _cell(grid, bins):
+    """Flat index of the grid cell with the given per-node bins."""
+    return np.ravel_multi_index(tuple(bins), (grid.n_bins,) * grid.d)
+
+
+bins10 = st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=3)
+
+
 class TestMetric:
-    def test_identity(self, metric, doubling):
-        x = cl.state([0.2, 0.5, 0.9])
-        assert cl.metric_d(x, x, metric) == 0.0
+    # the weighted sup-metric on cell midpoints, (bin + 0.5) / 10 per node
+    grid = cl.Grid(k=1, n_bins=10)
+
+    def test_identity(self, metric):
+        cells = np.arange(self.grid.n_cells)
+        assert np.all(self.grid.rep_distance(cells, cells, metric) == 0.0)
 
     def test_single_node_difference(self, metric):
-        x = cl.state([0.2, 0.5, 0.9])
-        y = cl.state([0.2, 0.5, 0.5])
-        assert cl.metric_d(x, y, metric) == pytest.approx(0.5 * 0.4)
+        x = _cell(self.grid, [2, 5, 9])
+        y = _cell(self.grid, [2, 5, 5])
+        assert self.grid.rep_distance(x, y, metric) == pytest.approx(0.5 * 0.4)
 
     def test_two_node_differences(self, metric):
-        x = cl.state([0.5, 0.2, 0.9])
-        y = cl.state([0.2, 0.2, 0.1])
-        assert cl.metric_d(x, y, metric) == pytest.approx(
+        x = _cell(self.grid, [5, 2, 9])
+        y = _cell(self.grid, [2, 2, 1])
+        assert self.grid.rep_distance(x, y, metric) == pytest.approx(
             max(0.5 * 0.3, 0.5 * 0.8)
         )
 
-    def test_unequal_widths_embed_for_free(self, metric, doubling):
-        x = cl.state([0.2, 0.5, 0.9])
-        wide = cl.embed(x, 3, doubling)
-        assert cl.metric_d(x, wide, metric, doubling) == 0.0
-
-    @given(a=vals(3), b=vals(3))
+    @given(a=bins10, b=bins10)
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, a, b):
         m = cl.MetricParams()
-        d1 = cl.metric_d(cl.state(a), cl.state(b), m)
-        d2 = cl.metric_d(cl.state(b), cl.state(a), m)
-        assert d1 == d2
+        x, y = _cell(self.grid, a), _cell(self.grid, b)
+        assert self.grid.rep_distance(x, y, m) == self.grid.rep_distance(y, x, m)
 
-    @given(a=vals(3), b=vals(3), c=vals(3))
+    @given(a=bins10, b=bins10, c=bins10)
     @settings(max_examples=50, deadline=None)
     def test_triangle_inequality(self, a, b, c):
         m = cl.MetricParams()
-        x, y, z = cl.state(a), cl.state(b), cl.state(c)
-        assert cl.metric_d(x, z, m) <= (
-            cl.metric_d(x, y, m) + cl.metric_d(y, z, m) + 1e-12
-        )
+        x, y, z = (_cell(self.grid, v) for v in (a, b, c))
+        dist = self.grid.rep_distance
+        assert dist(x, z, m) <= dist(x, y, m) + dist(y, z, m) + 1e-12
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -90,21 +94,21 @@ class TestEmbedProject:
 
 class TestNodeMaps:
     def test_doubling_values(self, doubling):
-        out = cl.apply_bar_tau(cl.state([0.2, 0.5, 0.9]), doubling)
-        assert np.allclose(out.values, [0.4, 0.0, 0.8])
+        out = doubling.forward(np.array([0.2, 0.5, 0.9]))
+        assert np.allclose(out, [0.4, 0.0, 0.8])
 
     def test_fixed_point_state(self, doubling):
-        zero = cl.state([0.0, 0.0, 0.0])
-        assert np.array_equal(cl.apply_bar_tau(zero, doubling).values, zero.values)
+        zero = np.zeros(3)
+        assert np.array_equal(doubling.forward(zero), zero)
 
     @given(a=vals(5))
     @settings(max_examples=25, deadline=None)
     def test_bar_tau_commutes_with_project(self, a):
         nm = cl.perturbed_doubling_map(0.05)
         x = cl.state(a)
-        lhs = cl.project(cl.apply_bar_tau(x, nm), 1)
-        rhs = cl.apply_bar_tau(cl.project(x, 1), nm)
-        assert np.allclose(lhs.values, rhs.values, atol=1e-12)
+        lhs = nm.forward(x.values)[1:4]
+        rhs = nm.forward(cl.project(x, 1).values)
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
     def test_full_branches(self, map_name, doubling, perturbed):
@@ -148,39 +152,38 @@ class TestNodeMaps:
 
 class TestCoupling:
     def test_identity_at_zero(self, doubling):
-        x = cl.state([0.2, 0.5, 0.9])
+        x = np.array([0.2, 0.5, 0.9])
         e0 = cl.Coupling(epsilon=0.0)
-        assert np.array_equal(cl.apply_coupling(x, e0, doubling).values, x.values)
+        assert np.array_equal(e0.apply_to_array(x, 1, doubling.p_tau), x)
 
     def test_diffusive_example(self, doubling):
-        x = cl.state([0.2, 0.5, 0.9])
+        x = np.array([0.2, 0.5, 0.9])
         e = cl.Coupling(epsilon=0.1)
-        out = cl.apply_coupling(x, e, doubling)
-        assert np.allclose(out.values, [0.205, 0.505, 0.835])
+        out = e.apply_to_array(x, 1, doubling.p_tau)
+        assert np.allclose(out, [0.205, 0.505, 0.835])
 
     def test_constant_state_edges(self, doubling):
         c = 0.4
         e = cl.Coupling(epsilon=0.1)
-        out = cl.apply_coupling(cl.state([c] * 5), e, doubling)
-        assert out.values[2] == pytest.approx(c)
-        assert out.values[0] == pytest.approx((1 - 0.05) * c)
-        assert out.values[-1] == pytest.approx((1 - 0.05) * c)
+        out = e.apply_to_array(np.full(5, c), 2, doubling.p_tau)
+        assert out[2] == pytest.approx(c)
+        assert out[0] == pytest.approx((1 - 0.05) * c)
+        assert out[-1] == pytest.approx((1 - 0.05) * c)
 
     def test_inverse_example(self, doubling):
         e = cl.Coupling(epsilon=0.1)
-        y = cl.state([0.205, 0.505, 0.835])
-        x = cl.invert_coupling(y, e, doubling)
-        assert np.allclose(x.values, [0.2, 0.5, 0.9], atol=1e-12)
+        rhs = np.array([0.205, 0.505, 0.835]) - e.boundary_offset(1, doubling.p_tau)
+        x = e.inverse_matrix(1) @ rhs
+        assert np.max(np.abs(x - np.linalg.solve(e.dense_matrix(1), rhs))) <= 1e-15
+        assert np.allclose(x, [0.2, 0.5, 0.9], atol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
     def test_invert_roundtrip(self, eps, doubling):
-        rng = np.random.default_rng(3)
         e = cl.Coupling(epsilon=eps)
-        for _ in range(200):
-            x = cl.state(rng.uniform(0.0, 1.0, 5) * 0.999)
-            y = cl.apply_coupling(x, e, doubling)
-            back = cl.invert_coupling(y, e, doubling)
-            assert np.allclose(back.values, x.values, atol=1e-12)
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 5)) * 0.999
+        y = e.apply_to_array(x, 2, doubling.p_tau)
+        back = e.invert_on_array(y, 2, doubling.p_tau)
+        assert np.allclose(back, x, atol=1e-12)
 
     def test_invert_identity_returns_input(self):
         # at eps = 0 the solve against the identity is skipped; it would
@@ -255,62 +258,62 @@ class TestCoupling:
         with pytest.raises(ValueError):
             cl.Coupling(epsilon=0.5)
 
-    def test_rejects_out_of_range_input(self, doubling):
+    def test_corner_state_is_outside_the_range(self, doubling):
+        # a corner state outside the coupling image on the window: its
+        # preimage under E leaves the cube
         e = cl.Coupling(epsilon=0.2)
-        # a corner state outside the coupling image on the window
-        with pytest.raises(ValueError):
-            cl.invert_coupling(cl.state([0.999, 0.0, 0.999]), e, doubling)
+        sol = e.invert_on_array(np.array([0.999, 0.0, 0.999]), 1, doubling.p_tau)
+        assert np.any((sol < 0.0) | (sol >= 1.0))
 
-    def test_apply_T_range(self, perturbed):
-        rng = np.random.default_rng(5)
+    def test_coupled_step_range(self, perturbed):
+        # T = E after the nodewise map keeps the window in [0, 1)
         e = cl.Coupling(epsilon=0.1)
-        for _ in range(1000):
-            x = cl.state(rng.uniform(0.0, 1.0, 3) * 0.999)
-            out = cl.apply_T(x, perturbed, e)
-            assert np.all((0.0 <= out.values) & (out.values < 1.0))
+        x = np.random.default_rng(5).uniform(0.0, 1.0, (1000, 3)) * 0.999
+        out = e.apply_to_array(perturbed.forward(x), 1, perturbed.p_tau)
+        assert np.all((0.0 <= out) & (out < 1.0))
+
+
+def _preimages(values, node_map):
+    """branch_preimage_table of one window, shape (b**d, d)."""
+    return cl.lattice.branch_preimage_table(np.array(values)[:, None], node_map)[:, :, 0]
 
 
 class TestBranches:
     def test_doubling_half(self, doubling):
-        pres = list(cl.enumerate_inverse_branches(cl.state([0.5]), doubling))
-        assert np.allclose([p.values[0] for p in pres], [0.25, 0.75])
+        assert np.allclose(_preimages([0.5], doubling)[:, 0], [0.25, 0.75])
 
     def test_doubling_zero(self, doubling):
-        pres = list(cl.enumerate_inverse_branches(cl.state([0.0]), doubling))
-        assert np.allclose([p.values[0] for p in pres], [0.0, 0.5])
+        assert np.allclose(_preimages([0.0], doubling)[:, 0], [0.0, 0.5])
 
     def test_count_b_to_window(self, doubling):
-        pres = list(
-            cl.enumerate_inverse_branches(cl.state([0.2, 0.5, 0.9]), doubling)
-        )
-        assert len(pres) == 8
+        assert _preimages([0.2, 0.5, 0.9], doubling).shape == (8, 3)
+
+    def test_order_is_lexicographic_in_the_branches(self, doubling):
+        # node -k's branch varies slowest
+        pres = _preimages([0.2, 0.5, 0.9], doubling)
+        choices = (pres >= 0.5).astype(int)
+        assert np.array_equal(choices @ [4, 2, 1], np.arange(8))
 
     @given(a=vals(3))
     @settings(max_examples=25, deadline=None)
-    def test_every_yield_is_a_preimage(self, a):
+    def test_every_row_is_a_preimage(self, a):
         nm = cl.perturbed_doubling_map(0.05)
-        x = cl.state(a)
-        count = 0
-        for pre in cl.enumerate_inverse_branches(x, nm):
-            count += 1
-            assert np.allclose(
-                cl.apply_bar_tau(pre, nm).values, x.values, atol=1e-10
-            )
-        assert count == 8
+        pres = _preimages(a, nm)
+        assert pres.shape == (8, 3)
+        assert np.allclose(nm.forward(pres), np.array(a)[None, :], atol=1e-10)
 
     def test_branch_contraction_on_lattice(self, doubling, metric):
+        # on every branch choice, preimages are eta times closer in the
+        # weighted sup-metric than the points
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = cl.state(rng.uniform(0.0, 1.0, 3) * 0.999)
-            y = cl.state(rng.uniform(0.0, 1.0, 3) * 0.999)
-            d = cl.metric_d(x, y, metric)
-            for px, py in zip(
-                cl.enumerate_inverse_branches(x, doubling),
-                cl.enumerate_inverse_branches(y, doubling),
-            ):
-                assert (
-                    cl.metric_d(px, py, metric) <= doubling.eta * d + 1e-12
-                )
+        x = rng.uniform(0.0, 1.0, (3, 50)) * 0.999
+        y = rng.uniform(0.0, 1.0, (3, 50)) * 0.999
+        weights = metric.theta ** np.abs(np.arange(-1, 2))[:, None]
+        d = np.max(weights * np.abs(x - y), axis=0)
+        px = cl.lattice.branch_preimage_table(x, doubling)
+        py = cl.lattice.branch_preimage_table(y, doubling)
+        pd = np.max(weights * np.abs(px - py), axis=1)
+        assert np.all(pd <= doubling.eta * d + 1e-12)
 
 
 class TestCouplingConstant:
@@ -488,11 +491,6 @@ class TestPotential:
         for pot, ref in close:
             got, want = pot.on_array(x, k), ref(x, k)
             assert np.max(np.abs(got - want)) <= 1e-15 * pot.declared_sup_norm, pot.name
-
-    def test_state_call_matches_on_array(self, perturbed):
-        pot = cl.srb_potential(perturbed, max_k=1)
-        x = cl.state([0.2, 0.5, 0.9])
-        assert pot(x) == pot.on_array(x.values[:, None], 1)[0]
 
     def test_coordinate_outside_the_window_raises(self):
         with pytest.raises(ValueError, match="outside window"):

@@ -50,6 +50,32 @@ class TestBranchSumOperator:
         val = cl.eval_Pk(ONE, big, cl.state([0.3]), 0, doubling)
         assert math.log(val) == pytest.approx(200.0)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
+    def test_node_factors_match_the_branch_table(self, map_name, k, doubling, perturbed):
+        # the per-node factored sum against the mean over all b**(2k+1)
+        # rows of branch_preimage_table, for multi-node phi against
+        # multi-node f; relative to the mean of exp(f) |phi|, which bounds
+        # the sum's rounding when phi changes sign
+        nm = doubling if map_name == "doubling" else perturbed
+        rng = np.random.default_rng(20 + k)
+        pots = [
+            cl.srb_potential(nm),
+            cl.decaying_sine_potential(0.3, 2.0),
+            cl.random_trig_observable(rng, max_node=3, n_terms=8),
+        ]
+        for f, phi in itertools.product(pots, repeat=2):
+            for _ in range(20):
+                x = cl.state(rng.uniform(0.0, 0.999, 2 * k + 3))
+                table = cl.lattice.branch_preimage_table(
+                    cl.project(x, k).values[:, None], nm
+                )[:, :, 0].T
+                weights = np.exp(f.on_array(table, k))
+                pv = phi.on_array(table, k)
+                scale = np.mean(weights * np.abs(pv))
+                got = cl.eval_Pk(phi, f, x, k, nm)
+                assert abs(got - np.mean(weights * pv)) <= 1e-12 * scale, (f.name, phi.name)
+
 
 class TestCauchySequence:
     def test_central_node_dependence_gives_zero(self, doubling):
