@@ -260,6 +260,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append(f"map kind {cfg.map_kind!r} not in {MAP_KINDS}")
     elif cfg.map_kind == "perturbed_doubling" and not 0.0 <= cfg.a < 1.0 / (2 * math.pi):
         v.append(f"perturbation amplitude a={cfg.a} outside [0, 1/(2 pi))")
+    elif "clt" in cfg.experiments and cfg.epsilon != 0.0 and not cfg.node_map().trajectory_safe:
+        # _step_clt pulls back every map that is not trajectory-safe
+        v.append(
+            f"clt samples the {cfg.map_kind} map by pull-back, which supports "
+            f"the uncoupled system only: epsilon={cfg.epsilon} must be 0"
+        )
     if cfg.coupling_kind != "diffusive":
         v.append(f"coupling kind {cfg.coupling_kind!r} is not 'diffusive'")
     if not 0.0 <= cfg.epsilon < 0.5:
@@ -713,7 +719,11 @@ def emit_report(report: RunReport, out_dir: str) -> list[str]:
     save("summary.txt", _summary_text(report))
     save("report.json", _json_payload(report))
     for name, arr in report.arrays.items():
-        rows = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(arr)]
+        # tolist gives each row's Python floats, whose repr is float()'s
+        rows = [
+            ",".join(map(repr, row.tolist()))
+            for row in np.atleast_2d(np.asarray(arr, dtype=float))
+        ]
         save(f"{name}.csv", "\n".join(rows) + "\n")
     save(
         "timing.txt",

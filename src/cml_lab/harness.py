@@ -36,8 +36,7 @@ __all__ = [
 
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 
-# Most branch choices the pull-back sampler holds at once; its path holds
-# no more values than that.
+# Most branch choices the pull-back sampler holds at once.
 _PULLBACK_POINTS = 1 << 20
 
 # Fewest replica-steps (replicas x n_steps) per share worth a forked
@@ -55,7 +54,8 @@ class EnsembleConfig:
     ``k_sim`` is the trajectory window half-width (may be much wider than
     any operator grid).  ``method`` is 'forward' for ordinary iteration or
     'pullback' for backward branch sampling; forward simulation of maps
-    whose orbits collapse in floating point is refused.
+    whose orbits collapse in floating point is refused, and so is
+    pull-back sampling of a coupled system.
     """
 
     node_map: NodeMap
@@ -82,11 +82,31 @@ class EnsembleConfig:
                 f"{self.node_map.name} collapses under forward floating-point "
                 "iteration; opt into method='pullback' instead"
             )
+        if self.method == "pullback" and self.coupling.epsilon != 0.0:
+            raise ValueError("pullback sampling supports the uncoupled system only")
 
 
-def _replica_rng(seed: int, replica: int) -> np.random.Generator:
-    # one Philox stream per replica: the replica index is the second key word
-    return np.random.Generator(np.random.Philox(key=[seed, replica]))
+def _replica_streams(seed: int, replicas: range):
+    """Yield one generator per replica, in order: a single Philox re-keyed
+    to key [seed, r], counter 0 and empty buffers, which draws as
+    ``Generator(Philox(key=[seed, r]))`` does without building a
+    SeedSequence (and drawing OS entropy) per replica.  Each yielded
+    generator is valid until the next one is."""
+    bits = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bits)
+    for r in replicas:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, np.uint64),
+                "key": np.array([seed, r], np.uint64),
+            },
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def simulate_ensemble(cfg: EnsembleConfig) -> np.ndarray:
@@ -182,8 +202,8 @@ def _observed_blocks(cfg: EnsembleConfig, replicas: range):
     # node-major states (d, replicas): each node's values are contiguous,
     # so the coupling shifts whole rows
     states = np.empty((d, len(replicas)))
-    for i, r in enumerate(replicas):
-        states[:, i] = _replica_rng(cfg.seed, r).uniform(0.0, _ONE_MINUS, d)
+    for i, rng in enumerate(_replica_streams(cfg.seed, replicas)):
+        states[:, i] = rng.uniform(0.0, _ONE_MINUS, d)
     everyone = slice(0, len(replicas))
     clamped = 0
     for step in range(cfg.n_steps):
@@ -211,38 +231,38 @@ def _pullback_blocks(cfg: EnsembleConfig, replicas: range):
     for every step in one call, which yields the same numbers as one call
     per step.  The first ``burn_in`` pull-back steps, the transient nearest
     the uniform start, are dropped, and the rest are reversed into forward
-    time.  All replicas of a chunk step together, each branch applied to
-    the entries that chose it; a chunk holds at most ``_PULLBACK_POINTS``
-    branch choices, and as many path values or fewer.  Yields one chunk of
-    replicas over all kept steps at a time.
+    time.  All replicas of a chunk step together as one node-major block:
+    each step runs every inverse branch on the whole block and selects each
+    entry's image by its choice, and each kept step's observable goes
+    straight into its forward-time column.  A chunk holds at most
+    ``_PULLBACK_POINTS`` branch choices.  Yields one chunk of replicas over
+    all kept steps at a time.
     """
-    if cfg.coupling.epsilon != 0.0:
-        raise ValueError("pullback sampling supports the uncoupled system only")
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
+    b = cfg.node_map.b
     chunk = min(len(replicas), max(1, _PULLBACK_POINTS // (cfg.n_steps * d)))
-    # one table for the run, so no chunk's table is allocated while the
-    # last one's is alive
-    table = np.empty((chunk, cfg.n_steps, d), dtype=np.int64)
+    # one step-major table for the run, so that each step's choices are
+    # contiguous and no chunk's table is allocated while the last one's is
+    # alive; the draws are int64, stored in the smallest type that holds b
+    table = np.empty((cfg.n_steps, d, chunk), dtype=np.min_scalar_type(b - 1))
+    streams = _replica_streams(cfg.seed, replicas)
     for lo in range(0, len(replicas), chunk):
-        part = replicas[lo : lo + chunk]
-        x = np.empty((len(part), d))
-        choice = table[: len(part)]
-        for i, r in enumerate(part):
-            rng = _replica_rng(cfg.seed, r)
-            x[i] = rng.uniform(0.0, _ONE_MINUS, d)
-            choice[i] = rng.integers(0, cfg.node_map.b, (cfg.n_steps, d))
-        path = np.empty((len(part), n_keep, d))
+        n = min(chunk, len(replicas) - lo)
+        x = np.empty((d, n))
+        choice = table[:, :, :n]
+        for i, rng in zip(range(n), streams):
+            x[:, i] = rng.uniform(0.0, _ONE_MINUS, d)
+            choice[:, :, i] = rng.integers(0, b, (cfg.n_steps, d))
+        values = np.empty((n, n_keep))
         for step in range(cfg.n_steps):
-            for j, branch in enumerate(cfg.node_map.inverse_branches):
-                chose = choice[:, step] == j
-                x[chose] = branch(x[chose])
+            images = [branch(x) for branch in cfg.node_map.inverse_branches]
+            x = images[0]
+            for j in range(1, b):
+                np.copyto(x, images[j], where=choice[step] == j)
             if step >= cfg.burn_in:
-                path[:, step - cfg.burn_in] = x
-        values = np.empty((len(part), n_keep))
-        for i in range(len(part)):
-            values[i] = cfg.observable.on_array(path[i, ::-1].T, cfg.k_sim)
-        yield slice(lo, lo + len(part)), slice(0, n_keep), values
+                values[:, cfg.n_steps - 1 - step] = cfg.observable.on_array(x, cfg.k_sim)
+        yield slice(lo, lo + n), slice(0, n_keep), values
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,13 @@ class TestParsing:
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = cl.parse_config(
-            write_cfg(tmp_path, "# header\n\n[map]\nkind = doubling  # inline\n")
+            write_cfg(
+                tmp_path,
+                "# header\n\n[map]\nkind = doubling  # inline\n"
+                "\n[coupling]\n# clt pulls the doubling map back, uncoupled\nepsilon = 0.0\n",
+            )
         )
-        assert cfg.map_kind == "doubling"
+        assert cfg.map_kind == "doubling" and cfg.epsilon == 0.0
 
     def test_unknown_key_rejected_with_line_number(self, tmp_path):
         path = write_cfg(tmp_path, "[map]\nflavor = strange\n")
@@ -210,18 +214,20 @@ class TestRunner:
             1.0, abs=1e-10
         )
 
-    def test_failures_are_recorded_not_raised(self, tmp_path):
-        # the doubling map is barred from forward simulation and backward
-        # branch sampling does not support a nonzero coupling, so the clt
-        # step must record an error without crashing the run
-        text = EIGEN_ONLY.replace("experiments = eigen", "experiments = clt")
-        text = text.replace("epsilon = 0.0", "epsilon = 0.05")
-        text += "n_steps = 300\nn_replicas = 500\nburn_in = 100\n"
+    def test_failures_are_recorded_not_raised(self, tmp_path, monkeypatch):
+        # a step that raises is recorded as an error, and the run goes on
+        # to the next experiment
+        def fail(cfg, state, report):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setitem(cli._EXPERIMENT_STEPS, "eigen", fail)
+        text = EIGEN_ONLY.replace("experiments = eigen", "experiments = eigen, spectral")
         cfg = cl.parse_config(
             write_cfg(tmp_path, text.format(out=os.path.join(tmp_path, "r")))
         )
         report = cl.run_experiment(cfg)
-        assert "clt" in report.errors
+        assert report.errors == {"eigen": "RuntimeError: step failed"}
+        assert set(report.results) == {"spectral"}
 
     def test_reports_are_byte_identical(self, tmp_path):
         out = os.path.join(tmp_path, "rep")
@@ -291,6 +297,18 @@ class TestRunner:
         assert report.errors == {}
         assert set(report.results) == {experiment}
 
+    def test_csv_values_are_float_reprs(self, tmp_path):
+        # every value is written as repr(float(v)), whatever the array's dtype
+        report = cl.RunReport(fingerprint="", config=cl.ExperimentConfig())
+        report.arrays["counts"] = np.array([[1, 2], [3, 4]])
+        report.arrays["values"] = np.array([0.1, 1 / 3, 1e-300, -2.0])
+        report.arrays["narrow"] = np.array([0.1], dtype=np.float32)
+        cl.emit_report(report, tmp_path)
+        read = lambda name: open(os.path.join(tmp_path, f"{name}.csv")).read()
+        assert read("counts") == "1.0,2.0\n3.0,4.0\n"
+        assert read("values") == "0.1,0.3333333333333333,1e-300,-2.0\n"
+        assert read("narrow") == repr(float(np.float32(0.1))) + "\n"
+
     def test_summary_contains_fingerprint(self, tmp_path):
         out = os.path.join(tmp_path, "rep")
         cfg = cl.parse_config(write_cfg(tmp_path, EIGEN_ONLY.format(out=out)))
@@ -320,6 +338,21 @@ class TestMain:
         assert "grid needs 4096 cells, over the budget of 1000" in err
         assert "raise cell_budget to at least 4096" in err
         assert validate_config(cl.ExperimentConfig(cell_budget=4096)) == []
+
+    def test_validate_rejects_coupled_pullback_clt(self, tmp_path, capsys):
+        # the doubling map's clt is pulled back, which has no coupling: a
+        # nonzero epsilon fails at validate, not in the clt step after
+        # every other experiment has run
+        text = EIGEN_ONLY.replace("experiments = eigen", "experiments = eigen, clt")
+        text = text.replace("epsilon = 0.0", "epsilon = 0.05")
+        text += "n_steps = 300\nn_replicas = 500\nburn_in = 100\n"
+        text = text.format(out=os.path.join(tmp_path, "r"))
+        assert main(["validate", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "clt samples the doubling map by pull-back" in err
+        assert "supports the uncoupled system only" in err
+        assert "epsilon=0.05 must be 0" in err
+        assert main(["validate", write_cfg(tmp_path, text.replace("clt", "spectral"))]) == 0
 
     def test_run_writes_reports(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")

@@ -59,7 +59,9 @@ class TestSimulation:
         )
         d = 2 * k_sim + 1
         x = np.array([
-            harness._replica_rng(cfg.seed, r).uniform(0.0, harness._ONE_MINUS, d)
+            np.random.Generator(np.random.Philox(key=[cfg.seed, r])).uniform(
+                0.0, harness._ONE_MINUS, d
+            )
             for r in range(cfg.n_replicas)
         ])
         pad = np.full((cfg.n_replicas, 1), perturbed.p_tau)
@@ -129,12 +131,79 @@ class TestSimulation:
             ref[r] = cfg.observable.on_array(path[cfg.burn_in:][::-1].T, 1)
         assert np.array_equal(cl.ensemble_series(cfg), ref)
 
+    # one chunk of all 5 replicas, and chunks of 2 (a chunk holds at most
+    # chunk_points // (n_steps * d) replicas)
+    @pytest.mark.parametrize("chunk_points", [None, 2 * 200 * 3])
+    def test_pullback_three_branches_match_per_step_loop(self, chunk_points, monkeypatch):
+        # x -> 3x mod 1: every branch but the first is selected into the
+        # block, and each choice is one of three
+        if chunk_points is not None:
+            monkeypatch.setattr(harness, "_PULLBACK_POINTS", chunk_points)
+        tripling = cl.NodeMap(
+            name="tripling",
+            b=3,
+            forward=lambda x: np.mod(3.0 * np.asarray(x, dtype=float), 1.0),
+            inverse_branches=tuple(
+                (lambda y, j=j: (np.asarray(y, dtype=float) + j) / 3.0) for j in range(3)
+            ),
+            eta=1.0 / 3.0,
+            trajectory_safe=False,
+        )
+        cfg = cl.EnsembleConfig(
+            node_map=tripling,
+            coupling=cl.Coupling(epsilon=0.0),
+            observable=cl.random_trig_observable(np.random.default_rng(5), n_terms=6),
+            k_sim=1,
+            n_steps=200,
+            n_replicas=5,
+            burn_in=60,
+            seed=11,
+            method="pullback",
+        )
+        ref = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
+        for r in range(cfg.n_replicas):
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, r]))
+            x = rng.uniform(0.0, np.nextafter(1.0, 0.0), 3)
+            path = np.empty((cfg.n_steps, 3))
+            for step in range(cfg.n_steps):
+                choice = rng.integers(0, 3, 3)
+                x = np.array(
+                    [tripling.inverse_branches[c](v) for c, v in zip(choice, x)]
+                )
+                path[step] = x
+            ref[r] = cfg.observable.on_array(path[cfg.burn_in:][::-1].T, 1)
+        assert np.array_equal(cl.ensemble_series(cfg), ref)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**63])
+    def test_rekeyed_streams_match_fresh_generators(self, seed):
+        # each replica's stream draws as a Philox built with key [seed, r];
+        # the odd integer count leaves half a 64-bit word buffered, which
+        # the next replica must not see
+        replicas = range(3, 9)
+        for r, rng in zip(replicas, harness._replica_streams(seed, replicas)):
+            fresh = np.random.Generator(np.random.Philox(key=[seed, r]))
+            for draw in (
+                lambda g: g.uniform(0.0, harness._ONE_MINUS, 5),
+                lambda g: g.integers(0, 2, (7, 3)),
+                lambda g: g.integers(0, 3, 5),
+            ):
+                assert np.array_equal(draw(rng), draw(fresh)), (seed, r)
+
+    def test_pullback_of_a_coupled_system_is_refused(self, doubling):
+        with pytest.raises(ValueError, match="uncoupled system only"):
+            cl.EnsembleConfig(
+                node_map=doubling,
+                coupling=cl.Coupling(epsilon=0.05),
+                observable=cl.node_coordinate(),
+                method="pullback",
+            )
+
     def test_pullback_choice_table_holds_the_chunk_bound(self, doubling, monkeypatch):
         # every step's branch choices are drawn up front, so the chunk is
         # sized by n_steps, not by the kept steps: one table for all 2,000
-        # replicas would take 2000 * 2000 * 3 * 8 bytes = 96 MB here for a
-        # 48 KB path.  A chunk's int64 table holds at most _PULLBACK_POINTS
-        # entries, and one table serves every chunk.
+        # replicas would hold 12M choices here (96 MB as the int64 draws)
+        # to keep 2,000 values.  A chunk's table holds at most
+        # _PULLBACK_POINTS choices, and one table serves every chunk.
         cfg = cl.EnsembleConfig(
             node_map=doubling,
             coupling=cl.Coupling(epsilon=0.0),

@@ -78,6 +78,45 @@ class TestBranchSumOperator:
 
 
 class TestCauchySequence:
+    @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
+    def test_columns_match_per_state_eval(self, map_name, doubling, perturbed):
+        # the (d, samples) block against eval_Pk one state at a time, for
+        # positive phi, where relative error is well defined.  Closed-form
+        # branches give the same bits; the Newton branches stop on the
+        # whole block, so they may move in the last bit
+        nm = doubling if map_name == "doubling" else perturbed
+        positive = cl.Potential(
+            name="positive",
+            node_term=lambda j, x, k: 1.0 + 0.5 ** (abs(j) + 1) * np.sin(2 * np.pi * x),
+            declared_sup_norm=3.0,
+            declared_beta_norm=2 * np.pi,
+        )
+        rng = np.random.default_rng(3)
+        for f, phi in itertools.product(
+            [cl.decaying_sine_potential(0.3, 2.0), cl.srb_potential(nm)], [ONE, positive]
+        ):
+            for k in (0, 1, 2):
+                values = rng.uniform(0.0, 0.999, (2 * k + 1, 50))
+                got = transfer._eval_Pk_columns(phi, f, values, k, nm)
+                want = np.array(
+                    [cl.eval_Pk(phi, f, cl.state(col), k, nm) for col in values.T]
+                )
+                assert np.max(np.abs(got - want) / want) <= 1e-15, (f.name, phi.name, k)
+                if nm is doubling:
+                    assert np.array_equal(got, want)
+
+    def test_sup_differences_match_per_state_eval(self, perturbed):
+        # the default rng's states, one eval_Pk per state and width
+        f = cl.decaying_sine_potential(0.1, 4.0)
+        phi = cl.node_sine_potential(0.2)
+        rep = cl.check_Pk_cauchy(phi, f, k_max=2, samples=30, node_map=perturbed)
+        rng = np.random.default_rng(0)
+        states = [cl.state(rng.uniform(0.0, transfer._ONE_MINUS, 7)) for _ in range(30)]
+        for k, diff in enumerate(rep.sup_differences):
+            pk = lambda x, k: cl.eval_Pk(phi, f, x, k, perturbed)
+            want = max(abs(pk(x, k + 1) - pk(x, k)) for x in states)
+            assert diff == pytest.approx(want, rel=1e-12, abs=1e-15)
+
     def test_central_node_dependence_gives_zero(self, doubling):
         # potential and observable reading only node 0 make all widths equal
         rep = cl.check_Pk_cauchy(
