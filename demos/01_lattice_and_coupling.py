@@ -1,5 +1,6 @@
-"""Tour of the finite lattice window: states, the weighted metric,
-nodewise maps, the diffusive coupling and its inverse branches.
+"""Tour of the finite lattice window: states as node-major arrays, the
+weighted metric, nodewise maps, the diffusive coupling and its inverse
+branches.
 
 Run:  python3 demos/01_lattice_and_coupling.py
 """
@@ -11,29 +12,31 @@ import cml_lab as cl
 
 def main() -> None:
     m = cl.MetricParams()  # theta = 0.5, beta = 1
-    x = cl.state([0.2, 0.5, 0.9])
-    y = cl.state([0.2, 0.5, 0.5])
-    weights = m.theta ** np.abs(np.arange(-x.k, x.k + 1))
-    dist = np.max(weights * np.abs(x.values - y.values))
-    print("window half-width k =", x.k, "-> nodes", list(x.values))
+    # a state of the window -k..k is its 2k+1 node values, node -k first
+    x = np.array([0.2, 0.5, 0.9])
+    y = np.array([0.2, 0.5, 0.5])
+    k = (x.size - 1) // 2
+    weights = m.theta ** np.abs(np.arange(-k, k + 1))
+    dist = np.max(weights * np.abs(x - y))
+    print("window half-width k =", k, "-> nodes", x.tolist())
     print(f"weighted metric d(x, y) = {dist:.3f}  "
           "(node +1 differs by 0.4, weight theta^1 = 0.5)")
 
     nm = cl.perturbed_doubling_map(0.05)
     print("\nnodewise map:", nm.name, "with", nm.b, "branches, eta =", nm.eta)
-    print("bar-tau(x) =", np.round(nm.forward(x.values), 4))
+    print("bar-tau(x) =", np.round(nm.forward(x), 4))
 
     e = cl.Coupling(epsilon=0.1)
-    cx = e.apply_to_array(x.values, x.k, nm.p_tau)
+    cx = e.apply_to_array(x, k, nm.p_tau)
     print("\ndiffusive coupling eps = 0.1 mixes each node with its neighbors:")
     print("E(x) =", np.round(cx, 4))
-    back = e.inverse_matrix(x.k) @ (cx - e.boundary_offset(x.k, nm.p_tau))
-    print("E^-1(E(x)) recovers x exactly:", np.allclose(back, x.values))
+    back = e.inverse_matrix(k) @ (cx - e.boundary_offset(k, nm.p_tau))
+    print("E^-1(E(x)) recovers x exactly:", np.allclose(back, x))
 
     print("\nfull coupled step T = E after bar-tau:")
-    print("T(x) =", np.round(e.apply_to_array(nm.forward(x.values), x.k, nm.p_tau), 4))
+    print("T(x) =", np.round(e.apply_to_array(nm.forward(x), k, nm.p_tau), 4))
 
-    pres = cl.lattice.branch_preimage_table(x.values[:, None], nm)[:, :, 0]
+    pres = cl.lattice.branch_preimage_table(x[:, None], nm)[:, :, 0]
     print(f"\ninverse branches of the nodewise map (first 4 of {len(pres)}):")
     for i, pre in enumerate(pres[:4]):
         print("  preimage", i, "=", np.round(pre, 4))

@@ -16,7 +16,7 @@ def main() -> None:
     f = cl.node_sine_potential(0.1, metric=m)
     one = cl.constant_potential(1.0, name="one")
 
-    x = cl.state([0.3, 0.6, 0.8])
+    x = np.array([0.3, 0.6, 0.8])  # node values of the window -1..1
     print("pointwise branch sums P_k applied to the constant observable:")
     for k in (0, 1):
         print(f"  k={k}:  P_k 1(x) = {cl.eval_Pk(one, f, x, k, nm):.6f}")

@@ -20,16 +20,12 @@ if _os.environ.get("CML_LAB_THREADS"):
 from .lattice import (
     Coupling,
     CouplingConstantEstimate,
-    FiniteState,
     MetricParams,
     NodeMap,
     Potential,
     doubling_map,
-    embed,
     estimate_coupling_constant,
     perturbed_doubling_map,
-    project,
-    state,
 )
 from .observables import (
     constant_potential,

@@ -288,12 +288,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append(f"k={cfg.k} must be nonnegative")
     if cfg.n_bins < 2:
         v.append(f"n_bins={cfg.n_bins} must be at least 2")
-    cells = cfg.n_bins ** (2 * cfg.k + 1) if cfg.k >= 0 and cfg.n_bins >= 2 else 0
-    if cells > cfg.cell_budget:
-        v.append(
-            f"grid needs {cells} cells, over the budget of {cfg.cell_budget}; "
-            f"raise cell_budget to at least {cells} to proceed"
-        )
+    if cfg.k >= 0 and cfg.n_bins >= 2:
+        over = Grid(k=cfg.k, n_bins=cfg.n_bins).budget_violation(cfg.cell_budget)
+        if over:
+            v.append(over)
     if cfg.quad < 1:
         v.append(f"quad={cfg.quad} must be at least 1")
     unknown = [e for e in cfg.experiments if e not in EXPERIMENTS]

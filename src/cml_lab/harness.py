@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -159,7 +160,8 @@ def _run_shares(cfg: EnsembleConfig, out: np.ndarray, consume: Callable) -> np.n
         return [out[share.start : share.stop]]
 
     def fill(share):
-        return _fill(cfg, share, out, consume), rows(share)
+        part = out[share.start : share.stop]
+        return _observed_blocks(cfg, share, partial(consume, part)), [part]
 
     shares = split(cfg.n_replicas, ensemble_shares(cfg))
     results = run_shares(shares, fill, "the ensemble worker for replicas", rows)
@@ -172,32 +174,18 @@ def _run_shares(cfg: EnsembleConfig, out: np.ndarray, consume: Callable) -> np.n
     return out
 
 
-def _fill(cfg: EnsembleConfig, replicas: range, out: np.ndarray, consume) -> int:
-    """Fill the rows of ``out`` that belong to ``replicas``; return their
-    clamp count."""
-    rows = out[replicas.start : replicas.stop]
-    blocks = _observed_blocks(cfg, replicas)
-    while True:
-        try:
-            block = next(blocks)
-        except StopIteration as done:
-            return done.value
-        consume(rows, *block)
+def _observed_blocks(cfg: EnsembleConfig, replicas: range, sink: Callable) -> int:
+    """Pass ``sink(row slice, kept-step slice, values)`` blocks that
+    together cover the (len(replicas), n_steps - burn_in) observable series
+    of the given replicas once, rows counted from the first of them; return
+    the number of clamped node updates.
 
-
-def _observed_blocks(cfg: EnsembleConfig, replicas: range):
-    """Yield (row slice, kept-step slice, values) blocks that together
-    cover the (len(replicas), n_steps - burn_in) observable series of the
-    given replicas once, rows counted from the first of them; return the
-    number of clamped node updates.
-
-    The forward sampler yields one kept step of every replica.  Initial
+    The forward sampler passes one kept step of every replica.  Initial
     states are uniform on the window.  Forward steps clamp stray values at
     the interval edge and count them.
     """
     if cfg.method == "pullback":
-        yield from _pullback_blocks(cfg, replicas)
-        return 0
+        return _pullback_blocks(cfg, replicas, sink)
     d = 2 * cfg.k_sim + 1
     # node-major states (d, replicas): each node's values are contiguous,
     # so the coupling shifts whole rows
@@ -217,11 +205,11 @@ def _observed_blocks(cfg: EnsembleConfig, replicas: range):
         if step >= cfg.burn_in:
             kept = step - cfg.burn_in
             values = cfg.observable.on_array(states, cfg.k_sim)
-            yield everyone, slice(kept, kept + 1), values[:, None]
+            sink(everyone, slice(kept, kept + 1), values[:, None])
     return clamped
 
 
-def _pullback_blocks(cfg: EnsembleConfig, replicas: range):
+def _pullback_blocks(cfg: EnsembleConfig, replicas: range, sink: Callable) -> int:
     """Backward branch sampling: iterate uniformly chosen inverse branches
     and reverse the orbit.  Samples the equal-branch-weight invariant
     measure of the nodewise map, so it is exact for the flat potential
@@ -235,8 +223,8 @@ def _pullback_blocks(cfg: EnsembleConfig, replicas: range):
     each step runs every inverse branch on the whole block and selects each
     entry's image by its choice, and each kept step's observable goes
     straight into its forward-time column.  A chunk holds at most
-    ``_PULLBACK_POINTS`` branch choices.  Yields one chunk of replicas over
-    all kept steps at a time.
+    ``_PULLBACK_POINTS`` branch choices.  Passes one chunk of replicas over
+    all kept steps at a time to ``sink``; no node update is clamped.
     """
     d = 2 * cfg.k_sim + 1
     n_keep = cfg.n_steps - cfg.burn_in
@@ -262,7 +250,8 @@ def _pullback_blocks(cfg: EnsembleConfig, replicas: range):
                 np.copyto(x, images[j], where=choice[step] == j)
             if step >= cfg.burn_in:
                 values[:, cfg.n_steps - 1 - step] = cfg.observable.on_array(x, cfg.k_sim)
-        yield slice(lo, lo + n), slice(0, n_keep), values
+        sink(slice(lo, lo + n), slice(0, n_keep), values)
+    return 0
 
 
 @dataclass(frozen=True)

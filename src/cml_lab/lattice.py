@@ -1,8 +1,9 @@
-"""States, metrics, node maps and couplings on finite lattice truncations.
+"""Metrics, node maps, couplings and potentials on finite lattice truncations.
 
-A lattice state lives on the symmetric window of node indices -k..k; all
-nodes outside the window are implicitly equal to the map's fixed point
-``p_tau``.  Boundary conditions everywhere in this package are the
+A lattice state lives on the symmetric window of node indices -k..k, held
+as node-major values: row j of a (2k+1,) or (2k+1, n) array is node j - k
+of one or n states.  All nodes outside the window are implicitly equal to
+the map's fixed point ``p_tau``.  Boundary conditions everywhere in this package are the
 fill-with-fixed-point convention (never periodic), so the finite-window
 operators agree with their infinite-lattice counterparts restricted to
 the window.
@@ -21,15 +22,11 @@ import numpy as np
 __all__ = [
     "MetricParams",
     "NodeMap",
-    "FiniteState",
     "Coupling",
     "Potential",
     "CouplingConstantEstimate",
     "doubling_map",
     "perturbed_doubling_map",
-    "state",
-    "embed",
-    "project",
     "estimate_coupling_constant",
 ]
 
@@ -164,62 +161,6 @@ def perturbed_doubling_map(a: float = 0.05) -> NodeMap:
         trajectory_safe=True,
         forward_deriv=lambda x: 2.0 + two_pi * a * np.cos(two_pi * np.asarray(x, dtype=float)),
     )
-
-
-@dataclass(frozen=True)
-class FiniteState:
-    """A point of the width-(2k+1) lattice window; tail nodes sit at p_tau."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
-        if vals.shape != (2 * self.k + 1,):
-            raise ValueError(
-                f"values must have length 2k+1 = {2 * self.k + 1}, got shape {vals.shape}"
-            )
-        if np.any(vals < 0.0) or np.any(vals >= 1.0):
-            raise ValueError("state values must lie in [0, 1)")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def width(self) -> int:
-        return 2 * self.k + 1
-
-
-def state(values: Sequence[float]) -> FiniteState:
-    """Build a FiniteState from an odd-length sequence of node values."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size % 2 == 0:
-        raise ValueError("state needs an odd-length 1-d sequence of node values")
-    return FiniteState(k=(vals.size - 1) // 2, values=vals)
-
-
-def embed(x: FiniteState, k2: int, node_map: NodeMap) -> FiniteState:
-    """Widen the window to half-width k2, filling new nodes with p_tau."""
-    if k2 < x.k:
-        raise ValueError(f"cannot embed into smaller window: k2={k2} < k={x.k}")
-    if k2 == x.k:
-        return x
-    pad = k2 - x.k
-    vals = np.full(2 * k2 + 1, node_map.p_tau)
-    vals[pad : pad + x.width] = x.values
-    return FiniteState(k=k2, values=vals)
-
-
-def project(x: FiniteState, k1: int, node_map: NodeMap | None = None) -> FiniteState:
-    """Keep the central 2*k1+1 nodes; the discarded tail reverts to p_tau."""
-    if not 0 <= k1 <= x.k:
-        raise ValueError(f"projection width must satisfy 0 <= k1 <= {x.k}, got {k1}")
-    if k1 == x.k:
-        return x
-    drop = x.k - k1
-    return FiniteState(k=k1, values=x.values[drop : drop + 2 * k1 + 1])
 
 
 @dataclass(frozen=True)

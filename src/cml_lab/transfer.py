@@ -23,15 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._shares import cpus, run_shares, share_count, split
-from .lattice import (
-    Coupling,
-    FiniteState,
-    MetricParams,
-    NodeMap,
-    Potential,
-    embed,
-    project,
-)
+from .lattice import Coupling, MetricParams, NodeMap, Potential
 
 __all__ = [
     "Grid",
@@ -87,40 +79,44 @@ _INDEX_MAX = np.iinfo(np.int32).max
 def eval_Pk(
     phi: Potential,
     f: Potential,
-    x: FiniteState,
-    k: int,
-    node_map: NodeMap,
-) -> float:
-    """Branch-sum average (1/b_k) sum_zeta exp(f(zeta_x)) phi(zeta_x).
-
-    The operator at width k only sees the central 2k+1 nodes of x; wider
-    states are projected, narrower ones embedded.  f and phi are sums of
-    node terms and a branch choice is one branch per node, so the average
-    factors node by node: with A_j the branch mean of exp(f_j) and B_j
-    that of exp(f_j) phi_j at node j,
-
-        P_k phi(x) = exp(sum_j log A_j) * sum_j B_j / A_j,
-
-    d*b terms in place of b**d.  Each node's weights are shifted by their
-    largest exponent, which cancels in B_j / A_j, so no weight overflows
-    however large the potential.
-    """
-    x = project(x, k) if x.k > k else embed(x, k, node_map)
-    return float(_eval_Pk_columns(phi, f, x.values[:, None], k, node_map)[0])
-
-
-def _eval_Pk_columns(
-    phi: Potential,
-    f: Potential,
     values: np.ndarray,
     k: int,
     node_map: NodeMap,
-) -> np.ndarray:
-    """:func:`eval_Pk` at every column of the (2k+1, n) window values, by
-    the same per-node factors, one pass over the nodes for all columns."""
-    b, n = node_map.b, values.shape[1]
-    # (d, b, n): node j's branch preimages of every column
-    pre = np.stack([br(values) for br in node_map.inverse_branches], axis=1)
+) -> float | np.ndarray:
+    """Branch-sum average (1/b_k) sum_zeta exp(f(zeta_x)) phi(zeta_x).
+
+    ``values`` are node-major window values of half-width m: shape
+    (2m+1,) for one state, which gives a float, or (2m+1, n) for n states,
+    which gives n values.  The operator at width k only sees the central
+    2k+1 nodes: a wider window is cut to them, a narrower one padded with
+    p_tau.  f and phi are sums of node terms and a branch choice is one
+    branch per node, so the average factors node by node: with A_j the
+    branch mean of exp(f_j) and B_j that of exp(f_j) phi_j at node j,
+
+        P_k phi(x) = exp(sum_j log A_j) * sum_j B_j / A_j,
+
+    d*b terms in place of b**d, one pass over the nodes for all states.
+    Each node's weights are shifted by their largest exponent, which
+    cancels in B_j / A_j, so no weight overflows however large the
+    potential.
+    """
+    values = np.asarray(values, dtype=float)
+    if k < 0 or values.ndim not in (1, 2) or values.shape[0] % 2 == 0:
+        raise ValueError(
+            f"eval_Pk needs k >= 0 and an odd number of node rows, got k={k} "
+            f"and values of shape {values.shape}"
+        )
+    if np.any(values < 0.0) or np.any(values >= 1.0):
+        raise ValueError("window values must lie in [0, 1)")
+    window = values.reshape(values.shape[0], -1)
+    m, n = (window.shape[0] - 1) // 2, window.shape[1]
+    if m >= k:
+        window = window[m - k : m + k + 1]
+    else:
+        window = np.pad(window, [(k - m, k - m), (0, 0)], constant_values=node_map.p_tau)
+    b = node_map.b
+    # (d, b, n): node j's branch preimages of every state
+    pre = np.stack([br(window) for br in node_map.inverse_branches], axis=1)
     log_a, ratio = np.zeros(n), np.zeros(n)
     for j, node in zip(range(-k, k + 1), pre):
         flat = node.reshape(-1)
@@ -130,7 +126,8 @@ def _eval_Pk_columns(
         a = np.mean(weights, axis=0)
         log_a += top + np.log(a)
         ratio += np.mean(weights * phi.node_term(j, flat, k).reshape(b, n), axis=0) / a
-    return np.exp(log_a) * ratio
+    out = np.exp(log_a) * ratio
+    return float(out[0]) if values.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -162,10 +159,7 @@ def check_Pk_cauchy(
     wide = k_max + 1
     # node-major (2 wide + 1, samples): sample i is row i of the draw
     values = rng.uniform(0.0, _ONE_MINUS, (samples, 2 * wide + 1)).T
-    evals = [
-        _eval_Pk_columns(phi, f, values[wide - k : wide + k + 1], k, node_map)
-        for k in range(k_max + 1)
-    ]
+    evals = [eval_Pk(phi, f, values, k, node_map) for k in range(k_max + 1)]
     diffs = [float(np.max(np.abs(evals[k + 1] - evals[k]))) for k in range(k_max)]
     positive = [d for d in diffs if d > 1e-300]
     ratio = None
@@ -202,6 +196,19 @@ class Grid:
     @property
     def n_cells(self) -> int:
         return self.n_bins ** self.d
+
+    def budget_violation(self, cell_budget: int) -> str | None:
+        """Why the grid is over ``cell_budget`` cells, or None.  The cell
+        count is formed only up to a power that exceeds the budget, so a
+        wide window costs nothing and its count prints as n_bins^d."""
+        cap = max(cell_budget, 1).bit_length() + 1
+        if self.n_bins ** min(self.d, cap) <= cell_budget:
+            return None
+        cells = self.n_cells if self.d <= cap else f"{self.n_bins}^{self.d}"
+        return (
+            f"grid needs {cells} cells, over the budget of {cell_budget}; "
+            f"raise cell_budget to at least {cells} to proceed"
+        )
 
     def bin_of(self, values: np.ndarray) -> np.ndarray:
         """Bin index of each coordinate, elementwise."""
@@ -332,11 +339,9 @@ def ulam_matrix(
     not depend on the slab size.
     """
     grid = Grid(k=k, n_bins=n_bins)
-    if grid.n_cells > cell_budget:
-        raise MemoryError(
-            f"grid needs {grid.n_cells} cells, over the budget of {cell_budget}; "
-            f"raise cell_budget to at least {grid.n_cells} to proceed"
-        )
+    over = grid.budget_violation(cell_budget)
+    if over:
+        raise MemoryError(over)
     if kind == "P":
         if potential is None:
             raise ValueError("kind 'P' needs a potential")

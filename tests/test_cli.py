@@ -339,6 +339,17 @@ class TestMain:
         assert "raise cell_budget to at least 4096" in err
         assert validate_config(cl.ExperimentConfig(cell_budget=4096)) == []
 
+    def test_validate_names_the_budget_of_a_wide_window(self, tmp_path, capsys):
+        # 16^4001 cells has more digits than int-to-str converts: the
+        # violation names the count as a power and never forms it in full
+        path = write_cfg(tmp_path, MINIMAL + "\n[operator]\nk = 2000\n")
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert "grid needs 16^4001 cells, over the budget of 100000" in err
+        assert "raise cell_budget to at least 16^4001" in err
+        wider = validate_config(cl.ExperimentConfig(k=100_000_000))
+        assert any("grid needs 16^200000001 cells" in line for line in wider)
+
     def test_validate_rejects_coupled_pullback_clt(self, tmp_path, capsys):
         # the doubling map's clt is pulled back, which has no coupling: a
         # nonzero epsilon fails at validate, not in the clt step after

@@ -67,31 +67,6 @@ class TestMetric:
             cl.MetricParams(alpha=0.2)  # below theta**beta
 
 
-class TestEmbedProject:
-    def test_embed_fills_fixed_point(self, doubling):
-        wide = cl.embed(cl.state([0.2, 0.5, 0.9]), 2, doubling)
-        assert np.allclose(wide.values, [0.0, 0.2, 0.5, 0.9, 0.0])
-
-    def test_embed_identity(self, doubling):
-        x = cl.state([0.2, 0.5, 0.9])
-        assert cl.embed(x, 1, doubling) is x
-
-    def test_embed_rejects_shrink(self, doubling):
-        with pytest.raises(ValueError):
-            cl.embed(cl.state([0.2, 0.5, 0.9]), 0, doubling)
-
-    def test_project_central_values(self, doubling):
-        x = cl.state([0.0, 0.2, 0.5, 0.9, 0.0])
-        assert np.allclose(cl.project(x, 1).values, [0.2, 0.5, 0.9])
-
-    @given(a=vals(5))
-    @settings(max_examples=25, deadline=None)
-    def test_project_embed_roundtrip(self, a):
-        nm = cl.doubling_map()
-        x = cl.state(a)
-        assert np.array_equal(cl.project(cl.embed(x, 4, nm), 2).values, x.values)
-
-
 class TestNodeMaps:
     def test_doubling_values(self, doubling):
         out = doubling.forward(np.array([0.2, 0.5, 0.9]))
@@ -105,9 +80,10 @@ class TestNodeMaps:
     @settings(max_examples=25, deadline=None)
     def test_bar_tau_commutes_with_project(self, a):
         nm = cl.perturbed_doubling_map(0.05)
-        x = cl.state(a)
-        lhs = nm.forward(x.values)[1:4]
-        rhs = nm.forward(cl.project(x, 1).values)
+        # the central nodes' images are the images of the central nodes
+        x = np.array(a)
+        lhs = nm.forward(x)[1:4]
+        rhs = nm.forward(x[1:4])
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
@@ -496,8 +472,11 @@ class TestPotential:
         with pytest.raises(ValueError, match="outside window"):
             cl.node_coordinate(2).on_array(np.full((3, 4), 0.5), 1)
 
-    def test_state_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            cl.state([0.2, 1.0, 0.3])
-        with pytest.raises(ValueError):
-            cl.state([0.2, 0.5])
+    def test_state_rejects_bad_values(self, doubling):
+        # the transfer operator refuses a window value outside [0, 1) and
+        # an even number of nodes
+        one = cl.constant_potential(1.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            cl.eval_Pk(one, one, [0.2, 1.0, 0.3], 1, doubling)
+        with pytest.raises(ValueError, match="odd number of node rows"):
+            cl.eval_Pk(one, one, [0.2, 0.5], 0, doubling)

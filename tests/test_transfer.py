@@ -21,12 +21,12 @@ ONE = cl.constant_potential(1.0, name="one")
 
 class TestBranchSumOperator:
     def test_constant_observable_zero_potential(self, doubling):
-        x = cl.state([0.3, 0.7, 0.1])
+        x = np.array([0.3, 0.7, 0.1])
         for k in (0, 1):
             assert cl.eval_Pk(ONE, cl.zero_potential(), x, k, doubling) == 1.0
 
     def test_constant_potential_scales(self, doubling):
-        x = cl.state([0.3])
+        x = np.array([0.3])
         val = cl.eval_Pk(ONE, cl.constant_potential(0.7), x, 0, doubling)
         assert val == pytest.approx(math.exp(0.7))
 
@@ -34,21 +34,83 @@ class TestBranchSumOperator:
         # doubling preimages of 1/2 are 1/4 and 3/4; sin(2 pi .) takes
         # values +-1 there, so the branch average is cosh(amplitude)
         f = cl.node_sine_potential(0.1)
-        val = cl.eval_Pk(ONE, f, cl.state([0.5]), 0, doubling)
+        val = cl.eval_Pk(ONE, f, np.array([0.5]), 0, doubling)
         assert val == pytest.approx(math.cosh(0.1), abs=1e-12)
 
-    def test_width_projection_consistency(self, doubling):
-        f = cl.node_sine_potential(0.1)
-        wide = cl.state([0.9, 0.3, 0.2, 0.7, 0.4])
-        narrow = cl.project(wide, 1)
-        a = cl.eval_Pk(ONE, f, wide, 1, doubling)
-        b = cl.eval_Pk(ONE, f, narrow, 1, doubling)
-        assert a == b
+    def test_width_projection_consistency(self, doubling, perturbed):
+        # a wider window gives the bits of its central 2k+1 rows, a
+        # narrower one those of the window padded with p_tau, for one
+        # state and for a block
+        f = cl.decaying_sine_potential(0.3, 2.0)
+        rng = np.random.default_rng(8)
+        for nm in (doubling, perturbed):
+            phi = cl.srb_potential(nm)
+            for x in (rng.uniform(0.0, 0.999, 5), rng.uniform(0.0, 0.999, (5, 7))):
+                pad = [(2, 2)] + [(0, 0)] * (x.ndim - 1)
+                padded = np.pad(x, pad, constant_values=nm.p_tau)
+                # k = 2 cuts the padded window back to x
+                for k, window in [(0, x[2:3]), (1, x[1:4]), (2, padded), (4, padded)]:
+                    got = cl.eval_Pk(phi, f, x, k, nm)
+                    assert np.array_equal(got, cl.eval_Pk(phi, f, window, k, nm)), k
 
     def test_large_potential_log_space(self, doubling):
         big = cl.constant_potential(200.0)
-        val = cl.eval_Pk(ONE, big, cl.state([0.3]), 0, doubling)
+        val = cl.eval_Pk(ONE, big, np.array([0.3]), 0, doubling)
         assert math.log(val) == pytest.approx(200.0)
+
+    # P_k of one state of half-width m, for m = k - 1, k, k + 1 (m >= 0)
+    # and k = 0..3, as the operator gave it on a FiniteState, the lattice
+    # state type it took before it took node-major arrays
+    FINITE_STATE_BITS = {
+        "doubling": [
+            "0x1.c48287b6c57f0p-2", "0x1.12f9e956e3b14p-2",
+            "0x1.c0f7abe289366p-1", "0x1.e59588df07ccap-1", "0x1.a8353e9bdb9a4p-1",
+            "0x1.be8f06bcb3c58p-1", "0x1.4bd929020518fp+0", "0x1.87e87e7536f15p+0",
+            "0x1.1f93cc1a53b6cp+0", "0x1.8329f883cf5cdp+0", "0x1.38faf57a11166p+0",
+        ],
+        "perturbed": [
+            "0x1.bcde4e46b239dp-2", "0x1.106631ab549bap-2",
+            "0x1.c88f09c12213bp-1", "0x1.e573bc1156e44p-1", "0x1.9c1852462f1b6p-1",
+            "0x1.aea2cc2107e0fp-1", "0x1.47c9c94efce39p+0", "0x1.8ca234fae927fp+0",
+            "0x1.16ca26e5facffp+0", "0x1.8c9e66fdfc0d4p+0", "0x1.321f83ff546bep+0",
+        ],
+    }
+
+    @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
+    def test_same_bits_as_the_finite_state_operator(self, map_name, doubling, perturbed):
+        # the cut or padded window keeps every bit the operator gave
+        nm = doubling if map_name == "doubling" else perturbed
+        phi = cl.Potential(
+            name="coords",
+            node_term=lambda j, x, k: 0.5 ** abs(j) * x,
+            declared_sup_norm=3.0,
+            declared_beta_norm=3.0,
+        )
+        f = cl.decaying_sine_potential(0.3, 2.0)
+        rng = np.random.default_rng(26)
+        widths = [(k, m) for k in range(4) for m in range(max(k - 1, 0), k + 2)]
+        for (k, m), want in zip(widths, self.FINITE_STATE_BITS[map_name], strict=True):
+            x = rng.uniform(0.0, 0.999, 2 * m + 1)
+            assert cl.eval_Pk(phi, f, x, k, nm).hex() == want, (k, m)
+
+    def test_bad_blocks_are_refused(self, doubling):
+        # one state's checks are in test_lattice's test_state_rejects_bad_values
+        f = cl.zero_potential()
+        for values, k in [
+            (np.full((2, 3), 0.5), 0),  # an even number of node rows
+            (np.array([[0.2], [-0.1], [0.3]]), 0),  # a value outside [0, 1)
+            (np.full((3, 2, 2), 0.5), 1),  # neither one state nor a block
+            (np.full(3, 0.5), -1),  # no operator width
+        ]:
+            with pytest.raises(ValueError):
+                cl.eval_Pk(ONE, f, values, k, doubling)
+
+    def test_one_state_gives_a_float_and_a_block_an_array(self, doubling):
+        f = cl.node_sine_potential(0.1)
+        one = cl.eval_Pk(ONE, f, [0.3, 0.6, 0.8], 1, doubling)
+        block = cl.eval_Pk(ONE, f, np.array([[0.3], [0.6], [0.8]]), 1, doubling)
+        assert type(one) is float
+        assert block.shape == (1,) and block[0] == one
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
@@ -66,10 +128,8 @@ class TestBranchSumOperator:
         ]
         for f, phi in itertools.product(pots, repeat=2):
             for _ in range(20):
-                x = cl.state(rng.uniform(0.0, 0.999, 2 * k + 3))
-                table = cl.lattice.branch_preimage_table(
-                    cl.project(x, k).values[:, None], nm
-                )[:, :, 0].T
+                x = rng.uniform(0.0, 0.999, 2 * k + 3)
+                table = cl.lattice.branch_preimage_table(x[1:-1, None], nm)[:, :, 0].T
                 weights = np.exp(f.on_array(table, k))
                 pv = phi.on_array(table, k)
                 scale = np.mean(weights * np.abs(pv))
@@ -80,7 +140,7 @@ class TestBranchSumOperator:
 class TestCauchySequence:
     @pytest.mark.parametrize("map_name", ["doubling", "perturbed"])
     def test_columns_match_per_state_eval(self, map_name, doubling, perturbed):
-        # the (d, samples) block against eval_Pk one state at a time, for
+        # a (2m+1, samples) block against eval_Pk one state at a time, for
         # positive phi, where relative error is well defined.  Closed-form
         # branches give the same bits; the Newton branches stop on the
         # whole block, so they may move in the last bit
@@ -95,13 +155,12 @@ class TestCauchySequence:
         for f, phi in itertools.product(
             [cl.decaying_sine_potential(0.3, 2.0), cl.srb_potential(nm)], [ONE, positive]
         ):
-            for k in (0, 1, 2):
-                values = rng.uniform(0.0, 0.999, (2 * k + 1, 50))
-                got = transfer._eval_Pk_columns(phi, f, values, k, nm)
-                want = np.array(
-                    [cl.eval_Pk(phi, f, cl.state(col), k, nm) for col in values.T]
-                )
-                assert np.max(np.abs(got - want) / want) <= 1e-15, (f.name, phi.name, k)
+            # narrower, equal and wider windows than the operator's
+            for k, m in [(k, m) for k in (0, 1, 2) for m in range(max(k - 1, 0), k + 2)]:
+                values = rng.uniform(0.0, 0.999, (2 * m + 1, 50))
+                got = cl.eval_Pk(phi, f, values, k, nm)
+                want = np.array([cl.eval_Pk(phi, f, col, k, nm) for col in values.T])
+                assert np.max(np.abs(got - want) / want) <= 1e-15, (f.name, phi.name, k, m)
                 if nm is doubling:
                     assert np.array_equal(got, want)
 
@@ -111,7 +170,7 @@ class TestCauchySequence:
         phi = cl.node_sine_potential(0.2)
         rep = cl.check_Pk_cauchy(phi, f, k_max=2, samples=30, node_map=perturbed)
         rng = np.random.default_rng(0)
-        states = [cl.state(rng.uniform(0.0, transfer._ONE_MINUS, 7)) for _ in range(30)]
+        states = [rng.uniform(0.0, transfer._ONE_MINUS, 7) for _ in range(30)]
         for k, diff in enumerate(rep.sup_differences):
             pk = lambda x, k: cl.eval_Pk(phi, f, x, k, perturbed)
             want = max(abs(pk(x, k + 1) - pk(x, k)) for x in states)
@@ -144,11 +203,22 @@ class TestGrid:
         assert cl.Grid(k=0, n_bins=256).n_cells == 256
 
     def test_cell_budget_guard(self, doubling):
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryError, match="grid needs 1073741824 cells"):
             cl.ulam_matrix(
                 "P", 2, 64, doubling,
                 potential=cl.zero_potential(), cell_budget=100_000,
             )
+        # a count too long to print in full is named as a power
+        with pytest.raises(MemoryError, match=r"grid needs 16\^4001 cells"):
+            cl.ulam_matrix("P", 2000, 16, doubling, potential=cl.zero_potential())
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 16, 1000])
+    @pytest.mark.parametrize("budget", [0, 1, 7, 8, 9, 4095, 4096, 10**30])
+    def test_budget_violation_is_the_exact_comparison(self, n_bins, budget):
+        for k in range(4):
+            grid = cl.Grid(k=k, n_bins=n_bins)
+            over = grid.budget_violation(budget)
+            assert (over is not None) == (grid.n_cells > budget), (k, budget)
 
     @pytest.mark.parametrize("n_bins", [1, 3, 48])
     def test_bin_of_is_the_clipped_floor(self, n_bins):
