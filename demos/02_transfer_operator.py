@@ -42,9 +42,9 @@ def main() -> None:
     print(f"  {support.sum()} of {op.n_cells} cells reachable; active rows "
           f"sum to one within {np.max(np.abs(sums[support] - 1.0)):.1e}")
 
-    est = cl.estimate_coupling_constant(coupling, nm, m, k=1)
+    ce = cl.estimate_coupling_constant(coupling, m, k=1)
     ly = cl.check_lasota_yorke(op, eigen, [cl.node_coordinate()],
-                               n_max=5, m=m, ce=est.value)
+                               n_max=5, m=m, ce=ce)
     print(f"  iterated-seminorm inequality holds: {ly.all_ok} "
           f"(C6 = {ly.c6:.2f})")
 

@@ -19,7 +19,6 @@ if _os.environ.get("CML_LAB_THREADS"):
 
 from .lattice import (
     Coupling,
-    CouplingConstantEstimate,
     MetricParams,
     NodeMap,
     Potential,

@@ -90,6 +90,8 @@ EXPERIMENTS = (
 
 MAP_KINDS = ("doubling", "perturbed_doubling")
 POTENTIAL_KINDS = ("zero", "node_sine", "decaying_sine", "srb")
+# the widest window the contraction pre-flight reads C_E on
+CE_MAX_K = 64
 
 
 class ConfigError(ValueError):
@@ -152,7 +154,7 @@ class ExperimentConfig:
         if self.potential_kind == "node_sine":
             return node_sine_potential(self.amplitude, self.node, m)
         if self.potential_kind == "decaying_sine":
-            return decaying_sine_potential(self.amplitude, base=self.base)
+            return decaying_sine_potential(self.amplitude, base=self.base, metric=m)
         return srb_potential(self.node_map(), max_k=self.k, metric=m)
 
     def canonical_text(self) -> str:
@@ -266,10 +268,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"clt samples the {cfg.map_kind} map by pull-back, which supports "
             f"the uncoupled system only: epsilon={cfg.epsilon} must be 0"
         )
-    if cfg.coupling_kind != "diffusive":
-        v.append(f"coupling kind {cfg.coupling_kind!r} is not 'diffusive'")
-    if not 0.0 <= cfg.epsilon < 0.5:
-        v.append(f"epsilon={cfg.epsilon} outside [0, 1/2) (invertibility bound)")
+    try:
+        cfg.coupling()
+    except ValueError as exc:
+        v.append(str(exc))
     if not 0.0 < cfg.theta < 1.0:
         v.append(f"theta={cfg.theta} outside the open interval (0, 1)")
     if not 0.0 < cfg.beta <= 1.0:
@@ -282,8 +284,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             )
     if cfg.potential_kind not in POTENTIAL_KINDS:
         v.append(f"potential kind {cfg.potential_kind!r} not in {POTENTIAL_KINDS}")
-    elif cfg.potential_kind == "decaying_sine" and not cfg.base > 1.0:
-        v.append(f"base={cfg.base} must exceed 1 for the decaying_sine potential")
+    elif cfg.potential_kind == "decaying_sine":
+        try:
+            decaying_sine_potential(cfg.amplitude, base=cfg.base)
+        except ValueError as exc:
+            v.append(str(exc))
     if cfg.k < 0:
         v.append(f"k={cfg.k} must be nonnegative")
     if cfg.n_bins < 2:
@@ -310,15 +315,24 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"n_replicas={cfg.n_replicas} is below the {CLT_MIN_REPLICAS} "
             "replicas the clt experiment needs"
         )
-    # pre-flight contraction check with the exact C_E at the configured k;
-    # skipped when the map parameters are themselves invalid
+    # pre-flight contraction check with the lattice C_E: the largest C_E over
+    # windows widened from the configured k until it settles to 1e-12
+    # relative or C_E*eta >= 1; skipped when the map parameters are invalid
     if not v:
-        nm = cfg.node_map()
-        ce = estimate_coupling_constant(cfg.coupling(), nm, cfg.metric(), k=cfg.k)
-        if not ce.contracts:
+        eta, coupling, m, k = cfg.node_map().eta, cfg.coupling(), cfg.metric(), cfg.k
+        ce = estimate_coupling_constant(coupling, m, k)
+        for k in range(k + 1, CE_MAX_K + 1):
+            wider = estimate_coupling_constant(coupling, m, k)
+            settled = abs(wider - ce) < 1e-12 * wider
+            ce = max(ce, wider)
+            if settled or ce * eta >= 1.0:
+                break
+        else:
+            v.append(f"contraction pre-flight failed: C_E had not settled by k = {k}")
+        if ce * eta >= 1.0:
             v.append(
-                f"contraction pre-flight failed: C_E*eta = {ce.value * nm.eta:.4f} "
-                f">= 1 with C_E = {ce.value:.4f} at k = {cfg.k}"
+                f"contraction pre-flight failed: C_E*eta >= {ce * eta:.4f} on the "
+                f"lattice, whose C_E >= {ce:.4f} (window k = {k}, configured k = {cfg.k})"
             )
     return v
 
@@ -530,7 +544,7 @@ def _step_ly(cfg, state, report):
         random_trig_observable(rng, max_node=cfg.k, max_freq=3, metric=m)
         for _ in range(10)
     ]
-    ce = estimate_coupling_constant(cfg.coupling(), cfg.node_map(), m, k=cfg.k).value
+    ce = estimate_coupling_constant(cfg.coupling(), m, cfg.k)
     ly = check_lasota_yorke(op, eigen, obs, n_max=5, m=m, ce=ce, rng=rng)
     worst = max(r.measured / r.bound for r in ly.rows)
     report.results["ly"] = {

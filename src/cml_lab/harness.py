@@ -196,9 +196,7 @@ def _observed_blocks(cfg: EnsembleConfig, replicas: range, sink: Callable) -> in
     clamped = 0
     for step in range(cfg.n_steps):
         states = cfg.node_map.forward(states)
-        states = cfg.coupling.apply_to_array(
-            states.T, cfg.k_sim, cfg.node_map.p_tau
-        ).T
+        states = cfg.coupling.apply_to_array(states, cfg.k_sim, cfg.node_map.p_tau)
         if states.min() < 0.0 or states.max() >= 1.0:
             clamped += int(np.count_nonzero((states < 0.0) | (states >= 1.0)))
             np.clip(states, 0.0, _ONE_MINUS, out=states)

@@ -24,7 +24,6 @@ __all__ = [
     "NodeMap",
     "Coupling",
     "Potential",
-    "CouplingConstantEstimate",
     "doubling_map",
     "perturbed_doubling_map",
     "estimate_coupling_constant",
@@ -173,11 +172,11 @@ class Coupling:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind != "diffusive":
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
-        if not 0.0 <= self.epsilon < 0.5:
+        if self.kind != "diffusive" or not 0.0 <= self.epsilon < 0.5:
             raise ValueError(
-                f"diffusive strength must lie in [0, 1/2), got {self.epsilon}"
+                f"coupling kind {self.kind!r} with epsilon={self.epsilon}: the "
+                "kind must be 'diffusive' and epsilon lie in [0, 1/2) "
+                "(invertibility bound)"
             )
 
     def dense_matrix(self, k: int) -> np.ndarray:
@@ -200,52 +199,38 @@ class Coupling:
         """E^-1 of the linear part on the 2k+1 window values."""
         return np.linalg.inv(self.dense_matrix(k))
 
-    def apply_to_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
-        """Apply the coupling to values of shape (..., 2k+1).
-
-        The result has the memory layout of ``vals``; node-major values
-        (the transpose of a C-ordered (2k+1, ...) array) are the fast case,
-        where every neighbour shift runs on contiguous rows.
-        """
-        vals = np.asarray(vals, dtype=float)
-        if self.epsilon == 0.0:
-            return vals
-        # left + right neighbours, p_tau beyond the window, in one buffer
-        pair = np.empty_like(vals)
-        pair[..., 0] = p_tau
-        pair[..., 1:] = vals[..., :-1]
-        pair[..., :-1] += vals[..., 1:]
-        pair[..., -1] += p_tau
-        pair *= 0.5 * self.epsilon
-        out = vals * (1.0 - self.epsilon)
-        out += pair
-        return out
-
     def node_image(
         self, vals: Sequence[np.ndarray], j: int, p_tau: float
     ) -> np.ndarray:
         """Coordinate j (0 for node -k) of the coupled image of a window
-        given as one broadcastable array per node.  Only the left, centre
-        and right values vals[j-1], vals[j], vals[j+1] are read, p_tau
-        beyond the window; the result has their broadcast shape and equals
-        column j of :meth:`apply_to_array` bit for bit."""
+        given as one broadcastable array per node: the only formula for
+        the coupling.  Only the left, centre and right values vals[j-1],
+        vals[j], vals[j+1] are read, p_tau beyond the window; the result
+        has their broadcast shape."""
         centre = np.asarray(vals[j], dtype=float)
         if self.epsilon == 0.0:
             return centre
         left = np.asarray(vals[j - 1], dtype=float) if j > 0 else p_tau
         right = np.asarray(vals[j + 1], dtype=float) if j + 1 < len(vals) else p_tau
-        # apply_to_array's order: (left + right) * (eps/2), added to y * (1 - eps)
         return centre * (1.0 - self.epsilon) + (left + right) * (0.5 * self.epsilon)
 
+    def apply_to_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
+        """The coupled image of node-major values of shape (2k+1, ...):
+        :meth:`node_image` of every row at once, its neighbours read from
+        the window padded with p_tau."""
+        pad = np.full((1,) + np.shape(vals)[1:], p_tau)
+        padded = np.concatenate([pad, vals, pad])
+        return self.node_image((padded[:-2], padded[1:-1], padded[2:]), 1, p_tau)
+
     def invert_on_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
-        """E^-1 (vals - c) for values of shape (..., 2k+1), where c holds
-        the boundary terms of the p_tau tail: one product with the
-        precomputed inverse, not one solve per point."""
+        """E^-1 (vals - c) for node-major values of shape (2k+1, ...),
+        where c holds the boundary terms of the p_tau tail: one product
+        with the precomputed inverse, not one solve per point."""
         if self.epsilon == 0.0:
             # E is the identity: the product would return the right-hand side
             return np.asarray(vals, dtype=float)
-        rhs = np.asarray(vals, dtype=float) - self.boundary_offset(k, p_tau)
-        return rhs @ self.inverse_matrix(k).T
+        c = self.boundary_offset(k, p_tau).reshape((-1,) + (1,) * (np.ndim(vals) - 1))
+        return np.tensordot(self.inverse_matrix(k), vals - c, axes=1)
 
 
 def branch_preimage_table(values: np.ndarray, node_map: NodeMap) -> np.ndarray:
@@ -264,27 +249,11 @@ def branch_preimage_table(values: np.ndarray, node_map: NodeMap) -> np.ndarray:
     return per_branch[choices, np.arange(d)[None, :], :]
 
 
-@dataclass(frozen=True)
-class CouplingConstantEstimate:
-    """The interaction constant C_E of a coupling on a window.
-
-    ``contracts`` records whether value * eta < 1, the regime the theory
-    requires.
-    """
-
-    value: float
-    eta: float
-    contracts: bool
-
-
 def estimate_coupling_constant(
-    coupling: Coupling,
-    node_map: NodeMap,
-    m: MetricParams,
-    k: int = 3,
-) -> CouplingConstantEstimate:
+    coupling: Coupling, m: MetricParams, k: int = 3
+) -> float:
     """C_E, the largest ratio d_s(E^-1 x, E^-1 y) / d_s(x, y) over pairs
-    and over the metrics d_s re-centred on each node s of the window.
+    and over the metrics d_s re-centred on each node s of the window -k..k.
 
     With D_s = diag(theta^|j - s|), d_s(x, y) = |D_s (x - y)|_inf, so the
     ratio's supremum is the operator norm |D_s E^-1 D_s^-1|_inf, the
@@ -295,10 +264,7 @@ def estimate_coupling_constant(
     # weights[s, j] = theta^|j - s| re-centres the metric on node s
     weights = m.theta ** np.abs(nodes[None, :] - nodes[:, None])
     scaled = weights[:, :, None] * e_inv[None, :, :] / weights[:, None, :]
-    value = float(np.max(np.sum(np.abs(scaled), axis=2)))
-    return CouplingConstantEstimate(
-        value=value, eta=node_map.eta, contracts=value * node_map.eta < 1.0
-    )
+    return float(np.max(np.sum(np.abs(scaled), axis=2)))
 
 
 @dataclass(frozen=True)

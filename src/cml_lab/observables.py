@@ -74,6 +74,8 @@ def decaying_sine_potential(
     is consistent across window widths.  The node weight decays at rate
     1/base, so the k-th variation decays like base^-k.
     """
+    if not base > 1.0:
+        raise ValueError(f"base={base} must exceed 1 for the decaying_sine potential")
     m = metric or MetricParams()
     sup = abs(amplitude) * (base + 1.0) / (base - 1.0)
     lip = _TWO_PI * abs(amplitude) * sum(

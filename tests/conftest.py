@@ -8,6 +8,20 @@ import cml_lab as cl
 from cml_lab import transfer
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Print the captured stdout of the passing acceptance tests, their
+    one-line verdicts; every other passing test's output stays hidden."""
+    verdicts = [
+        r.capstdout.rstrip()
+        for r in terminalreporter.stats.get("passed", [])
+        if r.when == "call" and os.path.basename(r.location[0]) == "test_acceptance.py"
+    ]
+    if verdicts:
+        terminalreporter.section("acceptance verdicts")
+        for text in verdicts:
+            terminalreporter.write_line(text)
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that forks workers after 60 s: a worker left running

@@ -37,7 +37,7 @@ def coupled_setup():
     op = cl.ulam_matrix(
         "coupled", 1, 16, nm, potential=f, coupling=coupling, quad=8
     )
-    ce = cl.estimate_coupling_constant(coupling, nm, m, k=1).value
+    ce = cl.estimate_coupling_constant(coupling, m, k=1)
     return dict(m=m, nm=nm, f=f, eigen=eigen, coupling=coupling, op=op, ce=ce)
 
 

@@ -15,6 +15,8 @@ from cml_lab.cli import main, validate_config
 from cml_lab.harness import CLT_MIN_REPLICAS
 from conftest import assert_no_children
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = os.path.join(tmp_path, name)
@@ -160,12 +162,52 @@ class TestValidation:
             cl.parse_config(path)
         assert "burn_in=-3" in str(err.value) and "seed=-1" in str(err.value)
 
-    def test_preflight_uses_exact_coupling_constant(self):
+    def test_preflight_uses_exact_coupling_constant(self, tmp_path, capsys):
         # C_E * eta = 1.148 at eps = 0.2, k = 1, a = 0.05; the bound
         # 1/(1 - 2 eps) gave 0.989 and let this config through
         v = validate_config(cl.ExperimentConfig(epsilon=0.2))
         assert len(v) == 1 and "contraction pre-flight" in v[0]
-        assert validate_config(cl.ExperimentConfig(epsilon=0.15)) == []
+        # at eps = 0.15, C_E * eta is 0.959 on the k = 1 window but 1.016
+        # on the lattice (C_E = 1.7124); eps = 0.14 contracts there (0.973)
+        v = validate_config(cl.ExperimentConfig(epsilon=0.15))
+        assert len(v) == 1 and "contraction pre-flight" in v[0]
+        assert "on the lattice, whose C_E >= 1.6954 (window k = 2" in v[0]
+        assert validate_config(cl.ExperimentConfig(epsilon=0.14)) == []
+        assert main(["validate", write_cfg(tmp_path, "[coupling]\nepsilon = 0.15\n")]) == 2
+        assert "the lattice, whose C_E >= 1.6954" in capsys.readouterr().err
+        assert main(["validate", write_cfg(tmp_path, "[coupling]\nepsilon = 0.14\n")]) == 0
+
+    def test_preflight_widens_until_c_e_settles(self, monkeypatch):
+        # the pre-flight reads C_E on windows k = 1, 2, ... until two agree
+        # to 1e-12 relative; at eps = 0.14 that takes k = 16
+        widths = []
+        read = cli.estimate_coupling_constant
+
+        def recorded(coupling, m, k):
+            widths.append(k)
+            return read(coupling, m, k)
+
+        monkeypatch.setattr(cli, "estimate_coupling_constant", recorded)
+        assert validate_config(cl.ExperimentConfig(epsilon=0.14)) == []
+        assert widths == list(range(1, 17))
+        # a C_E that never settles below C_E * eta = 1 is refused at the cap
+        monkeypatch.setattr(cli, "estimate_coupling_constant", lambda c, m, k: 1.0 + 1e-9 * k)
+        v = validate_config(cl.ExperimentConfig())
+        assert v == [f"contraction pre-flight failed: C_E had not settled by k = {cli.CE_MAX_K}"]
+
+    @pytest.mark.parametrize("name", ["desk", "fine", "flat"])
+    def test_benchmark_workloads_validate(self, name):
+        path = os.path.join(ROOT, "perfbench", "workloads", f"{name}.cfg")
+        assert validate_config(cl.parse_config(path)) == []
+        assert main(["validate", path]) == 0
+
+    def test_coupling_rules_come_from_the_coupling(self):
+        # validate reports the coupling's own message, both rules in one
+        for kw in (dict(epsilon=0.5), dict(coupling_kind="ring"), dict(epsilon=-0.1)):
+            cfg = cl.ExperimentConfig(**kw)
+            with pytest.raises(ValueError) as err:
+                cfg.coupling()
+            assert validate_config(cfg) == [str(err.value)]
 
     def test_decaying_sine_base_must_exceed_one(self):
         # base = 1 divided by zero in the declared sup norm; below 1 that
@@ -176,6 +218,17 @@ class TestValidation:
             )
             assert v == [f"base={base} must exceed 1 for the decaying_sine potential"]
         assert validate_config(cl.ExperimentConfig(base=1.0)) == []
+        # the rule is the potential's own
+        for base in (1.0, 0.5):
+            with pytest.raises(ValueError, match=f"base={base} must exceed 1"):
+                cl.decaying_sine_potential(0.1, base=base)
+
+    def test_decaying_sine_potential_gets_the_metric(self):
+        cfg = cl.ExperimentConfig(potential_kind="decaying_sine", theta=0.25, alpha=0.5)
+        ref = cl.decaying_sine_potential(0.1, 4.0, metric=cfg.metric())
+        default = cl.decaying_sine_potential(0.1, 4.0)
+        assert cfg.potential().declared_beta_norm == ref.declared_beta_norm
+        assert ref.declared_beta_norm != default.declared_beta_norm
 
     def test_clt_needs_its_replica_floor(self):
         v = validate_config(cl.ExperimentConfig(n_replicas=100))

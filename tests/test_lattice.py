@@ -156,7 +156,7 @@ class TestCoupling:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
     def test_invert_roundtrip(self, eps, doubling):
         e = cl.Coupling(epsilon=eps)
-        x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 5)) * 0.999
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (5, 200)) * 0.999
         y = e.apply_to_array(x, 2, doubling.p_tau)
         back = e.invert_on_array(y, 2, doubling.p_tau)
         assert np.allclose(back, x, atol=1e-12)
@@ -164,57 +164,47 @@ class TestCoupling:
     def test_invert_identity_returns_input(self):
         # at eps = 0 the solve against the identity is skipped; it would
         # return the right-hand side exactly
-        vals = np.random.default_rng(4).uniform(0.0, 1.0, (500, 3))
+        vals = np.random.default_rng(4).uniform(0.0, 1.0, (3, 500))
         got = cl.Coupling(epsilon=0.0).invert_on_array(vals, 1, 0.0)
-        ref = np.linalg.solve(np.eye(3), vals[..., None])[..., 0]
+        ref = np.linalg.solve(np.eye(3), vals)
         assert np.array_equal(got, ref)
         assert np.array_equal(got, vals)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("eps", [0.05, 0.2])
     def test_apply_matches_concatenated_neighbours(self, k, eps):
-        # reference: left and right neighbour arrays built by concatenation,
-        # p_tau beyond the window; replica-major, node-major and 1-d inputs
+        # bit for bit against left and right neighbour rows built by
+        # concatenation, p_tau beyond the window; on node-major (d, n),
+        # (d, n, m) and 1-d inputs
         d = 2 * k + 1
-        p_tau = 0.25
-        vals = np.random.default_rng(9).uniform(0.0, 1.0, (400, d))
-        pad = np.full((400, 1), p_tau)
-        left = np.concatenate([pad, vals[:, :-1]], axis=1)
-        right = np.concatenate([vals[:, 1:], pad], axis=1)
-        ref = (1.0 - eps) * vals + 0.5 * eps * (left + right)
+        vals = np.random.default_rng(9).uniform(0.0, 1.0, (d, 400))
+        ref = _concatenated_coupling(vals, eps, 0.25)
         e = cl.Coupling(epsilon=eps)
-        assert np.array_equal(e.apply_to_array(vals, k, p_tau), ref)
-        node_major = np.ascontiguousarray(vals.T)
-        got = e.apply_to_array(node_major.T, k, p_tau)
-        assert np.array_equal(got, ref) and got.T.flags.c_contiguous
-        assert np.array_equal(e.apply_to_array(vals[7], k, p_tau), ref[7])
+        assert np.array_equal(e.apply_to_array(vals, k, 0.25), ref)
+        cube = vals.reshape(d, 20, 20)
+        assert np.array_equal(e.apply_to_array(cube, k, 0.25), ref.reshape(d, 20, 20))
+        assert np.array_equal(e.apply_to_array(vals[:, 7], k, 0.25), ref[:, 7])
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("p_tau", [0.0, 0.3])
-    def test_node_image_equals_column_of_apply(self, k, eps, p_tau):
-        # every node, edge nodes included, bit for bit: on one array per
-        # node, and on per-node axes that broadcast to the tensor grid
+    def test_node_image_on_broadcast_axes(self, k, eps, p_tau):
+        # every node, edge nodes included, bit for bit on per-node axes that
+        # broadcast to the tensor grid; node j's image spans only the axes
+        # it reads
         d = 2 * k + 1
         e = cl.Coupling(epsilon=eps)
-        rng = np.random.default_rng(12)
-        vals = rng.uniform(0.0, 1.0, (300, d))
-        full = e.apply_to_array(vals, k, p_tau)
-        for j in range(d):
-            assert np.array_equal(e.node_image(list(vals.T), j, p_tau), full[:, j])
-        axes = [rng.uniform(0.0, 1.0, 3 + j) for j in range(d)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        full = e.apply_to_array(np.stack(grid, axis=-1), k, p_tau)
+        axes = [np.random.default_rng(12 + j).uniform(0.0, 1.0, 3 + j) for j in range(d)]
+        full = _concatenated_coupling(np.stack(np.meshgrid(*axes, indexing="ij")), eps, p_tau)
         spread = [
             a.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j, a in enumerate(axes)
         ]
+        reach = 1 if eps > 0.0 else 0
         for j in range(d):
             got = e.node_image(spread, j, p_tau)
-            # node j's image spans only the axes it reads
-            reach = 1 if eps > 0.0 else 0
             assert got.ndim == d
             assert all(got.shape[a] == 1 for a in range(d) if abs(a - j) > reach)
-            assert np.array_equal(np.broadcast_to(got, full.shape[:-1]), full[..., j])
+            assert np.array_equal(np.broadcast_to(got, full.shape[1:]), full[j])
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.45])
@@ -222,17 +212,20 @@ class TestCoupling:
         # one product with E^-1 against one LU solve per point, on images
         # E(x) of states x in the cube, whose solutions lie in [0, 1)
         e = cl.Coupling(epsilon=eps)
-        x = np.random.default_rng(10).uniform(0.0, 1.0, (20_000, 2 * k + 1))
+        x = np.random.default_rng(10).uniform(0.0, 1.0, (2 * k + 1, 20_000))
         vals = e.apply_to_array(x, k, 0.0)
         got = e.invert_on_array(vals, k, 0.0)
-        rhs = vals - e.boundary_offset(k, 0.0)
-        ref = np.linalg.solve(e.dense_matrix(k), rhs[..., None])[..., 0]
+        rhs = vals - e.boundary_offset(k, 0.0)[:, None]
+        ref = np.linalg.solve(e.dense_matrix(k), rhs)
         assert got.shape == vals.shape
         assert np.max(np.abs(got - ref)) <= 1e-15
 
     def test_rejects_epsilon_half(self):
-        with pytest.raises(ValueError):
+        # one message for both rules, naming the offending values
+        with pytest.raises(ValueError, match=r"'diffusive' with epsilon=0\.5: "):
             cl.Coupling(epsilon=0.5)
+        with pytest.raises(ValueError, match=r"kind 'ring' with epsilon=0\.1: .*\[0, 1/2\)"):
+            cl.Coupling(kind="ring", epsilon=0.1)
 
     def test_corner_state_is_outside_the_range(self, doubling):
         # a corner state outside the coupling image on the window: its
@@ -244,9 +237,18 @@ class TestCoupling:
     def test_coupled_step_range(self, perturbed):
         # T = E after the nodewise map keeps the window in [0, 1)
         e = cl.Coupling(epsilon=0.1)
-        x = np.random.default_rng(5).uniform(0.0, 1.0, (1000, 3)) * 0.999
+        x = np.random.default_rng(5).uniform(0.0, 1.0, (3, 1000)) * 0.999
         out = e.apply_to_array(perturbed.forward(x), 1, perturbed.p_tau)
         assert np.all((0.0 <= out) & (out < 1.0))
+
+
+def _concatenated_coupling(vals, eps, p_tau):
+    """The coupled image of node-major values, from left and right
+    neighbour rows built by concatenation, p_tau beyond the window."""
+    pad = np.full((1,) + vals.shape[1:], p_tau)
+    left = np.concatenate([pad, vals[:-1]])
+    right = np.concatenate([vals[1:], pad])
+    return (1.0 - eps) * vals + 0.5 * eps * (left + right)
 
 
 def _preimages(values, node_map):
@@ -293,25 +295,24 @@ class TestBranches:
 
 
 class TestCouplingConstant:
-    def test_identity_coupling(self, doubling, metric):
-        est = cl.estimate_coupling_constant(cl.Coupling(epsilon=0.0), doubling, metric)
-        assert est.value == 1.0
+    def test_identity_coupling(self, metric):
+        assert cl.estimate_coupling_constant(cl.Coupling(epsilon=0.0), metric) == 1.0
 
-    def test_weighted_bound(self, doubling, metric):
+    def test_weighted_bound(self, metric):
         # in the theta-weighted metric the diagonal-dominance bound is
         # 1/(1 - eps - eps/theta); the unweighted 1/(1-2 eps) does not apply
         eps = 0.1
-        est = cl.estimate_coupling_constant(cl.Coupling(epsilon=eps), doubling, metric)
+        ce = cl.estimate_coupling_constant(cl.Coupling(epsilon=eps), metric)
         bound = 1.0 / (1.0 - eps - eps / metric.theta)
-        assert 1.0 <= est.value <= bound + 1e-9
+        assert 1.0 <= ce <= bound + 1e-9
 
-    def test_contraction_flag(self, doubling, metric):
-        est = cl.estimate_coupling_constant(cl.Coupling(epsilon=0.1), doubling, metric)
-        assert est.contracts  # C_E * eta < 1 at eta = 1/2
+    def test_contracts_at_eps_one_tenth(self, doubling, metric):
+        ce = cl.estimate_coupling_constant(cl.Coupling(epsilon=0.1), metric)
+        assert type(ce) is float and ce * doubling.eta < 1.0
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
-    def test_shared_inverse_leaves_value_unchanged(self, k, eps, doubling, metric):
+    def test_shared_inverse_leaves_value_unchanged(self, k, eps, metric):
         # C_E from the coupling's shared E^-1 equals, to the byte, the
         # value from an inverse formed here
         e = cl.Coupling(epsilon=eps)
@@ -321,7 +322,7 @@ class TestCouplingConstant:
         weights = metric.theta ** np.abs(nodes[None, :] - nodes[:, None])
         scaled = weights[:, :, None] * e_inv[None, :, :] / weights[:, None, :]
         ref = float(np.max(np.sum(np.abs(scaled), axis=2)))
-        got = cl.estimate_coupling_constant(e, doubling, metric, k=k).value
+        got = cl.estimate_coupling_constant(e, metric, k=k)
         assert got.hex() == ref.hex()
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -333,19 +334,20 @@ class TestCouplingConstant:
         # the row of largest absolute sum, attains that row sum.  Random
         # pairs alone reach only about 91% of C_E at eps = 0.2, k = 3.
         e = cl.Coupling(epsilon=eps)
-        got = cl.estimate_coupling_constant(e, doubling, metric, k=k).value
+        got = cl.estimate_coupling_constant(e, metric, k=k)
         nodes = np.arange(-k, k + 1)
         rng = np.random.default_rng(11)
-        xs = rng.uniform(0.0, 1.0, (1000, 2 * k + 1))
-        ys = rng.uniform(0.0, 1.0, (1000, 2 * k + 1))
+        xs = [rng.uniform(0.0, 1.0, (2 * k + 1, 1000))]
+        ys = [rng.uniform(0.0, 1.0, (2 * k + 1, 1000))]
         e_inv = np.linalg.inv(e.dense_matrix(k))
         for shift in nodes:
             w = metric.theta ** np.abs(nodes - shift)
             row = w[:, None] * e_inv / w[None, :]
             i = np.argmax(np.abs(row).sum(axis=1))
             delta = np.sign(row[i]) / w
-            xs = np.vstack([xs, 0.5 + 0.4 * delta / np.max(np.abs(delta))])
-            ys = np.vstack([ys, np.full(2 * k + 1, 0.5)])
+            xs.append(0.5 + 0.4 * delta[:, None] / np.max(np.abs(delta)))
+            ys.append(np.full((2 * k + 1, 1), 0.5))
+        xs, ys = np.hstack(xs), np.hstack(ys)
         ix = e.invert_on_array(xs, k, doubling.p_tau)
         iy = e.invert_on_array(ys, k, doubling.p_tau)
 
@@ -354,8 +356,8 @@ class TestCouplingConstant:
             return float(np.max(w * np.abs(a - b)))
 
         ratios = np.array([
-            [shifted(ix[p], iy[p], s) / shifted(xs[p], ys[p], s) for s in nodes]
-            for p in range(xs.shape[0])
+            [shifted(ix[:, p], iy[:, p], s) / shifted(xs[:, p], ys[:, p], s) for s in nodes]
+            for p in range(xs.shape[1])
         ])
         assert np.max(ratios[:1000]) <= got * (1.0 + 1e-12)
         assert np.max(ratios[1000:]) == pytest.approx(got, rel=1e-12)

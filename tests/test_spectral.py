@@ -395,6 +395,17 @@ class TestCorrelations:
         mean = float(mu @ x)
         assert c[0] == pytest.approx(float(mu @ (x - mean) ** 2), abs=1e-14)
 
+    def test_coupled_correlations_vanish(self, coupled_op_k1, raw_coupled_eps01):
+        # centring with mu, the operator's own stationary measure, lets C_n
+        # decay to rounding: centring with Lebesgue measure instead leaves
+        # a constant offset (a 43% sigma^2 error once).  Also on the eps =
+        # 0.1 operator, whose unreachable cells make mu non-uniform.
+        eps01 = transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01))
+        x0 = cl.node_coordinate(0)
+        for op in (coupled_op_k1, eps01):
+            c = cl.operator_correlation(x0, x0, op, 60)
+            assert c[0] > 0.0 and abs(c[60]) <= 1e-12 * c[0]
+
     def test_fitted_decay_matches_gap(self, perturbed_L):
         # log-linear fit on operator correlations recovers |lambda_2|
         c = cl.operator_correlation(

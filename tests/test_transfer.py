@@ -749,7 +749,7 @@ def _reference_rhs(op, box):
             np.arange(lo, min(lo + transfer._SLAB_POINTS, n_pts)), shape
         )
         y = np.stack([a[i] for a, i in zip(axes, idx)])
-        x = coupling.apply_to_array(y.T, grid.k, node_map.p_tau).T
+        x = coupling.apply_to_array(y, grid.k, node_map.p_tau)
         total += float(np.sum(rho[grid.cell_of(x)]))
     return weight * total, n_pts
 
@@ -870,7 +870,7 @@ def reference_image_mass(op, box, mc_samples, rng):
     for lo in range(0, mc_samples, 100_000):
         part = bins[:, lo:lo + 100_000]
         x = (part + rng.uniform(0.0, 1.0, part.shape)) / grid.n_bins
-        y = coupling.invert_on_array(x.T, grid.k, node_map.p_tau).T
+        y = coupling.invert_on_array(x, grid.k, node_map.p_tau)
         valid = np.all((y >= 0.0) & (y < 1.0), axis=0)
         hits += int(np.sum(_preimage_in_box(y[:, valid], grid, box, node_map)))
     return hits / mc_samples
@@ -1011,7 +1011,7 @@ def _coupled_points(grid, node_map, potential, coupling, quad):
     weight, all at once, points in C order."""
     pts, cols = _all_quad_points(grid, quad)
     fwd = node_map.forward(pts)
-    images = coupling.apply_to_array(fwd.T, grid.k, node_map.p_tau).T
+    images = coupling.apply_to_array(fwd, grid.k, node_map.p_tau)
     np.clip(images, 0.0, np.nextafter(1.0, 0.0), out=images)
     rows = grid.cell_of(images)
     log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
