@@ -17,7 +17,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -137,9 +137,13 @@ class ExperimentConfig:
     n_lags: int = 10
 
     def node_map(self) -> NodeMap:
+        # the builders are looked up in this module at call time, so that
+        # a wrapper set on it (perfbench/child.py sets one) is the one run
         if self.map_kind == "doubling":
             return doubling_map()
-        return perturbed_doubling_map(self.a)
+        if self.map_kind == "perturbed_doubling":
+            return perturbed_doubling_map(self.a)
+        raise ValueError(f"map kind {self.map_kind!r} not in {MAP_KINDS}")
 
     def metric(self) -> MetricParams:
         return MetricParams(theta=self.theta, beta=self.beta, alpha=self.alpha)
@@ -148,21 +152,33 @@ class ExperimentConfig:
         return Coupling(kind=self.coupling_kind, epsilon=self.epsilon)
 
     def potential(self) -> Potential:
-        m = self.metric()
         if self.potential_kind == "zero":
             return zero_potential()
         if self.potential_kind == "node_sine":
-            return node_sine_potential(self.amplitude, self.node, m)
+            return node_sine_potential(self.amplitude, self.node, self.metric())
         if self.potential_kind == "decaying_sine":
-            return decaying_sine_potential(self.amplitude, base=self.base, metric=m)
-        return srb_potential(self.node_map(), max_k=self.k, metric=m)
+            return decaying_sine_potential(self.amplitude, base=self.base, metric=self.metric())
+        if self.potential_kind == "srb":
+            return srb_potential(self.node_map(), max_k=self.k, metric=self.metric())
+        raise ValueError(f"potential kind {self.potential_kind!r} not in {POTENTIAL_KINDS}")
+
+    def observable(self) -> Potential:
+        """x_0, whose correlations, variance and sums the experiments test."""
+        return node_coordinate(0, metric=self.metric())
+
+    def ensemble(self) -> EnsembleConfig:
+        return EnsembleConfig(
+            node_map=self.node_map(), coupling=self.coupling(),
+            observable=self.observable(), k_sim=self.k, n_steps=self.n_steps,
+            n_replicas=self.n_replicas, burn_in=self.burn_in, seed=self.seed,
+        )
 
     def canonical_text(self) -> str:
         """Config re-serialized in a fixed order; the fingerprint input."""
         lines = []
         for sec, keys in _SCHEMA.items():
             lines.append(f"[{sec}]")
-            for key, (attr, _) in sorted(keys.items()):
+            for key, attr in sorted(keys.items()):
                 val = getattr(self, attr)
                 if isinstance(val, tuple):
                     val = ", ".join(val)
@@ -174,36 +190,18 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# section -> key -> (config attribute, parser)
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "map": {"kind": ("map_kind", str), "a": ("a", float)},
-    "coupling": {"kind": ("coupling_kind", str), "epsilon": ("epsilon", float)},
-    "metric": {
-        "theta": ("theta", float),
-        "beta": ("beta", float),
-        "alpha": ("alpha", float),
-    },
-    "potential": {
-        "kind": ("potential_kind", str),
-        "amplitude": ("amplitude", float),
-        "node": ("node", int),
-        "base": ("base", float),
-    },
-    "operator": {
-        "k": ("k", int),
-        "n_bins": ("n_bins", int),
-        "quad": ("quad", int),
-        "cell_budget": ("cell_budget", int),
-    },
-    "run": {
-        "experiments": ("experiments", tuple),
-        "seed": ("seed", int),
-        "output_dir": ("output_dir", str),
-        "n_steps": ("n_steps", int),
-        "n_replicas": ("n_replicas", int),
-        "burn_in": ("burn_in", int),
-        "n_lags": ("n_lags", int),
-    },
+# the config attributes of each section: a key is its attribute without
+# the section prefix, and it parses as the type of the attribute's default
+_SECTIONS = {
+    "map": ("map_kind", "a"),
+    "coupling": ("coupling_kind", "epsilon"),
+    "metric": ("theta", "beta", "alpha"),
+    "potential": ("potential_kind", "amplitude", "node", "base"),
+    "operator": ("k", "n_bins", "quad", "cell_budget"),
+    "run": ("experiments", "seed", "output_dir", "n_steps", "n_replicas", "burn_in", "n_lags"),
+}
+_SCHEMA = {
+    sec: {a.removeprefix(f"{sec}_"): a for a in attrs} for sec, attrs in _SECTIONS.items()
 }
 
 
@@ -213,6 +211,7 @@ def parse_config(path: str) -> ExperimentConfig:
         text = fh.read()
     violations: list[str] = []
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -234,14 +233,16 @@ def parse_config(path: str) -> ExperimentConfig:
         if key not in _SCHEMA[section]:
             violations.append(f"line {lineno}: unknown key {key!r} in [{section}]")
             continue
-        attr, typ = _SCHEMA[section][key]
+        attr = _SCHEMA[section][key]
+        if attr in lines:
+            violations.append(f"line {lineno}: [{section}] {key} repeats line {lines[attr]}")
+            continue
+        lines[attr] = lineno
+        typ = type(getattr(ExperimentConfig, attr))
         try:
             if typ is tuple:
-                values[attr] = tuple(
-                    s.strip() for s in val.split(",") if s.strip()
-                )
-            else:
-                values[attr] = typ(val)
+                val = [s.strip() for s in val.split(",") if s.strip()]
+            values[attr] = typ(val)
         except ValueError:
             violations.append(
                 f"line {lineno}: {key} = {val!r} is not a valid {typ.__name__}"
@@ -256,52 +257,43 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
-    """Re-check every owning-module constraint; return all violations."""
+    """Every violation of a config: the messages of the objects that own a
+    rule, each once, and the rules of a run, which no object owns."""
     v: list[str] = []
-    if cfg.map_kind not in MAP_KINDS:
-        v.append(f"map kind {cfg.map_kind!r} not in {MAP_KINDS}")
-    elif cfg.map_kind == "perturbed_doubling" and not 0.0 <= cfg.a < 1.0 / (2 * math.pi):
-        v.append(f"perturbation amplitude a={cfg.a} outside [0, 1/(2 pi))")
-    elif "clt" in cfg.experiments and cfg.epsilon != 0.0 and not cfg.node_map().trajectory_safe:
-        # _step_clt pulls back every map that is not trajectory-safe
-        v.append(
-            f"clt samples the {cfg.map_kind} map by pull-back, which supports "
-            f"the uncoupled system only: epsilon={cfg.epsilon} must be 0"
-        )
-    try:
-        cfg.coupling()
-    except ValueError as exc:
-        v.append(str(exc))
-    if not 0.0 < cfg.theta < 1.0:
-        v.append(f"theta={cfg.theta} outside the open interval (0, 1)")
-    if not 0.0 < cfg.beta <= 1.0:
-        v.append(f"beta={cfg.beta} outside (0, 1]")
-    if 0.0 < cfg.theta < 1.0 and 0.0 < cfg.beta <= 1.0:
-        if not cfg.theta ** cfg.beta <= cfg.alpha < 1.0:
-            v.append(
-                f"alpha={cfg.alpha} outside [theta^beta, 1) = "
-                f"[{cfg.theta ** cfg.beta}, 1)"
-            )
-    if cfg.potential_kind not in POTENTIAL_KINDS:
-        v.append(f"potential kind {cfg.potential_kind!r} not in {POTENTIAL_KINDS}")
-    elif cfg.potential_kind == "decaying_sine":
+
+    def owned(build):
         try:
-            decaying_sine_potential(cfg.amplitude, base=cfg.base)
-        except ValueError as exc:
-            v.append(str(exc))
+            build()
+        except (ValueError, OverflowError) as exc:
+            # an overflow's own text names neither the object nor the cause
+            msg = str(exc) if isinstance(exc, ValueError) else f"{build.__name__}(): {exc!r}"
+            if msg not in v:
+                v.append(msg)
+
+    owned(cfg.node_map)
+    owned(cfg.coupling)
+    owned(cfg.metric)
     if cfg.k < 0:
         v.append(f"k={cfg.k} must be nonnegative")
     if cfg.n_bins < 2:
         v.append(f"n_bins={cfg.n_bins} must be at least 2")
-    if cfg.k >= 0 and cfg.n_bins >= 2:
-        over = Grid(k=cfg.k, n_bins=cfg.n_bins).budget_violation(cfg.cell_budget)
-        if over:
-            v.append(over)
+    grid_ok = cfg.k >= 0 and cfg.n_bins >= 2
+    over = grid_ok and Grid(k=cfg.k, n_bins=cfg.n_bins).budget_violation(cfg.cell_budget)
+    if over:
+        v.append(over)
+    else:
+        # built only within the budget: the srb bound sums theta^-|j| over
+        # the window, which overflows on a far wider one
+        owned(cfg.potential)
     if cfg.quad < 1:
         v.append(f"quad={cfg.quad} must be at least 1")
     unknown = [e for e in cfg.experiments if e not in EXPERIMENTS]
     if unknown:
         v.append(f"unknown experiments {unknown}; valid: {EXPERIMENTS}")
+    repeated = sorted({e for e in cfg.experiments if cfg.experiments.count(e) > 1})
+    if repeated:
+        v.append(f"experiments {repeated} listed more than once")
+    before_run = len(v)
     if cfg.burn_in >= cfg.n_steps:
         v.append(f"burn_in={cfg.burn_in} must be smaller than n_steps={cfg.n_steps}")
     if cfg.burn_in < 0:
@@ -315,6 +307,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"n_replicas={cfg.n_replicas} is below the {CLT_MIN_REPLICAS} "
             "replicas the clt experiment needs"
         )
+    # built once the run's rules hold, which the ensemble checks again
+    if "clt" in cfg.experiments and len(v) == before_run:
+        owned(cfg.ensemble)
     # pre-flight contraction check with the lattice C_E: the largest C_E over
     # windows widened from the configured k until it settles to 1e-12
     # relative or C_E*eta >= 1; skipped when the map parameters are invalid
@@ -435,8 +430,7 @@ def _sigma2(cfg: ExperimentConfig, state: dict, report: RunReport) -> float:
     """Green-Kubo variance of x_0 under the coupled operator, computed
     once per run; how its sum ended goes in ``diagnostics.correlation``."""
     if "sigma2" not in state:
-        phi = node_coordinate(0, metric=cfg.metric())
-        gk = variance_green_kubo(phi, _coupled_op(cfg, state))
+        gk = variance_green_kubo(cfg.observable(), _coupled_op(cfg, state))
         report.diagnostics["correlation"] = {
             "green_kubo_lags": gk.lags,
             "green_kubo_capped": gk.capped,
@@ -523,7 +517,7 @@ def _step_spectral(cfg, state, report):
 
 def _step_correlation(cfg, state, report):
     op = _coupled_op(cfg, state)
-    phi = node_coordinate(0, metric=cfg.metric())
+    phi = cfg.observable()
     sigma2 = _sigma2(cfg, state, report)
     c_n = operator_correlation(phi, phi, op, cfg.n_lags)
     report.results["correlation"] = {
@@ -589,7 +583,7 @@ def _step_conformality(cfg, state, report):
 
 def _step_twisted(cfg, state, report):
     op = _coupled_op(cfg, state)
-    phi = node_coordinate(0, metric=cfg.metric())
+    phi = cfg.observable()
     sigma2 = _sigma2(cfg, state, report)
     rows = check_twisted_bound(op, phi, [0.01, -0.01, 0.05, -0.05, 0.1, -0.1])
     max_modulus = max(r.modulus for r in rows)
@@ -617,14 +611,7 @@ def _step_twisted(cfg, state, report):
 
 def _step_clt(cfg, state, report):
     sigma2 = _sigma2(cfg, state, report)
-    node_map = cfg.node_map()
-    method = "forward" if node_map.trajectory_safe else "pullback"
-    ens = EnsembleConfig(
-        node_map=node_map, coupling=cfg.coupling(),
-        observable=node_coordinate(0, metric=cfg.metric()),
-        k_sim=cfg.k, n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
-        burn_in=cfg.burn_in, seed=cfg.seed, method=method,
-    )
+    ens = cfg.ensemble()
     report.counts["clt"] = {"shares": ensemble_shares(ens)}
     sums = simulate_ensemble(ens)
     sums -= sums.mean()
@@ -667,13 +654,10 @@ _EXPERIMENT_STEPS = {
 
 
 def _json_payload(report: RunReport) -> str:
-    cfg = report.config
-    cfg_dict = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    cfg_dict["experiments"] = list(cfg.experiments)
     doc = {
         "fingerprint": report.fingerprint,
         "version": __version__,
-        "config": cfg_dict,
+        "config": asdict(report.config),
         "results": report.results,
         "diagnostics": report.diagnostics,
         "errors": report.errors,

@@ -53,10 +53,10 @@ class EnsembleConfig:
     """A reproducible ensemble run of the coupled dynamics.
 
     ``k_sim`` is the trajectory window half-width (may be much wider than
-    any operator grid).  ``method`` is 'forward' for ordinary iteration or
-    'pullback' for backward branch sampling; forward simulation of maps
-    whose orbits collapse in floating point is refused, and so is
-    pull-back sampling of a coupled system.
+    any operator grid).  The map decides how the ensemble is sampled: a
+    trajectory-safe map is iterated forward, and any other, whose orbits
+    collapse in floating point, is pulled back by backward branch
+    sampling, which supports the uncoupled system only.
     """
 
     node_map: NodeMap
@@ -67,7 +67,6 @@ class EnsembleConfig:
     n_replicas: int = 1
     burn_in: int = 100
     seed: int = 42
-    method: str = "forward"
 
     def __post_init__(self) -> None:
         if self.burn_in >= self.n_steps:
@@ -76,15 +75,11 @@ class EnsembleConfig:
             raise ValueError("burn_in must be nonnegative")
         if self.n_replicas < 1:
             raise ValueError("need at least one replica")
-        if self.method not in ("forward", "pullback"):
-            raise ValueError(f"unknown simulation method {self.method!r}")
-        if self.method == "forward" and not self.node_map.trajectory_safe:
+        if not self.node_map.trajectory_safe and self.coupling.epsilon != 0.0:
             raise ValueError(
-                f"{self.node_map.name} collapses under forward floating-point "
-                "iteration; opt into method='pullback' instead"
+                f"clt samples the {self.node_map.name} map by pull-back, which supports "
+                f"the uncoupled system only: epsilon={self.coupling.epsilon} must be 0"
             )
-        if self.method == "pullback" and self.coupling.epsilon != 0.0:
-            raise ValueError("pullback sampling supports the uncoupled system only")
 
 
 def _replica_streams(seed: int, replicas: range):
@@ -184,7 +179,7 @@ def _observed_blocks(cfg: EnsembleConfig, replicas: range, sink: Callable) -> in
     states are uniform on the window.  Forward steps clamp stray values at
     the interval edge and count them.
     """
-    if cfg.method == "pullback":
+    if not cfg.node_map.trajectory_safe:
         return _pullback_blocks(cfg, replicas, sink)
     d = 2 * cfg.k_sim + 1
     # node-major states (d, replicas): each node's values are contiguous,

@@ -44,17 +44,19 @@ class MetricParams:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
+        broken = []  # every failed rule, in one ValueError
         if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0,1), got {self.theta}")
+            broken.append(f"theta={self.theta} outside the open interval (0, 1)")
         if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0,1], got {self.beta}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.theta ** self.beta)
-        if not self.theta ** self.beta <= self.alpha < 1.0:
-            raise ValueError(
-                f"alpha must lie in [theta**beta, 1) = [{self.theta ** self.beta}, 1), "
-                f"got {self.alpha}"
-            )
+            broken.append(f"beta={self.beta} outside (0, 1]")
+        if not broken:
+            floor = self.theta ** self.beta
+            if self.alpha is None:
+                object.__setattr__(self, "alpha", floor)
+            if not floor <= self.alpha < 1.0:
+                broken.append(f"alpha={self.alpha} outside [theta^beta, 1) = [{floor}, 1)")
+        if broken:
+            raise ValueError("; ".join(broken))
 
     def node_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(a) - np.asarray(b))
@@ -122,7 +124,7 @@ def perturbed_doubling_map(a: float = 0.05) -> NodeMap:
     functions are smooth, strictly monotone with derivative >= 2 - 2 pi a).
     """
     if not 0.0 <= a < 1.0 / (2.0 * math.pi):
-        raise ValueError(f"perturbation a must lie in [0, 1/(2 pi)), got {a}")
+        raise ValueError(f"perturbation amplitude a={a} outside [0, 1/(2 pi))")
     two_pi = 2.0 * math.pi
 
     def forward(x: np.ndarray) -> np.ndarray:

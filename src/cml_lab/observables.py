@@ -50,6 +50,8 @@ def node_sine_potential(
 ) -> Potential:
     """f(x) = amplitude * sin(2 pi x_node); zero when the node is outside
     the window (consistent with a p_tau = 0 tail)."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude={amplitude} must be finite")
     m = metric or MetricParams()
 
     def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
@@ -74,6 +76,8 @@ def decaying_sine_potential(
     is consistent across window widths.  The node weight decays at rate
     1/base, so the k-th variation decays like base^-k.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude={amplitude} must be finite")
     if not base > 1.0:
         raise ValueError(f"base={base} must exceed 1 for the decaying_sine potential")
     m = metric or MetricParams()
@@ -89,7 +93,7 @@ def decaying_sine_potential(
         name=f"decaying_sine(c={amplitude}, base={base})",
         node_term=term,
         declared_sup_norm=sup,
-        declared_beta_norm=lip if not math.isinf(lip) else float("inf"),
+        declared_beta_norm=lip,
     )
 
 

@@ -620,7 +620,8 @@ def _assemble_coupled_matrix(
     ):
         for i, part in enumerate((counts, data, indices)):
             part += blocks[i::3]
-    del blocks
+    # part would keep the index blocks alive through the CSR conversion
+    del blocks, part
     _check_nnz(sum(block.size for block in data))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
@@ -681,7 +682,8 @@ def power_iterate(matrix) -> PowerIteration:
     Starts from the constant vector 1/n and rescales every iterate to sum
     one, so the eigenvalue is the sum of the product.  Stops once the
     sup-change is at most _POWER_TOL times the iterate's sup norm; raises
-    with the final change after _POWER_STEPS steps.
+    at the first non-finite sup-change, and with the final change after
+    _POWER_STEPS steps.
     """
     v = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
     for step in range(1, _POWER_STEPS + 1):
@@ -689,6 +691,8 @@ def power_iterate(matrix) -> PowerIteration:
         lam = w.sum()
         w /= lam
         delta = float(np.max(np.abs(w - v)))
+        if not math.isfinite(delta):
+            raise RuntimeError(f"power iteration: sup-change {delta} at step {step}")
         v = w
         if delta <= _POWER_TOL * float(np.max(np.abs(v))):
             return PowerIteration(lam, v, step, delta)

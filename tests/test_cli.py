@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -130,6 +131,49 @@ class TestParsing:
             cl.parse_config(path)
         assert "n_bins" in str(err.value)
 
+    @pytest.mark.parametrize("text,lines", [
+        ("[coupling]\nepsilon = 0.05\nepsilon = 0.1\n", (2, 3)),
+        ("[coupling]\nepsilon = 0.05\n\n[map]\na = 0.01\n\n[coupling]\nepsilon = 0.1\n", (2, 8)),
+    ])
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path, text, lines, capsys):
+        # the last value read used to win: "config OK", and a run at 0.1
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(cl.ConfigError) as err:
+            cl.parse_config(path)
+        first, again = lines
+        assert err.value.violations == [
+            f"line {again}: [coupling] epsilon repeats line {first}"
+        ]
+        assert main(["validate", path]) == 2
+        assert f"epsilon repeats line {first}" in capsys.readouterr().err
+
+    def test_repeated_experiment_rejected(self, tmp_path):
+        # eigen, eigen ran as eigen under another fingerprint
+        v = validate_config(cl.ExperimentConfig(experiments=("eigen", "ly", "eigen")))
+        assert v == ["experiments ['eigen'] listed more than once"]
+        path = write_cfg(tmp_path, "[run]\nexperiments = eigen, eigen\n")
+        assert main(["validate", path]) == 2
+
+    def test_schema_declares_each_key_once(self):
+        # every config field is one key of one section, named after it
+        attrs = [attr for keys in cli._SCHEMA.values() for attr in keys.values()]
+        assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(cl.ExperimentConfig))
+        assert cli._SCHEMA["map"] == {"kind": "map_kind", "a": "a"}
+        assert cli._SCHEMA["potential"]["kind"] == "potential_kind"
+
+    def test_readme_config_block_is_the_default_config(self, tmp_path):
+        # the README's ini block documents every key at its default
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        keys = {
+            (sec, line.split("=")[0].strip())
+            for sec, body in re.findall(r"\[(\w+)\]\n(.*?)(?=\n\[|\Z)", block, flags=re.S)
+            for line in body.splitlines() if "=" in line
+        }
+        assert keys == {(sec, key) for sec, ks in cli._SCHEMA.items() for key in ks}
+        assert cl.parse_config(write_cfg(tmp_path, block)) == cl.ExperimentConfig()
+
 
 class TestValidation:
     def test_default_config_is_valid(self):
@@ -222,6 +266,47 @@ class TestValidation:
         for base in (1.0, 0.5):
             with pytest.raises(ValueError, match=f"base={base} must exceed 1"):
                 cl.decaying_sine_potential(0.1, base=base)
+
+    def test_unknown_kinds_raise_in_the_builders(self):
+        # they used to build the perturbed map and the srb potential
+        with pytest.raises(ValueError, match="map kind 'tent' not in"):
+            cl.ExperimentConfig(map_kind="tent").node_map()
+        with pytest.raises(ValueError, match="potential kind 'mystery' not in"):
+            cl.ExperimentConfig(potential_kind="mystery").potential()
+
+    @pytest.mark.parametrize("build,kw", [
+        ("metric", dict(theta=1.0, beta=7.0)),
+        ("metric", dict(theta=0.0)),
+        ("metric", dict(alpha=0.9, theta=0.95)),
+        # the potential raises the metric's message again: reported once
+        ("metric", dict(theta=2.0, potential_kind="node_sine")),
+        ("node_map", dict(a=0.2)),
+        ("node_map", dict(map_kind="tent")),
+        ("potential", dict(potential_kind="mystery")),
+        ("potential", dict(potential_kind="node_sine", amplitude=math.nan)),
+        ("potential", dict(potential_kind="decaying_sine", amplitude=math.inf)),
+        ("ensemble", dict(map_kind="doubling")),
+    ])
+    def test_rules_come_from_their_owners(self, build, kw):
+        # validate reports the owner's own message, every failed rule in one
+        cfg = cl.ExperimentConfig(**kw)
+        with pytest.raises(ValueError) as err:
+            getattr(cfg, build)()
+        assert validate_config(cfg) == [str(err.value)]
+
+    def test_metric_names_every_broken_rule(self):
+        v = validate_config(cl.ExperimentConfig(theta=1.0, beta=7.0))
+        assert v == ["theta=1.0 outside the open interval (0, 1); beta=7.0 outside (0, 1]"]
+
+    def test_non_finite_amplitude_refused(self, tmp_path):
+        # eigen and spectral each ran power_iterate to its step cap on it
+        text = "[potential]\nkind = node_sine\namplitude = nan\n"
+        assert main(["validate", write_cfg(tmp_path, text)]) == 2
+
+    def test_overflowing_bound_is_a_violation(self):
+        # srb's bound sums theta^-|j| over the window, past float range here
+        v = validate_config(cl.ExperimentConfig(theta=1e-200, k=2, n_bins=4))
+        assert len(v) == 1 and v[0].startswith("potential(): OverflowError("), v
 
     def test_decaying_sine_potential_gets_the_metric(self):
         cfg = cl.ExperimentConfig(potential_kind="decaying_sine", theta=0.25, alpha=0.5)
@@ -649,6 +734,15 @@ class TestBenchmarkHooks:
         for name in BENCHMARK_HOOKS:
             assert callable(getattr(cli, name)), name
         assert set(cli._EXPERIMENT_STEPS) == set(cli.EXPERIMENTS)
+
+    @pytest.mark.parametrize("name,kind", [
+        ("doubling_map", "doubling"), ("perturbed_doubling_map", "perturbed_doubling"),
+    ])
+    def test_node_map_reads_the_builders_at_call_time(self, name, kind, monkeypatch):
+        # a wrapper set on cli after import is the builder node_map() runs
+        built = getattr(cli, name)()
+        monkeypatch.setattr(cli, name, lambda *args: built)
+        assert cl.ExperimentConfig(map_kind=kind).node_map() is built
 
 
 class TestModuleEntry:

@@ -79,8 +79,12 @@ class TestSimulation:
         assert np.array_equal(got, ref)
         assert got.flags.c_contiguous
 
-    def test_forward_doubling_refused(self, doubling):
-        with pytest.raises(ValueError):
+    def test_the_map_chooses_the_sampler(self, perturbed, doubling):
+        # no method knob: a trajectory-safe map runs forward, any other is
+        # pulled back, which refuses a coupling
+        with pytest.raises(TypeError):
+            make_cfg(perturbed, method="pullback")
+        with pytest.raises(ValueError, match="by pull-back"):
             make_cfg(doubling)
 
     def test_pullback_doubling_is_uniform(self, doubling):
@@ -93,7 +97,6 @@ class TestSimulation:
             n_replicas=8,
             burn_in=200,
             seed=3,
-            method="pullback",
         )
         out = cl.ensemble_series(cfg)
         assert abs(out.mean() - 0.5) < 0.01
@@ -115,7 +118,6 @@ class TestSimulation:
             n_replicas=6,
             burn_in=120,
             seed=42,
-            method="pullback",
         )
         ref = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
         for r in range(cfg.n_replicas):
@@ -158,7 +160,6 @@ class TestSimulation:
             n_replicas=5,
             burn_in=60,
             seed=11,
-            method="pullback",
         )
         ref = np.empty((cfg.n_replicas, cfg.n_steps - cfg.burn_in))
         for r in range(cfg.n_replicas):
@@ -195,7 +196,6 @@ class TestSimulation:
                 node_map=doubling,
                 coupling=cl.Coupling(epsilon=0.05),
                 observable=cl.node_coordinate(),
-                method="pullback",
             )
 
     def test_pullback_choice_table_holds_the_chunk_bound(self, doubling, monkeypatch):
@@ -213,7 +213,6 @@ class TestSimulation:
             n_replicas=2000,
             burn_in=1999,
             seed=7,
-            method="pullback",
         )
         # one share, so that tracemalloc sees every chunk
         monkeypatch.setenv("CML_LAB_THREADS", "1")
@@ -228,9 +227,10 @@ class TestSimulation:
     def test_pullback_burns_in_the_transient(self):
         # the first kept step must be as well mixed as the last: with the
         # transient kept, P(x < 0.1) differs between them by about 7
-        # standard errors on this perturbed map
+        # standard errors on this perturbed map, marked unsafe to pull it back
+        unsafe = dataclasses.replace(cl.perturbed_doubling_map(0.15), trajectory_safe=False)
         cfg = cl.EnsembleConfig(
-            node_map=cl.perturbed_doubling_map(0.15),
+            node_map=unsafe,
             coupling=cl.Coupling(epsilon=0.0),
             observable=cl.node_coordinate(),
             k_sim=0,
@@ -238,7 +238,6 @@ class TestSimulation:
             n_replicas=20_000,
             burn_in=100,
             seed=7,
-            method="pullback",
         )
         out = cl.ensemble_series(cfg)
         first, last = np.mean(out[:, 0] < 0.1), np.mean(out[:, -1] < 0.1)
@@ -285,7 +284,6 @@ class TestSimulation:
             n_replicas=6,
             burn_in=120,
             seed=42,
-            method="pullback",
         )
         sums = cl.simulate_ensemble(cfg)
         ref = cl.ensemble_series(cfg).sum(axis=1)
@@ -371,7 +369,7 @@ class TestShares:
         cfg = cl.EnsembleConfig(
             node_map=doubling, coupling=cl.Coupling(epsilon=0.0),
             observable=cl.node_coordinate(), k_sim=1, n_steps=300,
-            n_replicas=7, burn_in=120, seed=42, method="pullback",
+            n_replicas=7, burn_in=120, seed=42,
         )
         runs = []
         for n in (1, 2, 3):
