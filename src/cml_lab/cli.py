@@ -312,23 +312,32 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         owned(cfg.ensemble)
     # pre-flight contraction check with the lattice C_E: the largest C_E over
     # windows widened from the configured k until it settles to 1e-12
-    # relative or C_E*eta >= 1; skipped when the map parameters are invalid
+    # relative or C_E*eta >= 1; skipped when the map parameters are invalid,
+    # and refused at the first window whose C_E leaves float range
     if not v:
         eta, coupling, m, k = cfg.node_map().eta, cfg.coupling(), cfg.metric(), cfg.k
         ce = estimate_coupling_constant(coupling, m, k)
-        for k in range(k + 1, CE_MAX_K + 1):
+        settled = False
+        while k < CE_MAX_K and math.isfinite(ce):
+            k += 1
             wider = estimate_coupling_constant(coupling, m, k)
             settled = abs(wider - ce) < 1e-12 * wider
             ce = max(ce, wider)
             if settled or ce * eta >= 1.0:
                 break
-        else:
-            v.append(f"contraction pre-flight failed: C_E had not settled by k = {k}")
-        if ce * eta >= 1.0:
+        if not math.isfinite(ce):
+            v.append(
+                f"contraction pre-flight failed: C_E is not finite at theta={m.theta}, "
+                f"beta={m.beta} (window k = {k}): the metric's weights theta^-|j| "
+                "leave float range"
+            )
+        elif ce * eta >= 1.0:
             v.append(
                 f"contraction pre-flight failed: C_E*eta >= {ce * eta:.4f} on the "
                 f"lattice, whose C_E >= {ce:.4f} (window k = {k}, configured k = {cfg.k})"
             )
+        elif not settled:
+            v.append(f"contraction pre-flight failed: C_E had not settled by k = {k}")
     return v
 
 

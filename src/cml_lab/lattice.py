@@ -261,12 +261,17 @@ def estimate_coupling_constant(
     ratio's supremum is the operator norm |D_s E^-1 D_s^-1|_inf, the
     largest absolute row sum, attained by x - y = D_s^-1 sign(that row).
     """
-    e_inv = coupling.inverse_matrix(k)
+    e_inv = np.abs(coupling.inverse_matrix(k))
     nodes = np.arange(-k, k + 1)
-    # weights[s, j] = theta^|j - s| re-centres the metric on node s
-    weights = m.theta ** np.abs(nodes[None, :] - nodes[:, None])
-    scaled = weights[:, :, None] * e_inv[None, :, :] / weights[:, None, :]
-    return float(np.max(np.sum(np.abs(scaled), axis=2)))
+    dist = np.abs(nodes[None, :] - nodes[:, None])
+    # ratio[s, i, j] = theta^|i - s| / theta^|j - s| re-centres the metric
+    # on node s.  It is formed as one power, so weights that underflow give
+    # no 0/0; past float range it is inf, and so is C_E, which the caller
+    # refuses.  An entry of E^-1 that is 0 adds 0, never inf * 0.
+    with np.errstate(over="ignore"):
+        ratio = m.theta ** (dist[:, :, None] - dist[:, None, :]).astype(float)
+    scaled = np.multiply(ratio, e_inv, out=np.zeros(ratio.shape), where=e_inv > 0.0)
+    return float(np.max(np.sum(scaled, axis=2)))
 
 
 @dataclass(frozen=True)

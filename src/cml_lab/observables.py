@@ -28,6 +28,24 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _weight_sum(m: MetricParams, k: int, what: str, base: float = 1.0) -> float:
+    """sum over nodes |j| <= k of base^-|j| theta^(-beta |j|), the node
+    weights of a declared Hoelder bound.  ValueError, naming theta, beta
+    and the window k, where it leaves float range."""
+    try:
+        total = sum(
+            base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in range(-k, k + 1)
+        )
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(
+            f"{what} potential's Hoelder bound sums theta^(-beta |j|) over the "
+            f"window k = {k}, which leaves float range at theta={m.theta}, beta={m.beta}"
+        )
+    return total
+
+
 def zero_potential() -> Potential:
     return constant_potential(0.0, name="zero")
 
@@ -82,9 +100,7 @@ def decaying_sine_potential(
         raise ValueError(f"base={base} must exceed 1 for the decaying_sine potential")
     m = metric or MetricParams()
     sup = abs(amplitude) * (base + 1.0) / (base - 1.0)
-    lip = _TWO_PI * abs(amplitude) * sum(
-        base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in range(-60, 61)
-    )
+    lip = _TWO_PI * abs(amplitude) * _weight_sum(m, 60, "decaying_sine", base)
 
     def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
         return amplitude * base ** -abs(j) * np.sin(_TWO_PI * x)
@@ -118,7 +134,7 @@ def srb_potential(
     # Lipschitz constant of log tau' from a fine finite-difference scan.
     log_d = np.log(deriv)
     per_node_lip = float(np.max(np.abs(np.diff(log_d)) / np.diff(grid)))
-    width_weight = sum(m.theta ** (-m.beta * abs(j)) for j in range(-max_k, max_k + 1))
+    width_weight = _weight_sum(m, max_k, "srb")
     sup = per_node_sup * (2 * max_k + 1)
 
     def term(j: int, x: np.ndarray, k: int) -> np.ndarray:

@@ -38,7 +38,7 @@ __all__ = [
 # and the Krylov dimension of its Arnoldi solve (ARPACK's ncv).
 _SPECTRUM_SIZE = 6
 _DENSE_LIMIT = 2048
-_ARNOLDI_NCV = 30
+_ARNOLDI_NCV = 20
 
 # The Ritz values an Arnoldi restart keeps: the reported ones and half of
 # the rest.  Its relative tolerance on the Ritz residuals, the restarts it

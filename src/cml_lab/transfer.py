@@ -17,7 +17,7 @@ import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,8 +63,9 @@ _SHARE_POINTS = 1 << 20
 _SPLIT_NNZ = 1 << 20
 
 # Rows the normalization scales at once: its temporaries are a run of
-# rows' scale factors, not one row index per non-zero.
-_ROW_CHUNK = 1 << 12
+# rows' scale factors and sums, not a vector of the grid's size or one
+# row index per non-zero.
+_ROW_CHUNK = 1 << 10
 
 # Largest int64 (row, point) sort key of the coupled assembly, and largest
 # cell index and non-zero count of the int32 index arrays scipy keeps.
@@ -371,7 +372,8 @@ def ulam_matrix(
             matrix=_assemble_coupled_matrix(grid, node_map, potential, coupling, quad),
             node_map=node_map, potential=potential, coupling=coupling,
         )
-        return _normalized("coupled", leading_eigenpair(raw))
+        # the raw matrix is this call's own: it is normalized in place
+        return _normalized("coupled", leading_eigenpair(raw), in_place=True)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -447,53 +449,73 @@ def _assemble_p_matrix(
     return matrix
 
 
-def _similarity(matrix: sp.csr_matrix, eigen: "EigenData") -> sp.csr_matrix:
+def _similarity(
+    matrix: sp.csr_matrix, eigen: "EigenData", in_place: bool = False
+) -> sp.csr_matrix:
     """diag(1/v) M diag(v) / lam, the normalized operator of the eigen-pair
     (lam, v) of M, on the cells where v > 0; the rows and columns of the
     others stay empty.  The continuum normalized operator fixes constants
     exactly; its rows are rescaled to divide out the residual row defect
     left by the finite eigen-solve tolerance.
 
-    One copy of M is scaled in place, in M's index order, with the
-    products the sparse product diag(1/v) @ M @ diag(v) / lam forms:
-    (1/v_i * m_ij) * v_j, then * (1/lam); the entries that vanish (rows and
-    columns off the cells) are dropped before the rows are summed.
+    M itself is scaled when ``in_place`` (a caller that owns M and gives
+    it up), a copy of it otherwise, in M's index order, with the products
+    the sparse product diag(1/v) @ M @ diag(v) / lam forms: (1/v_i * m_ij)
+    * v_j, then * (1/lam); the entries that vanish (rows and columns off
+    the cells) are dropped before the rows are summed.  Every per-row
+    quantity is formed _ROW_CHUNK rows at a time, so the scaling holds no
+    vector of the grid's size.
     """
     v = eigen.v
-    inv_v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
-    mat = matrix.copy()
-    _scale_entries(mat, inv_v, v, 1.0 / eigen.lam)
+    mat = matrix if in_place else matrix.copy()
+    _scale_entries(mat, lambda lo, hi: _reciprocal(v[lo:hi]), v, 1.0 / eigen.lam)
     mat.eliminate_zeros()
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    inv_rows = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0.0)
-    _scale_entries(mat, inv_rows)
+    _scale_entries(mat, lambda lo, hi: _reciprocal(_row_sums(mat, lo, hi)))
     return mat
 
 
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1/x where x > 0, and 0 elsewhere."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def _row_sums(mat: sp.csr_matrix, lo: int, hi: int) -> np.ndarray:
+    """The sums of rows lo..hi-1 with the bits of ``mat.sum(axis=1)``:
+    ``np.add.reduceat`` over each non-empty row, 0 for an empty one."""
+    indptr = mat.indptr[lo : hi + 1]
+    sums = np.zeros(hi - lo)
+    filled = np.flatnonzero(np.diff(indptr))
+    sums[filled] = np.add.reduceat(mat.data[indptr[0] : indptr[-1]], indptr[filled] - indptr[0])
+    return sums
+
+
 def _scale_entries(
-    mat: sp.csr_matrix, rows: np.ndarray,
+    mat: sp.csr_matrix, rows: Callable[[int, int], np.ndarray],
     cols: np.ndarray | None = None, factor: float | None = None,
 ) -> None:
-    """m_ij <- ((rows_i * m_ij) * cols_j) * factor for every stored entry,
-    in place, _ROW_CHUNK rows at a time."""
+    """m_ij <- ((r_i * m_ij) * cols_j) * factor for every stored entry, in
+    place, _ROW_CHUNK rows at a time, with ``rows(lo, hi)`` the factors r
+    of rows lo..hi-1."""
     indptr = mat.indptr
     for lo in range(0, mat.shape[0], _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, mat.shape[0])
         part = slice(indptr[lo], indptr[hi])
         data = mat.data[part]
-        data *= np.repeat(rows[lo:hi], np.diff(indptr[lo:hi + 1]))
+        data *= np.repeat(rows(lo, hi), np.diff(indptr[lo:hi + 1]))
         if cols is not None:
             data *= cols[mat.indices[part]]
         if factor is not None:
             data *= factor
 
 
-def _normalized(kind: str, eigen: "EigenData") -> UlamOperator:
+def _normalized(kind: str, eigen: "EigenData", in_place: bool = False) -> UlamOperator:
     """The operator the triple was solved for, normalized by it, as
-    ``kind``, carrying the triple without the raw matrix."""
+    ``kind``, carrying the triple without the raw matrix.  With
+    ``in_place`` the raw matrix itself is scaled: only a caller that owns
+    the raw operator and drops it may ask for that."""
     raw = eigen.operator
     return dataclasses.replace(
-        raw, kind=kind, matrix=_similarity(raw.matrix, eigen),
+        raw, kind=kind, matrix=_similarity(raw.matrix, eigen, in_place),
         eigen=dataclasses.replace(eigen, operator=None),
     )
 
@@ -524,12 +546,14 @@ def _assemble_coupled_matrix(
     strides add up to each point's image cell, bit for bit the cells of
     the coupled step applied to whole points.  A slab of whole cells owns
     its columns: each entry is the sum of its points' weights in point
-    order (the cell's points in C order), and the slab is kept as a CSC
-    column block, so memory holds the matrix and one slab, not the
-    quadrature cloud.  The slabs are split into the contiguous runs of
-    :func:`assembly_shares`, each other than the first computed by a
-    forked worker; the blocks are joined in slab order, so the matrix has
-    the same bytes for any number of shares.
+    order (the cell's points in C order).  The slabs are split into the
+    contiguous runs of :func:`assembly_shares`, each other than the first
+    computed by a forked worker.  A share copies each slab's CSC column
+    block into one (counts, data, indices) triple as it is made, so memory
+    holds the matrix and one slab, not the quadrature cloud or a heap of
+    per-slab blocks, and a worker sends three arrays.  The triples are
+    joined in share order, so the matrix has the same bytes for any
+    number of shares.
     """
     if node_map.forward_deriv is None:
         raise ValueError(
@@ -604,29 +628,36 @@ def _assemble_coupled_matrix(
         return counts, data, rows[new].astype(np.int32)
 
     def share_blocks(slabs):
-        """The column blocks of a run of slabs, as one flat list of
-        (counts, data, indices) triples in slab order."""
-        blocks, nnz = [], 0
+        """The column blocks of a run of slabs, copied into one (counts,
+        data, indices) triple as each is made, in slab order."""
+        triple = [np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int32)]
+        used = [0, 0, 0]
         for idx in _cell_slabs(grid, quad, _SLAB_POINTS, slabs):
-            blocks += column_block(idx)
-            nnz += blocks[-2].size
-            _check_nnz(nnz)
-        return None, blocks
+            for i, block in enumerate(column_block(idx)):
+                end = used[i] + block.size
+                if end > triple[i].size:
+                    # in place, by realloc: a large array's pages are
+                    # remapped, not copied, and the spare tail is not touched
+                    triple[i].resize(max(end, 2 * triple[i].size), refcheck=False)
+                triple[i][used[i] : end] = block
+                used[i] = end
+            _check_nnz(used[1])
+        for array, size in zip(triple, used):
+            array.resize(size, refcheck=False)
+        return None, triple
 
-    # one list per kind, each freed as the array that joins it is made
-    counts, data, indices = [], [], []
-    for _, blocks in run_shares(
-        assembly_shares(grid, quad), share_blocks, "the assembly worker for slabs"
-    ):
-        for i, part in enumerate((counts, data, indices)):
-            part += blocks[i::3]
-    # part would keep the index blocks alive through the CSR conversion
-    del blocks, part
-    _check_nnz(sum(block.size for block in data))
+    counts, data, indices = zip(*(
+        arrays for _, arrays in run_shares(
+            assembly_shares(grid, quad), share_blocks, "the assembly worker for slabs"
+        )
+    ))
+    _check_nnz(sum(share.size for share in data))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
+    # each kind's share arrays are freed as the array that joins them is made
     del counts
-    data, indices = np.concatenate(data), np.concatenate(indices)
+    data = np.concatenate(data)
+    indices = np.concatenate(indices)
     # rows come out sorted and free of duplicates, so nothing is summed
     return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
 

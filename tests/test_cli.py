@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -306,7 +307,46 @@ class TestValidation:
     def test_overflowing_bound_is_a_violation(self):
         # srb's bound sums theta^-|j| over the window, past float range here
         v = validate_config(cl.ExperimentConfig(theta=1e-200, k=2, n_bins=4))
-        assert len(v) == 1 and v[0].startswith("potential(): OverflowError("), v
+        assert v == [
+            "srb potential's Hoelder bound sums theta^(-beta |j|) over the window "
+            "k = 2, which leaves float range at theta=1e-200, beta=1.0"
+        ]
+
+    @pytest.mark.parametrize(
+        "potential, message",
+        [
+            (
+                "srb",
+                "srb potential's Hoelder bound sums theta^(-beta |j|) over the "
+                "window k = 2, which leaves float range at theta=1e-200, beta=1.0",
+            ),
+            (
+                "zero",
+                "contraction pre-flight failed: C_E is not finite at theta=1e-200, "
+                "beta=1.0 (window k = 2): the metric's weights theta^-|j| leave "
+                "float range",
+            ),
+        ],
+    )
+    def test_tiny_theta_refused_without_warnings(self, tmp_path, capsys, potential, message):
+        # theta^|j| underflows at k = 2: C_E was 0/0, NaN with RuntimeWarnings,
+        # and the pre-flight widened 62 more windows before it gave up
+        text = (
+            f"[metric]\ntheta = 1e-200\n[potential]\nkind = {potential}\n"
+            "[operator]\nk = 2\nn_bins = 4\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(message)
+
+    def test_non_finite_ce_is_refused_at_its_window(self):
+        # C_E is finite at the configured k = 1 and inf one window wider
+        v = validate_config(cl.ExperimentConfig(theta=1e-100, k=1, potential_kind="zero"))
+        assert v == [
+            "contraction pre-flight failed: C_E is not finite at theta=1e-100, "
+            "beta=1.0 (window k = 2): the metric's weights theta^-|j| leave float range"
+        ]
 
     def test_decaying_sine_potential_gets_the_metric(self):
         cfg = cl.ExperimentConfig(potential_kind="decaying_sine", theta=0.25, alpha=0.5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,16 @@ class TestCouplingConstant:
         ce = cl.estimate_coupling_constant(cl.Coupling(epsilon=eps), metric)
         bound = 1.0 / (1.0 - eps - eps / metric.theta)
         assert 1.0 <= ce <= bound + 1e-9
+
+    def test_tiny_theta_is_inf_without_warnings(self):
+        # theta^|j| underflows to 0 at k = 2: the ratio of two weights was
+        # 0/0, NaN with RuntimeWarnings; one power gives inf, and an E^-1
+        # entry of 0 adds 0
+        m = cl.MetricParams(theta=1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cl.estimate_coupling_constant(cl.Coupling(epsilon=0.05), m, k=2) == math.inf
+            assert cl.estimate_coupling_constant(cl.Coupling(epsilon=0.0), m, k=2) == 1.0
 
     def test_contracts_at_eps_one_tenth(self, doubling, metric):
         ce = cl.estimate_coupling_constant(cl.Coupling(epsilon=0.1), metric)

@@ -102,8 +102,8 @@ class TestSpectralGap:
         active = np.flatnonzero(np.diff(op.matrix.indptr))
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, op.n_cells)[active]
         ref = spla.eigs(
-            op.matrix[active][:, active], k=6, which="LM", v0=v0, ncv=30,
-            return_eigenvectors=False,
+            op.matrix[active][:, active], k=6, which="LM", v0=v0,
+            ncv=spectral._ARNOLDI_NCV, return_eigenvectors=False,
         )
         ref = ref[np.lexsort((np.angle(ref), -np.abs(ref)))]
         if ref[-1].imag < 0.0:
@@ -258,15 +258,15 @@ class TestGapOnTheMatrix:
         rep = cl.spectral_gap(coupled_op_k1)
         assert (rep.solver, rep.cells_solved, rep.parts, rep.threads) == ("arnoldi", 4096, 1, 1)
         assert [(v.real.hex(), v.imag.hex()) for v in rep.eigenvalues] == [
-            ("0x1.0000000000001p+0", "0x0.0p+0"),
-            ("-0x1.e626822564a2ep-2", "0x0.0p+0"),
-            ("-0x1.d55d2b74caf31p-2", "0x0.0p+0"),
-            ("-0x1.b1ab27cb1ac1fp-3", "-0x1.91bf7f21c35e3p-2"),
-            ("-0x1.b1ab27cb1ac1fp-3", "0x1.91bf7f21c35e3p-2"),
-            ("-0x1.ae803af0dbb94p-3", "0x1.8df92df476247p-2"),
+            ("0x1.ffffffffffffep-1", "0x0.0p+0"),
+            ("-0x1.e626822564a20p-2", "0x0.0p+0"),
+            ("-0x1.d55d2b74caf2dp-2", "0x0.0p+0"),
+            ("-0x1.b1ab27cb1abe6p-3", "-0x1.91bf7f21c35f0p-2"),
+            ("-0x1.b1ab27cb1abe6p-3", "0x1.91bf7f21c35f0p-2"),
+            ("-0x1.ae803af0dbb8cp-3", "0x1.8df92df47625ep-2"),
         ]
-        assert (rep.operator_applications, rep.restarts) == (119, 8)
-        assert rep.ritz_residual.hex() == "0x1.16f4bc446b5d5p-51"
+        assert (rep.operator_applications, rep.restarts) == (130, 16)
+        assert rep.ritz_residual.hex() == "0x1.50cf18b50fb34p-47"
 
     def test_split_solve_has_the_same_bits_on_one_or_two_threads(
         self, raw_coupled_eps01, monkeypatch, cpus
@@ -308,14 +308,16 @@ class TestGapOnTheMatrix:
     def test_memory_is_matrix_and_krylov_basis(self, perturbed, metric, monkeypatch, cpus):
         # k=1, N=24, the Arnoldi path: peak traced memory from the end of
         # the coupled assembly, through its eigen-solve and normalization,
-        # to the end of spectral_gap, above the raw matrix.  Measured 4.6 MB:
-        # the normalized matrix (2.3 MB) and the basis of 31 rows of n
-        # doubles (3.2 MB; the raw matrix is freed by then).  ARPACK, whose
+        # to the end of spectral_gap, above the raw matrix.  Measured 3.2 MB:
+        # the basis of 21 rows of n doubles (2.1 MB) and the solves'
+        # vectors, as the raw matrix is normalized in place (4.6 MB with a
+        # normalized copy of 2.3 MB and a basis of 31 rows).  ARPACK, whose
         # scipy wrapper copies the basis to extract the eigenvalues, read
-        # 7.6 MB against this bound of 6.9 MB, and the explicit blocks that
-        # the solves copied out of the matrix 9.6 MB.  The bound holds in
-        # one part and in two row halves on two threads, whose parts hold
-        # the basis between them and copy neither it nor the matrix.
+        # 7.6 MB against the 6.9 MB this bound allowed at 31 rows, and the
+        # explicit blocks that the solves copied out of the matrix 9.6 MB.
+        # The bound holds in one part and in two row halves on two threads,
+        # whose parts hold the basis between them and copy neither it nor
+        # the matrix.
         assembled = {}
         assemble = transfer._assemble_coupled_matrix
 

@@ -1453,6 +1453,57 @@ class TestSolvesOnTheMatrix:
         assert got.has_sorted_indices
         _assert_same_bytes(got, ref)
 
+    def test_normalization_leaves_the_callers_matrices(
+        self, raw_coupled_eps01, perturbed, perturbed_eigen_k0
+    ):
+        # a shared raw operator, and the 'P' operator that 'L' is built
+        # from, are not the normalization's to scale: each keeps its bytes
+        def arrays(matrix):
+            return [a.tobytes() for a in (matrix.data, matrix.indices, matrix.indptr)]
+
+        for normalize, matrix in (
+            (
+                lambda: transfer._normalized("coupled", cl.leading_eigenpair(raw_coupled_eps01)),
+                raw_coupled_eps01.matrix,
+            ),
+            (
+                lambda: cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0),
+                perturbed_eigen_k0.operator.matrix,
+            ),
+        ):
+            before = arrays(matrix)
+            normalize()
+            assert arrays(matrix) == before
+
+    def test_owned_matrix_is_normalized_in_place(self, perturbed, metric, monkeypatch):
+        # k=1, N=32: ulam_matrix("coupled") owns its raw matrix and scales
+        # it where it lies.  Traced from the end of the eigen-solve, the
+        # normalization adds 3.8% of the raw arrays' bytes (5.4 MB), its
+        # per-row factors formed _ROW_CHUNK rows at a time; a scaled copy
+        # of the matrix added 124%.
+        solved = {}
+        solve = transfer.leading_eigenpair
+
+        def solve_then_trace(op):
+            eigen = solve(op)
+            solved["matrix"] = m = op.matrix
+            solved["bytes"] = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            tracemalloc.start()
+            return eigen
+
+        monkeypatch.setattr(transfer, "leading_eigenpair", solve_then_trace)
+        pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+        try:
+            op = cl.ulam_matrix(
+                "coupled", 1, 32, perturbed, potential=pot,
+                coupling=cl.Coupling(epsilon=0.05), cell_budget=32 ** 3,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * solved["bytes"]
+        assert np.shares_memory(op.matrix.data, solved["matrix"].data)
+
 
 @pytest.fixture(scope="module")
 def whole_cube_triples(raw_coupled_eps01, raw_coupled_n24):
