@@ -472,8 +472,8 @@ def _coupled_op(cfg: ExperimentConfig, state: dict):
 
 def _step_eigen(cfg, state, report):
     eigen = _eigen_data(cfg, state)
-    # the eigen-solve residual: the row sums of diag(1/h) P diag(h) / lam
-    # before the normalized operator's rows are rescaled to one
+    # P's eigen-solve residual, |P h / (lam h) - 1|, which 'L' divides out
+    # of its rows: diag(1/Ph) P diag(h) sums to one
     p_h = eigen.operator.matrix @ eigen.h
     row_defect = float(np.max(np.abs(p_h / (eigen.lam * eigen.h) - 1.0)))
     report.results["eigen"] = {

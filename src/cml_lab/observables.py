@@ -28,20 +28,20 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _weight_sum(m: MetricParams, k: int, what: str, base: float = 1.0) -> float:
-    """sum over nodes |j| <= k of base^-|j| theta^(-beta |j|), the node
-    weights of a declared Hoelder bound.  ValueError, naming theta, beta
-    and the window k, where it leaves float range."""
+def _weight_sum(m: MetricParams, nodes: range, what: str, base: float = 1.0) -> float:
+    """sum over the nodes j of base^-|j| theta^(-beta |j|), the node
+    weights of a declared Hoelder bound: one node's, or the window's
+    -k..k.  ValueError, naming theta, beta and the node or the window k,
+    where it leaves float range."""
     try:
-        total = sum(
-            base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in range(-k, k + 1)
-        )
+        total = sum(base ** -abs(j) * m.theta ** (-m.beta * abs(j)) for j in nodes)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
+        where = f"node {nodes[0]}" if len(nodes) == 1 else f"the window k = {nodes[-1]}"
         raise ValueError(
-            f"{what} potential's Hoelder bound sums theta^(-beta |j|) over the "
-            f"window k = {k}, which leaves float range at theta={m.theta}, beta={m.beta}"
+            f"{what}'s Hoelder bound sums theta^(-beta |j|) over {where}, which "
+            f"leaves float range at theta={m.theta}, beta={m.beta}"
         )
     return total
 
@@ -79,7 +79,8 @@ def node_sine_potential(
         name=f"sine(node={node}, c={amplitude})",
         node_term=term,
         declared_sup_norm=abs(amplitude),
-        declared_beta_norm=_TWO_PI * abs(amplitude) * m.theta ** (-m.beta * abs(node)),
+        declared_beta_norm=_TWO_PI * abs(amplitude)
+        * _weight_sum(m, range(node, node + 1), "node_sine potential"),
     )
 
 
@@ -100,7 +101,9 @@ def decaying_sine_potential(
         raise ValueError(f"base={base} must exceed 1 for the decaying_sine potential")
     m = metric or MetricParams()
     sup = abs(amplitude) * (base + 1.0) / (base - 1.0)
-    lip = _TWO_PI * abs(amplitude) * _weight_sum(m, 60, "decaying_sine", base)
+    lip = _TWO_PI * abs(amplitude) * _weight_sum(
+        m, range(-60, 61), "decaying_sine potential", base
+    )
 
     def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
         return amplitude * base ** -abs(j) * np.sin(_TWO_PI * x)
@@ -134,7 +137,7 @@ def srb_potential(
     # Lipschitz constant of log tau' from a fine finite-difference scan.
     log_d = np.log(deriv)
     per_node_lip = float(np.max(np.abs(np.diff(log_d)) / np.diff(grid)))
-    width_weight = _weight_sum(m, max_k, "srb")
+    width_weight = _weight_sum(m, range(-max_k, max_k + 1), "srb potential")
     sup = per_node_sup * (2 * max_k + 1)
 
     def term(j: int, x: np.ndarray, k: int) -> np.ndarray:
@@ -163,7 +166,7 @@ def node_coordinate(
         name=f"coord(node={node}, offset={offset})",
         node_term=term,
         declared_sup_norm=max(abs(offset), abs(1.0 - offset)),
-        declared_beta_norm=m.theta ** (-m.beta * abs(node)),
+        declared_beta_norm=_weight_sum(m, range(node, node + 1), "node_coordinate"),
     )
 
 
@@ -197,7 +200,8 @@ def random_trig_observable(
 
     sup = sum(abs(amp) for amp, *_ in terms)
     beta_norm = sum(
-        abs(amp) * _TWO_PI * freq * m.theta ** (-m.beta * abs(node))
+        abs(amp) * _TWO_PI * freq
+        * _weight_sum(m, range(node, node + 1), "random_trig observable")
         for amp, node, freq, _ in terms
     )
     return Potential(

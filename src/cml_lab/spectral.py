@@ -379,14 +379,15 @@ def operator_correlation(
 def twisted_matrix(
     base: UlamOperator, observable: Potential, t: float
 ) -> sp.csr_matrix:
-    """The base matrix with columns twisted by exp(i t f(source cell))."""
+    """The base matrix with columns twisted by exp(i t f(source cell)):
+    a complex copy whose stored entries are each multiplied by the phase
+    of their column, in the base matrix's index order."""
     if base.kind not in ("L", "coupled"):
         raise ValueError("twisting applies to normalized operator kinds")
-    if t == 0.0:
-        return base.matrix.astype(complex)
-    reps = base.grid.reps()
-    phase = np.exp(1j * t * observable.on_array(reps, base.grid.k))
-    return (base.matrix @ sp.diags(phase)).tocsr()
+    phase = np.exp(1j * t * observable.on_array(base.grid.reps(), base.grid.k))
+    twisted = base.matrix.astype(complex)
+    twisted.data *= phase[twisted.indices]
+    return twisted
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -320,11 +320,11 @@ def ulam_matrix(
     """Assemble the sparse Ulam matrix of the requested operator kind.
 
     'P' needs a potential; 'L' needs the eigen-triple of the matching 'P'
-    operator (the normalized matrix is its exact similarity transform, so
-    its rows sum to one).  'coupled' needs the coupling and a potential,
-    discretizes the transfer operator of the full coupled step by forward
-    images, and is normalized the same way by the triple of that raw
-    matrix.  The coupling is not surjective on the finite window -- it maps
+    operator: the normalized matrix is diag(1/Mv) M diag(v), M the matrix
+    of 'P' and v its right eigenvector, so its rows sum to one.  'coupled'
+    needs the coupling and a potential, discretizes the transfer operator
+    of the full coupled step by forward images, and is normalized the same
+    way by the triple of that raw matrix.  The coupling is not surjective on the finite window -- it maps
     the cube onto a strictly smaller parallelepiped -- so cells outside its
     range have no preimages: their rows stay empty, and v vanishes there.
     Both normalized kinds carry their triple.
@@ -449,74 +449,32 @@ def _assemble_p_matrix(
     return matrix
 
 
-def _similarity(
-    matrix: sp.csr_matrix, eigen: "EigenData", in_place: bool = False
-) -> sp.csr_matrix:
-    """diag(1/v) M diag(v) / lam, the normalized operator of the eigen-pair
-    (lam, v) of M, on the cells where v > 0; the rows and columns of the
-    others stay empty.  The continuum normalized operator fixes constants
-    exactly; its rows are rescaled to divide out the residual row defect
-    left by the finite eigen-solve tolerance.
-
-    M itself is scaled when ``in_place`` (a caller that owns M and gives
-    it up), a copy of it otherwise, in M's index order, with the products
-    the sparse product diag(1/v) @ M @ diag(v) / lam forms: (1/v_i * m_ij)
-    * v_j, then * (1/lam); the entries that vanish (rows and columns off
-    the cells) are dropped before the rows are summed.  Every per-row
-    quantity is formed _ROW_CHUNK rows at a time, so the scaling holds no
-    vector of the grid's size.
-    """
-    v = eigen.v
-    mat = matrix if in_place else matrix.copy()
-    _scale_entries(mat, lambda lo, hi: _reciprocal(v[lo:hi]), v, 1.0 / eigen.lam)
-    mat.eliminate_zeros()
-    _scale_entries(mat, lambda lo, hi: _reciprocal(_row_sums(mat, lo, hi)))
-    return mat
-
-
-def _reciprocal(x: np.ndarray) -> np.ndarray:
-    """1/x where x > 0, and 0 elsewhere."""
-    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0.0)
-
-
-def _row_sums(mat: sp.csr_matrix, lo: int, hi: int) -> np.ndarray:
-    """The sums of rows lo..hi-1 with the bits of ``mat.sum(axis=1)``:
-    ``np.add.reduceat`` over each non-empty row, 0 for an empty one."""
-    indptr = mat.indptr[lo : hi + 1]
-    sums = np.zeros(hi - lo)
-    filled = np.flatnonzero(np.diff(indptr))
-    sums[filled] = np.add.reduceat(mat.data[indptr[0] : indptr[-1]], indptr[filled] - indptr[0])
-    return sums
-
-
-def _scale_entries(
-    mat: sp.csr_matrix, rows: Callable[[int, int], np.ndarray],
-    cols: np.ndarray | None = None, factor: float | None = None,
-) -> None:
-    """m_ij <- ((r_i * m_ij) * cols_j) * factor for every stored entry, in
-    place, _ROW_CHUNK rows at a time, with ``rows(lo, hi)`` the factors r
-    of rows lo..hi-1."""
-    indptr = mat.indptr
-    for lo in range(0, mat.shape[0], _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, mat.shape[0])
-        part = slice(indptr[lo], indptr[hi])
-        data = mat.data[part]
-        data *= np.repeat(rows(lo, hi), np.diff(indptr[lo:hi + 1]))
-        if cols is not None:
-            data *= cols[mat.indices[part]]
-        if factor is not None:
-            data *= factor
-
-
 def _normalized(kind: str, eigen: "EigenData", in_place: bool = False) -> UlamOperator:
-    """The operator the triple was solved for, normalized by it, as
-    ``kind``, carrying the triple without the raw matrix.  With
-    ``in_place`` the raw matrix itself is scaled: only a caller that owns
-    the raw operator and drops it may ask for that."""
-    raw = eigen.operator
+    """The operator the triple (lam, v) of the raw matrix M was solved
+    for, normalized by it, as ``kind``, carrying the triple without M:
+    diag(1/Mv) M diag(v), which is diag(1/v) M diag(v) / lam with the
+    eigen-solve's residual divided out, so every row sums to one; the rows
+    and columns of the cells where v = 0 are left empty.  One pass,
+    _ROW_CHUNK rows at a time (no vector of the grid's size): each stored
+    entry times v of its column, then each row, summed as ``sum(axis=1)``
+    sums it, times the reciprocal of its sum (0 for a zero sum); vanished
+    entries are dropped at the end.  With ``in_place`` M itself is scaled:
+    only a caller that owns the raw operator and drops it may ask that."""
+    raw, v = eigen.operator, eigen.v
+    mat = raw.matrix if in_place else raw.matrix.copy()
+    for lo in range(0, mat.shape[0], _ROW_CHUNK):
+        starts = mat.indptr[lo : lo + _ROW_CHUNK + 1]
+        part = slice(starts[0], starts[-1])
+        data = mat.data[part]
+        data *= v[mat.indices[part]]
+        counts = np.diff(starts)
+        filled = np.flatnonzero(counts)
+        sums = np.zeros(counts.size)
+        sums[filled] = np.add.reduceat(data, starts[filled] - starts[0])
+        data *= np.repeat(np.divide(1.0, sums, out=sums, where=sums > 0.0), counts)
+    mat.eliminate_zeros()
     return dataclasses.replace(
-        raw, kind=kind, matrix=_similarity(raw.matrix, eigen, in_place),
-        eigen=dataclasses.replace(eigen, operator=None),
+        raw, kind=kind, matrix=mat, eigen=dataclasses.replace(eigen, operator=None)
     )
 
 
@@ -739,17 +697,17 @@ def power_iterate(matrix) -> PowerIteration:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Leading eigen-triple of a raw Ulam operator ('P', or the coupled
+    """Leading eigen-triple of a raw Ulam matrix M ('P', or the coupled
     matrix before its normalization).
 
     lam is the leading eigenvalue; v the right eigenvector as power
     iteration returns it (summing to one), zero off the reachable cells;
     nu the probability eigenvector of the adjoint, the conformal measure,
     positive on the whole grid; and mu = h*nu, normalized, the invariant
-    probability vector of the normalized operator, which carries the
-    triple with ``operator``, the raw one, set to None.  ``v_iteration``
-    and ``nu_iteration`` are the (steps, final sup-change) of the two
-    power iterations (None for a triple built by hand).
+    probability vector of the normalized operator diag(1/Mv) M diag(v),
+    which carries the triple with ``operator``, the raw one, set to None.
+    ``v_iteration`` and ``nu_iteration`` are the (steps, final sup-change)
+    of the two power iterations (None for a triple built by hand).
     """
 
     lam: float

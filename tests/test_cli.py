@@ -3,6 +3,7 @@ import filecmp
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -312,6 +313,16 @@ class TestValidation:
             "k = 2, which leaves float range at theta=1e-200, beta=1.0"
         ]
 
+    def test_overflowing_node_weight_names_its_keys(self):
+        # theta^(-beta |node|) at node 2 was one float power, whose
+        # OverflowError named no key
+        v = validate_config(cl.ExperimentConfig(
+            potential_kind="node_sine", node=2, theta=1e-200, k=2, n_bins=4
+        ))
+        assert len(v) == 1
+        assert "theta=1e-200" in v[0] and "node 2" in v[0]
+        assert "OverflowError" not in v[0]
+
     @pytest.mark.parametrize(
         "potential, message",
         [
@@ -482,7 +493,7 @@ class TestRunner:
         report.arrays["values"] = np.array([0.1, 1 / 3, 1e-300, -2.0])
         report.arrays["narrow"] = np.array([0.1], dtype=np.float32)
         cl.emit_report(report, tmp_path)
-        read = lambda name: open(os.path.join(tmp_path, f"{name}.csv")).read()
+        read = lambda name: pathlib.Path(tmp_path, f"{name}.csv").read_text()
         assert read("counts") == "1.0,2.0\n3.0,4.0\n"
         assert read("values") == "0.1,0.3333333333333333,1e-300,-2.0\n"
         assert read("narrow") == repr(float(np.float32(0.1))) + "\n"
@@ -492,7 +503,7 @@ class TestRunner:
         cfg = cl.parse_config(write_cfg(tmp_path, EIGEN_ONLY.format(out=out)))
         report = cl.run_experiment(cfg)
         cl.emit_report(report, out)
-        text = open(os.path.join(out, "summary.txt")).read()
+        text = pathlib.Path(out, "summary.txt").read_text()
         assert cfg.fingerprint() in text
 
 
@@ -571,7 +582,7 @@ class TestMain:
             monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
             assert main(["run", path]) == 0
         for out in dirs:
-            lines = open(os.path.join(out, "timing.txt")).read().splitlines()
+            lines = pathlib.Path(out, "timing.txt").read_text().splitlines()
             assert [line.split(":")[0] for line in lines] == [
                 "eigen", "spectral", "correlation"
             ]

@@ -1422,8 +1422,8 @@ class TestSolvesOnTheMatrix:
     """The eigen-solve and the normalization work on the matrix they are
     given.  The triple of the whole matrix restricts to the triple of the
     reachable block copied out (3,378 of 4,096 cells at eps = 0.1), and
-    the normalization gives the bits of diag(1/v) M diag(v) / lam as
-    sparse products."""
+    the normalization gives the bits of diag(1/Mv) M diag(v) as sparse
+    products."""
 
     def test_triple_matches_explicit_block(self, raw_coupled_eps01):
         eigen = cl.leading_eigenpair(raw_coupled_eps01)
@@ -1442,10 +1442,11 @@ class TestSolvesOnTheMatrix:
     def test_normalization_matches_sparse_products(self, raw_coupled_eps01):
         eigen = cl.leading_eigenpair(raw_coupled_eps01)
         raw_data = raw_coupled_eps01.matrix.data.tobytes()
-        got = transfer._similarity(raw_coupled_eps01.matrix, eigen)
+        got = transfer._normalized("coupled", eigen).matrix
         assert raw_coupled_eps01.matrix.data.tobytes() == raw_data
-        inv_v = np.divide(1.0, eigen.v, out=np.zeros_like(eigen.v), where=eigen.v > 0.0)
-        ref = ((sp.diags(inv_v) @ raw_coupled_eps01.matrix @ sp.diags(eigen.v)) / eigen.lam).tocsr()
+        # the broadcast product keeps M's pattern, so each row is summed
+        # with the zero products of v's zeros in place
+        ref = raw_coupled_eps01.matrix.multiply(eigen.v).tocsr()
         sums = np.asarray(ref.sum(axis=1)).ravel()
         inv_rows = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0.0)
         ref = (sp.diags(inv_rows) @ ref).tocsr()
@@ -1475,6 +1476,34 @@ class TestSolvesOnTheMatrix:
             normalize()
             assert arrays(matrix) == before
 
+    def test_normalization_does_not_depend_on_the_row_chunk(
+        self, perturbed, metric, perturbed_eigen_k0, monkeypatch
+    ):
+        # the owned coupled matrix at k=1, N=32, whose raw matrix has 2,991
+        # empty rows, and 'L': the same bytes in chunks of 7 rows, of the
+        # default and of more rows than the grid has
+        builds = (
+            lambda: _coupled_n32(perturbed, metric),
+            lambda: cl.ulam_matrix("L", 0, 256, perturbed, eigen=perturbed_eigen_k0),
+        )
+        for build in builds:
+            ref = build().matrix
+            for chunk in (7, ref.shape[0] + 1):
+                monkeypatch.setattr(transfer, "_ROW_CHUNK", chunk)
+                _assert_same_bytes(build().matrix, ref)
+            monkeypatch.undo()
+
+    def test_normalized_matrix_lives_on_the_reachable_cells(self, perturbed, metric):
+        # N=32: no stored zero, and the rows and the columns of the cells
+        # where v = 0 are empty, those of every other cell not
+        op = _coupled_n32(perturbed, metric)
+        reachable = op.eigen.v > 0.0
+        assert 0 < reachable.sum() < op.n_cells
+        assert op.matrix.nnz and np.all(op.matrix.data != 0.0)
+        assert np.array_equal(np.diff(op.matrix.indptr) > 0, reachable)
+        filled = np.bincount(op.matrix.indices, minlength=op.n_cells) > 0
+        assert np.array_equal(filled, reachable)
+
     def test_owned_matrix_is_normalized_in_place(self, perturbed, metric, monkeypatch):
         # k=1, N=32: ulam_matrix("coupled") owns its raw matrix and scales
         # it where it lies.  Traced from the end of the eigen-solve, the
@@ -1503,6 +1532,16 @@ class TestSolvesOnTheMatrix:
             tracemalloc.stop()
         assert peak <= 0.1 * solved["bytes"]
         assert np.shares_memory(op.matrix.data, solved["matrix"].data)
+
+
+def _coupled_n32(perturbed, metric):
+    """The coupled operator at k=1, N=32, eps = 0.05, built by ulam_matrix,
+    which owns its raw matrix and normalizes it in place."""
+    pot = cl.srb_potential(perturbed, max_k=1, metric=metric)
+    return cl.ulam_matrix(
+        "coupled", 1, 32, perturbed, potential=pot,
+        coupling=cl.Coupling(epsilon=0.05), cell_budget=32 ** 3,
+    )
 
 
 @pytest.fixture(scope="module")
