@@ -436,14 +436,13 @@ def _eigen_data(cfg: ExperimentConfig, state: dict):
 
 
 def _sigma2(cfg: ExperimentConfig, state: dict, report: RunReport) -> float:
-    """Green-Kubo variance of x_0 under the coupled operator, computed
-    once per run; how its sum ended goes in ``diagnostics.correlation``."""
+    """Green-Kubo variance of x_0 under the coupled operator, computed once
+    per run; its products and last norm go in ``diagnostics.correlation``."""
     if "sigma2" not in state:
         gk = variance_green_kubo(cfg.observable(), _coupled_op(cfg, state))
         report.diagnostics["correlation"] = {
-            "green_kubo_lags": gk.lags,
-            "green_kubo_capped": gk.capped,
-            "green_kubo_tail_share": gk.tail_share,
+            "green_kubo_products": gk.products,
+            "green_kubo_last_norm": gk.last_norm,
         }
         state["sigma2"] = gk.sigma2
     return state["sigma2"]

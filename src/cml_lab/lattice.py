@@ -137,15 +137,19 @@ def perturbed_doubling_map(a: float = 0.05) -> NodeMap:
         return y
 
     def inverse(y: np.ndarray, branch: int) -> np.ndarray:
-        # Solve 2x + a sin(2 pi x) = y + branch on the branch domain.
+        # Solve 2x + a sin(2 pi x) = y + branch on the branch domain; each
+        # point stops once its own step is below 1e-15, so its bits do not
+        # depend on the other points of the call.
         target = np.asarray(y, dtype=float) + branch
         x = target / 2.0
+        moving = np.ones(x.shape, dtype=bool)
         for _ in range(60):
             fx = 2.0 * x + a * np.sin(two_pi * x) - target
             dfx = 2.0 + two_pi * a * np.cos(two_pi * x)
-            step = fx / dfx
+            step = np.where(moving, fx / dfx, 0.0)
             x = x - step
-            if np.max(np.abs(step)) < 1e-15:
+            moving &= np.abs(step) >= 1e-15
+            if not moving.any():
                 break
         return np.clip(x, 0.0, np.nextafter(1.0, 0.0))
 

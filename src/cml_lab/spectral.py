@@ -1,10 +1,11 @@
 """Spectrum of discretized operators: gap, correlation decay, twisted
 operators and the central-limit variance.
 
-The decay rate is reported as the modulus of the second eigenvalue of the
-normalized Ulam matrix; correlations are computed by repeated matrix
-application against the stationary cell measure; the variance comes from
-a Green-Kubo sum with a twisted-eigenvalue curvature cross-check.
+The decay rate is the modulus of the second eigenvalue of the normalized
+Ulam matrix.  Correlations pair the iterates L^n phi~ of a centred
+observable with a second one under the stationary cell measure; the
+variance sums them into the resolvent (I - L)^-1 phi~, with a
+twisted-eigenvalue curvature cross-check.
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ _INVARIANT_STEPS = 4
 # ARPACK's floor on the modulus a Ritz residual is measured against.
 _EPS23 = np.finfo(float).eps ** (2.0 / 3.0)
 
-# Green-Kubo truncation: relative tail tolerance and lag cap.
-_GK_TAIL_TOL = 1e-6
-_GK_MAX_LAG = 500
+# The Green-Kubo resolvent sum: it stops at the first re-centred iterate
+# whose sup-norm is at most _GK_TOL times phi~'s, within _GK_MAX_PRODUCTS
+# operator applications.
+_GK_TOL = 1e-14
+_GK_MAX_PRODUCTS = 500
 
 # Finite-difference step of the twisted-eigenvalue curvature.
 _CURVATURE_STEP = 1e-3
@@ -345,22 +348,17 @@ def stationary_distribution(op: UlamOperator) -> np.ndarray:
     return _require_eigen(op).mu
 
 
-def _correlation_terms(
-    phi1: Potential, phi2: Potential, op: UlamOperator
-) -> Iterator[float]:
-    """C_0, C_1, ... of :func:`operator_correlation`, one operator
-    application per term, without end.  The products go through a
-    :class:`~cml_lab.transfer._SplitBlock` of every cell, whose helper
-    thread, if any, ends when the generator is closed."""
-    grid = op.grid
-    reps = grid.reps()
+def _iterates(phi: Potential, op: UlamOperator) -> Iterator[np.ndarray]:
+    """phi~ = phi - mu(phi) on every cell, then L phi~, L^2 phi~, ..., one
+    operator application each, without end; each is a new array.  The
+    products go through a :class:`~cml_lab.transfer._SplitBlock` of every
+    cell, whose helper thread, if any, ends when the generator is closed."""
     mu = stationary_distribution(op)
-    v1 = phi1.on_array(reps, grid.k)
-    v2 = phi2.on_array(reps, grid.k)
-    v = v2 - float(mu @ v2)
+    v = phi.on_array(op.grid.reps(), op.grid.k)
+    v = v - float(mu @ v)
     with _SplitBlock(op.matrix, np.arange(op.n_cells)) as block:
         while True:
-            yield float(mu @ (v1 * v))
+            yield v
             v = block @ v
 
 
@@ -372,8 +370,11 @@ def operator_correlation(
     Returns the signed values for lags 0..n_max; C_0 is the covariance of
     the two observables under the stationary cell measure.
     """
-    with contextlib.closing(_correlation_terms(phi1, phi2, op)) as terms:
-        return np.fromiter(itertools.islice(terms, n_max + 1), float, n_max + 1)
+    mu = stationary_distribution(op)
+    v1 = phi1.on_array(op.grid.reps(), op.grid.k)
+    with contextlib.closing(_iterates(phi2, op)) as iterates:
+        terms = (float(mu @ (v1 * v)) for v in itertools.islice(iterates, n_max + 1))
+        return np.fromiter(terms, float, n_max + 1)
 
 
 def twisted_matrix(
@@ -434,57 +435,53 @@ def check_twisted_bound(
 
 @dataclass(frozen=True)
 class GreenKubo:
-    """The Green-Kubo variance and how its sum ended: the lags summed, whether
-    the sum stopped at the lag cap, and the geometric tail added to it."""
+    """The Green-Kubo variance and how its resolvent sum ended: the operator
+    applications it took and the sup-norm of its last re-centred iterate,
+    at most _GK_TOL times phi~'s."""
 
     sigma2: float
-    lags: int
-    capped: bool
-    tail: float
-
-    @property
-    def tail_share(self) -> float:
-        """The tail's share of sigma2 (0 when sigma2 is 0)."""
-        return self.tail / self.sigma2 if self.sigma2 > 0.0 else 0.0
+    products: int
+    last_norm: float
 
 
 def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
-    """Limit variance as the summed autocovariance sequence of phi.
+    """Limit variance of phi, sigma^2 = C_0 + 2 sum_{n>=1} C_n, by the
+    fundamental-matrix formula (Kemeny and Snell, Finite Markov Chains,
+    1960): sigma^2 = <mu, phi~ (2x - phi~)>, x = (I - L)^-1 phi~ on
+    mean-zero vectors.
 
-    The series is truncated once |C_n| falls below _GK_TAIL_TOL * C_0 (or
-    at lag _GK_MAX_LAG), and a geometric tail estimate, from the ratio
-    |C_n| / |C_{n-1}| of the last two terms, is added.
-    A materially negative result signals a discretization artifact.
+    x is the Neumann sum of the iterates L^n phi~ (:func:`_iterates`),
+    each re-centred by its mean mu(L^n phi~): L keeps that mean, so the
+    roundoff along the constant mode would never decay.  The sum stops at
+    the first iterate whose re-centred sup-norm over the cells where
+    mu > 0 is at most _GK_TOL times phi~'s (cells where mu = 0 keep the
+    mean's roundoff and carry no weight); reaching _GK_MAX_PRODUCTS raises
+    ``ValueError``.  A materially negative result signals an operator that
+    is not stochastic.
     """
-    with contextlib.closing(_correlation_terms(phi, phi, op)) as terms:
-        c0 = next(terms)
-        if c0 == 0.0:
-            return GreenKubo(sigma2=0.0, lags=0, capped=False, tail=0.0)
-        total = c0
-        prev = last = abs(c0)
-        c_n = c0
-        n_used = 0
-        for n in range(1, _GK_MAX_LAG + 1):
-            c_n = next(terms)
-            total += 2.0 * c_n
-            n_used = n
-            prev, last = last, abs(c_n)
-            if last < _GK_TAIL_TOL * abs(c0):
+    mu = stationary_distribution(op)
+    support = mu > 0.0
+    x = np.zeros(op.n_cells)
+    with contextlib.closing(_iterates(phi, op)) as iterates:
+        phi_c = next(iterates)
+        bound = _GK_TOL * float(np.abs(phi_c[support]).max())
+        for products, v in enumerate(itertools.chain([phi_c], iterates)):
+            v = v - float(mu @ v)
+            x += v
+            last_norm = float(np.abs(v[support]).max())
+            if last_norm <= bound:
                 break
-    tail = 0.0
-    if n_used >= 2 and prev > 0.0 and last > 0.0:
-        r = last / prev
-        if 0.0 < r < 1.0:
-            tail = 2.0 * last * r / (1.0 - r) * np.sign(c_n)
-            total += tail
-    if total < -1e-8:
+            if products == _GK_MAX_PRODUCTS:
+                raise ValueError(
+                    f"Green-Kubo sum did not converge in {_GK_MAX_PRODUCTS} products: "
+                    f"last sup-norm {last_norm:.3e} against {bound:.3e}"
+                )
+    sigma2 = float(mu @ (phi_c * (2.0 * x - phi_c)))
+    if sigma2 < -1e-8:
         raise ValueError(
-            f"Green-Kubo variance {total} is negative: grid too coarse for phi"
+            f"Green-Kubo variance {sigma2} is negative: the operator is not stochastic"
         )
-    return GreenKubo(
-        sigma2=float(max(total, 0.0)), lags=n_used,
-        capped=last >= _GK_TAIL_TOL * abs(c0), tail=float(tail),
-    )
+    return GreenKubo(sigma2=max(sigma2, 0.0), products=products, last_norm=last_norm)
 
 
 def variance_from_twisted_curvature(op: UlamOperator, observable: Potential) -> float:

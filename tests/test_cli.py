@@ -742,30 +742,31 @@ class TestMain:
         assert mismatch == [] and errors == []
 
     def test_correlation_diagnostics_in_report(self, tmp_path, monkeypatch, capsys):
-        # how the Green-Kubo sum ended goes to diagnostics: the lags it
-        # summed, whether it stopped at the lag cap, and the tail's share
+        # how the Green-Kubo resolvent sum ended goes to diagnostics: the
+        # products it took and its last iterate's sup-norm; a sum that
+        # reaches the product cap fails the experiment with that norm
         path = write_cfg(tmp_path, MINIMAL + "[run]\nexperiments = correlation\n")
-        docs, default = {}, spectral._GK_MAX_LAG
+        docs, codes, default = {}, {}, spectral._GK_MAX_PRODUCTS
         for cap in (default, 5):
-            monkeypatch.setattr(spectral, "_GK_MAX_LAG", cap)
+            monkeypatch.setattr(spectral, "_GK_MAX_PRODUCTS", cap)
             out = os.path.join(tmp_path, f"cap{cap}")
             monkeypatch.setenv("CML_LAB_OUTPUT_DIR", out)
-            assert main(["run", path]) == 0
+            codes[cap] = main(["run", path])
             with open(os.path.join(out, "report.json")) as fh:
                 docs[cap] = json.load(fh)
             with open(os.path.join(out, "summary.txt")) as fh:
-                assert "tail_share" not in fh.read()
-        full = docs[default]["diagnostics"]["correlation"]
-        assert sorted(full) == ["green_kubo_capped", "green_kubo_lags", "green_kubo_tail_share"]
-        assert full["green_kubo_capped"] is False
-        assert 5 < full["green_kubo_lags"] < default
-        assert abs(full["green_kubo_tail_share"]) < 1e-6
-        capped = docs[5]["diagnostics"]["correlation"]
-        assert (capped["green_kubo_lags"], capped["green_kubo_capped"]) == (5, True)
-        # a tail from |C_5| / |C_4| stands in for the lags past the cap
-        assert abs(capped["green_kubo_tail_share"]) > 1e-6
-        sigma2 = [d["results"]["correlation"]["green_kubo_sigma2"]["value"] for d in docs.values()]
-        assert sigma2[1] == pytest.approx(sigma2[0], rel=1e-3)
+                assert "last_norm" not in fh.read()
+        assert codes[default] == 0 and docs[default]["errors"] == {}
+        diag = docs[default]["diagnostics"]["correlation"]
+        assert sorted(diag) == ["green_kubo_last_norm", "green_kubo_products"]
+        assert 5 < diag["green_kubo_products"] < default
+        assert 0.0 <= diag["green_kubo_last_norm"] <= 1e-14 * 0.5
+        assert codes[5] == 1 and "correlation" not in docs[5]["results"]
+        assert re.fullmatch(
+            r"ValueError: Green-Kubo sum did not converge in 5 products: "
+            r"last sup-norm \S+ against \S+",
+            docs[5]["errors"]["correlation"],
+        )
 
     def test_export_operator_roundtrip(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "rep")

@@ -95,6 +95,20 @@ class TestNodeMaps:
             pre = branch(xs)
             assert np.allclose(nm.forward(pre), xs, atol=1e-10)
 
+    def test_perturbed_preimages_do_not_depend_on_the_batch(self, perturbed):
+        # each point's Newton iteration stops on its own step: desk's
+        # quadrature axis (N=16, quad 4) has the same bits as one array,
+        # as its two halves and point by point; with a stop on the call's
+        # largest step, 4 and 5 of its 64 preimages per branch differed by
+        # 1 ulp between the array and the point-by-point calls
+        axis = (np.arange(64) + 0.5) / 64
+        for branch in perturbed.inverse_branches:
+            whole = branch(axis).view(np.int64)
+            halves = np.concatenate([branch(axis[:32]), branch(axis[32:])])
+            each = np.array([branch(y) for y in axis])
+            assert np.array_equal(halves.view(np.int64), whole)
+            assert np.array_equal(each.view(np.int64), whole)
+
     def test_branch_contraction(self, perturbed):
         xs = np.linspace(0.0, 0.999, 400)
         for branch in perturbed.inverse_branches:

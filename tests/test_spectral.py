@@ -562,21 +562,36 @@ class TestVariance:
         assert sigma2 == pytest.approx(expected, abs=1e-12)
         assert sigma2 == pytest.approx(0.25, abs=0.01)
 
-    def test_truncated_sum_matches_full_correlation_sequence(self, perturbed_L):
-        # reference: the sum over the first 500 lags computed up front
+    @pytest.mark.parametrize("n_bins", [16, 24])
+    def test_resolvent_sum_matches_a_300_lag_sum(
+        self, n_bins, coupled_op_k1, raw_coupled_n24
+    ):
+        # desk's coupled operator: lambda_2 = -0.4748, so C_n alternates;
+        # the lag sum with a geometric tail was off by 8.5e-8 and 1.1e-6
+        op = coupled_op_k1 if n_bins == 16 else transfer._normalized(
+            "coupled", cl.leading_eigenpair(raw_coupled_n24)
+        )
         phi = cl.node_coordinate()
-        c = cl.operator_correlation(phi, phi, perturbed_L, 500)
-        total, last, n_used = c[0], abs(c[0]), 0
-        for n in range(1, 501):
-            total += 2.0 * c[n]
-            n_used = n
-            if abs(c[n]) < 1e-6 * abs(c[0]):
-                break
-            last = abs(c[n])
-        assert 2 <= n_used < 500
-        r = abs(c[n_used]) / last
-        total += 2.0 * abs(c[n_used]) * r / (1.0 - r) * np.sign(c[n_used])
-        assert cl.variance_green_kubo(phi, perturbed_L).sigma2 == float(total)
+        c = cl.operator_correlation(phi, phi, op, 300)
+        reference = c[0] + 2.0 * c[1:].sum()
+        gk = cl.variance_green_kubo(phi, op)
+        assert gk.sigma2 == pytest.approx(reference, rel=1e-11, abs=0.0)
+        assert 0 < gk.products < spectral._GK_MAX_PRODUCTS
+
+    def test_shift_of_the_observable_leaves_sigma2(self, coupled_op_k1, perturbed, metric):
+        # x_0 + 1000 on desk's and fine's coupled operators: the mean's
+        # roundoff, about 1e-13, is re-centred out of every iterate (the lag
+        # sum moved desk's sigma^2 by 1.3e-8 relative)
+        fine = cl.ulam_matrix(
+            "coupled", 1, 48, perturbed,
+            potential=cl.srb_potential(perturbed, max_k=1, metric=metric),
+            coupling=cl.Coupling(epsilon=0.05), cell_budget=110_592,
+        )
+        for op in (coupled_op_k1, fine):
+            plain = cl.variance_green_kubo(cl.node_coordinate(), op).sigma2
+            shifted = cl.variance_green_kubo(cl.node_coordinate(offset=-1000.0), op)
+            assert shifted.sigma2 == pytest.approx(plain, rel=1e-12, abs=0.0)
+            assert shifted.products < spectral._GK_MAX_PRODUCTS
 
     def test_constant_observable_zero_variance(self, doubling_L):
         assert cl.variance_green_kubo(cl.constant_potential(2.0), doubling_L).sigma2 == 0.0
@@ -599,36 +614,34 @@ class TestVariance:
         assert abs(vals[0] - vals[1]) / vals[0] < 0.05
 
 
-class TestGreenKuboTail:
-    """A two-cell chain that flips with probability 0.1: C_n = C_0 * 0.8^n
-    for x_0 (C_0 = 1/16), so sigma^2 = C_0 (1 + 0.8) / (1 - 0.8) = 0.5625,
-    and a geometric tail from the last two terms is exact."""
+class TestGreenKuboChain:
+    """Two-cell chains that flip with probability p: for x_0, phi~ = +-1/4,
+    L^n phi~ = (1 - 2p)^n phi~ and C_n = C_0 (1 - 2p)^n (C_0 = 1/16), so
+    sigma^2 = C_0 (2 - 2p) / (2p).  The re-centred iterates reach
+    1e-14 |phi~| at n = 145 for |1 - 2p| = 0.8."""
 
-    @pytest.fixture
-    def chain(self):
+    @staticmethod
+    def chain(p):
         mu = np.array([0.5, 0.5])
         return cl.UlamOperator(
             kind="L", grid=cl.Grid(k=0, n_bins=2), quad=1,
-            matrix=sp.csr_matrix([[0.9, 0.1], [0.1, 0.9]]),
+            matrix=sp.csr_matrix([[1.0 - p, p], [p, 1.0 - p]]),
             eigen=cl.EigenData(lam=1.0, v=mu, nu=mu, mu=mu, operator=None),
         )
 
-    def test_tail_is_added_at_the_lag_cap(self, chain, monkeypatch):
-        # the sum used to take the ratio of the last term with itself at the
-        # cap, add no tail and return 0.39866
-        monkeypatch.setattr(spectral, "_GK_MAX_LAG", 5)
-        gk = cl.variance_green_kubo(cl.node_coordinate(), chain)
-        assert gk.sigma2 == pytest.approx(0.5625, rel=1e-12)
-        assert (gk.lags, gk.capped) == (5, True)
-        # the tail 2 C_0 0.8^6 / 0.2 of the total 9 C_0
-        assert gk.tail_share == pytest.approx(8 * 0.8 ** 5 / 9, rel=1e-12)
+    @pytest.mark.parametrize("p, sigma2", [(0.1, 0.5625), (0.9, 1.0 / 144.0)])
+    def test_closed_form(self, p, sigma2):
+        # at p = 0.9 (lambda_2 = -0.8) the tail's sign rule was 7.8e-5 off
+        gk = cl.variance_green_kubo(cl.node_coordinate(), self.chain(p))
+        assert gk.sigma2 == pytest.approx(sigma2, rel=1e-12, abs=0.0)
+        assert gk.products == 145
+        assert gk.last_norm <= 1e-14 * 0.25
 
-    def test_below_the_cap_the_sum_stops_at_the_tolerance(self, chain):
-        # 0.8^n < 1e-6 first at n = 62
-        gk = cl.variance_green_kubo(cl.node_coordinate(), chain)
-        assert gk.sigma2 == pytest.approx(0.5625, rel=1e-12)
-        assert (gk.lags, gk.capped) == (62, False)
-        assert 0.0 < gk.tail_share < 1e-5
+    def test_the_product_cap_raises_with_the_last_norm(self, monkeypatch):
+        # the fifth iterate's sup-norm is 0.8^5 / 4
+        monkeypatch.setattr(spectral, "_GK_MAX_PRODUCTS", 5)
+        with pytest.raises(ValueError, match=r"in 5 products: last sup-norm 8\.192e-02"):
+            cl.variance_green_kubo(cl.node_coordinate(), self.chain(0.1))
 
 
 class TestCoupledSpectrum:
