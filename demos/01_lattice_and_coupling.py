@@ -27,14 +27,14 @@ def main() -> None:
     print("bar-tau(x) =", np.round(nm.forward(x), 4))
 
     e = cl.Coupling(epsilon=0.1)
-    cx = e.apply_to_array(x, k, nm.p_tau)
+    cx = e.apply_to_array(x, nm.p_tau)
     print("\ndiffusive coupling eps = 0.1 mixes each node with its neighbors:")
     print("E(x) =", np.round(cx, 4))
     back = e.invert_on_array(cx, k, nm.p_tau)
     print("E^-1(E(x)) recovers x exactly:", np.allclose(back, x))
 
     print("\nfull coupled step T = E after bar-tau:")
-    print("T(x) =", np.round(e.apply_to_array(nm.forward(x), k, nm.p_tau), 4))
+    print("T(x) =", np.round(e.apply_to_array(nm.forward(x), nm.p_tau), 4))
 
     pres = cl.lattice.branch_preimage_table(x[:, None], nm)[:, :, 0]
     print(f"\ninverse branches of the nodewise map (first 4 of {len(pres)}):")

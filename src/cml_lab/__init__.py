@@ -46,6 +46,7 @@ from .transfer import (
     eval_Pk,
     leading_eigenpair,
     load_operator,
+    nodewise_eigenpair,
     power_iterate,
     random_admissible_box,
     save_operator,

@@ -39,18 +39,19 @@ from .observables import (
     srb_potential,
     zero_potential,
 )
-from .transfer import (
+# leading_eigenpair, stationary_distribution and operator_correlation are
+# not called here: they stay for perfbench/child.py, which wraps them here
+from .transfer import (  # noqa: F401
     Grid,
     assembly_shares,
     check_conformality,
     check_lasota_yorke,
     leading_eigenpair,
+    nodewise_eigenpair,
     random_admissible_box,
     save_operator,
     ulam_matrix,
 )
-# stationary_distribution is not called here: it stays among the names
-# perfbench/child.py wraps on this module
 from .spectral import (  # noqa: F401
     check_twisted_bound,
     operator_correlation,
@@ -425,26 +426,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def _eigen_data(cfg: ExperimentConfig, state: dict):
-    """Eigen-data of the nodewise operator, computed once per run."""
+    """Eigen-data of the nodewise operator, from its factors, once per run."""
     if "eigen" not in state:
-        op = ulam_matrix(
-            "P", cfg.k, cfg.n_bins, cfg.node_map(),
-            potential=cfg.potential(), quad=cfg.quad, cell_budget=cfg.cell_budget,
+        state["eigen"] = nodewise_eigenpair(
+            cfg.k, cfg.n_bins, cfg.node_map(), cfg.potential(), quad=cfg.quad
         )
-        state["eigen"] = leading_eigenpair(op)
     return state["eigen"]
 
 
 def _sigma2(cfg: ExperimentConfig, state: dict, report: RunReport) -> float:
     """Green-Kubo variance of x_0 under the coupled operator, computed once
-    per run; its products and last norm go in ``diagnostics.correlation``."""
+    per run with the correlations to lag n_lags (``state["correlations"]``);
+    its products and last norm go in ``diagnostics.correlation``."""
     if "sigma2" not in state:
-        gk = variance_green_kubo(cfg.observable(), _coupled_op(cfg, state))
+        gk = variance_green_kubo(cfg.observable(), _coupled_op(cfg, state), cfg.n_lags)
         report.diagnostics["correlation"] = {
             "green_kubo_products": gk.products,
             "green_kubo_last_norm": gk.last_norm,
         }
-        state["sigma2"] = gk.sigma2
+        state["sigma2"], state["correlations"] = gk.sigma2, gk.correlations
     return state["sigma2"]
 
 
@@ -471,8 +471,8 @@ def _coupled_op(cfg: ExperimentConfig, state: dict):
 
 def _step_eigen(cfg, state, report):
     eigen = _eigen_data(cfg, state)
-    # P's eigen-solve residual, |P h / (lam h) - 1|, which 'L' divides out
-    # of its rows: diag(1/Ph) P diag(h) sums to one
+    # P's eigen-solve residual, |P h / (lam h) - 1| (P applied one factor per
+    # axis), which 'L' divides out of its rows: diag(1/Ph) P diag(h) sums to one
     p_h = eigen.operator.matrix @ eigen.h
     row_defect = float(np.max(np.abs(p_h / (eigen.lam * eigen.h) - 1.0)))
     report.results["eigen"] = {
@@ -524,17 +524,13 @@ def _step_spectral(cfg, state, report):
 
 
 def _step_correlation(cfg, state, report):
-    op = _coupled_op(cfg, state)
-    phi = cfg.observable()
     sigma2 = _sigma2(cfg, state, report)
-    c_n = operator_correlation(phi, phi, op, cfg.n_lags)
+    c_n = state["correlations"]
     report.results["correlation"] = {
-        "c0": _entry(float(c_n[0])),
+        "c0": _entry(c_n[0]),
         "green_kubo_sigma2": _entry(sigma2, target="> 0", passed=sigma2 > 0.0),
     }
-    report.arrays["correlations"] = np.column_stack(
-        [np.arange(cfg.n_lags + 1), c_n]
-    )
+    report.arrays["correlations"] = np.column_stack([np.arange(cfg.n_lags + 1), c_n])
 
 
 def _step_ly(cfg, state, report):

@@ -220,7 +220,7 @@ class Coupling:
         right = np.asarray(vals[j + 1], dtype=float) if j + 1 < len(vals) else p_tau
         return centre * (1.0 - self.epsilon) + (left + right) * (0.5 * self.epsilon)
 
-    def apply_to_array(self, vals: np.ndarray, k: int, p_tau: float) -> np.ndarray:
+    def apply_to_array(self, vals: np.ndarray, p_tau: float) -> np.ndarray:
         """The coupled image of node-major values of shape (2k+1, ...):
         :meth:`node_image` of every row at once, its neighbours read from
         the window padded with p_tau."""

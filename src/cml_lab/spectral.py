@@ -437,14 +437,16 @@ def check_twisted_bound(
 class GreenKubo:
     """The Green-Kubo variance and how its resolvent sum ended: the operator
     applications it took and the sup-norm of its last re-centred iterate,
-    at most _GK_TOL times phi~'s."""
+    at most _GK_TOL times phi~'s; with the correlations C_0, ..., C_n_lags
+    of phi with itself, read off the same iterates."""
 
     sigma2: float
     products: int
     last_norm: float
+    correlations: tuple[float, ...]
 
 
-def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
+def variance_green_kubo(phi: Potential, op: UlamOperator, n_lags: int = 0) -> GreenKubo:
     """Limit variance of phi, sigma^2 = C_0 + 2 sum_{n>=1} C_n, by the
     fundamental-matrix formula (Kemeny and Snell, Finite Markov Chains,
     1960): sigma^2 = <mu, phi~ (2x - phi~)>, x = (I - L)^-1 phi~ on
@@ -457,15 +459,21 @@ def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
     mu > 0 is at most _GK_TOL times phi~'s (cells where mu = 0 keep the
     mean's roundoff and carry no weight); reaching _GK_MAX_PRODUCTS raises
     ``ValueError``.  A materially negative result signals an operator that
-    is not stochastic.
+    is not stochastic.  The correlations to lag ``n_lags`` are read off the
+    same iterates, before their re-centring, with the bits of
+    :func:`operator_correlation`; the iterates run on to n_lags when the
+    sum stops first.
     """
     mu = stationary_distribution(op)
     support = mu > 0.0
+    values = phi.on_array(op.grid.reps(), op.grid.k)
     x = np.zeros(op.n_cells)
+    correlations = []
     with contextlib.closing(_iterates(phi, op)) as iterates:
         phi_c = next(iterates)
         bound = _GK_TOL * float(np.abs(phi_c[support]).max())
         for products, v in enumerate(itertools.chain([phi_c], iterates)):
+            correlations.append(float(mu @ (values * v)))
             v = v - float(mu @ v)
             x += v
             last_norm = float(np.abs(v[support]).max())
@@ -476,12 +484,14 @@ def variance_green_kubo(phi: Potential, op: UlamOperator) -> GreenKubo:
                     f"Green-Kubo sum did not converge in {_GK_MAX_PRODUCTS} products: "
                     f"last sup-norm {last_norm:.3e} against {bound:.3e}"
                 )
+        more = itertools.islice(iterates, max(0, n_lags - products))
+        correlations += [float(mu @ (values * v)) for v in more]
     sigma2 = float(mu @ (phi_c * (2.0 * x - phi_c)))
     if sigma2 < -1e-8:
         raise ValueError(
             f"Green-Kubo variance {sigma2} is negative: the operator is not stochastic"
         )
-    return GreenKubo(sigma2=max(sigma2, 0.0), products=products, last_norm=last_norm)
+    return GreenKubo(max(sigma2, 0.0), products, last_norm, tuple(correlations[: n_lags + 1]))
 
 
 def variance_from_twisted_curvature(op: UlamOperator, observable: Potential) -> float:

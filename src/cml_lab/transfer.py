@@ -35,6 +35,7 @@ __all__ = [
     "ulam_matrix",
     "assembly_shares",
     "leading_eigenpair",
+    "nodewise_eigenpair",
     "power_iterate",
     "estimate_holder_seminorm",
     "grid_holder_seminorm",
@@ -320,24 +321,17 @@ def ulam_matrix(
     """Assemble the sparse Ulam matrix of the requested operator kind.
 
     'P' needs a potential; 'L' needs the eigen-triple of the matching 'P'
-    operator: the normalized matrix is diag(1/Mv) M diag(v), M the matrix
-    of 'P' and v its right eigenvector, so its rows sum to one.  'coupled'
-    needs the coupling and a potential, discretizes the transfer operator
-    of the full coupled step by forward images, and is normalized the same
-    way by the triple of that raw matrix.  The coupling is not surjective on the finite window -- it maps
-    the cube onto a strictly smaller parallelepiped -- so cells outside its
-    range have no preimages: their rows stay empty, and v vanishes there.
-    Both normalized kinds carry their triple.
-
-    Both assemblies run the node map once per quadrature axis.  'P' is the
-    Kronecker product of one 1-d factor per node; 'coupled' reads the node
-    map, its log-derivative and the potential's node terms from per-axis
-    tables on each node's own axis, in slabs of whole cells, and forms a
-    node's image coordinate on the at most three axes it reads, so only
-    the interior nodes' images, the last sums, exp and the grouping of
-    points by entry run over every point.  It sums each entry's weights in
-    the order of its points, cell by cell in C order, so its matrix does
-    not depend on the slab size.
+    operator (:func:`nodewise_eigenpair`): the normalized matrix is
+    diag(1/Mv) M diag(v), M the matrix of 'P' and v its right
+    eigenvector, so its rows sum to one.  'coupled' needs the coupling and
+    a potential, discretizes the transfer operator of the full coupled
+    step by forward images, and is normalized the same way by the triple
+    of that raw matrix.  The coupling is not surjective on the finite
+    window -- it maps the cube onto a strictly smaller parallelepiped --
+    so cells outside its range have no preimages: their rows stay empty,
+    and v vanishes there.  Both normalized kinds carry their triple.  Both
+    assemblies (:func:`_assemble_p_matrix`, :func:`_assemble_coupled_matrix`)
+    run the node map once per quadrature axis.
     """
     grid = Grid(k=k, n_bins=n_bins)
     over = grid.budget_violation(cell_budget)
@@ -346,7 +340,7 @@ def ulam_matrix(
     if kind == "P":
         if potential is None:
             raise ValueError("kind 'P' needs a potential")
-        matrix = _assemble_p_matrix(grid, node_map, potential, quad)
+        matrix = _assemble_p_matrix(grid, node_map, potential, quad).tocsr()
         return UlamOperator(
             kind="P", grid=grid, quad=quad, matrix=matrix,
             node_map=node_map, potential=potential,
@@ -420,33 +414,50 @@ def _cell_slabs(
 
 def _assemble_p_matrix(
     grid: Grid, node_map: NodeMap, potential: Potential, quad: int
-) -> sp.csr_matrix:
-    """Raw branch-weight matrix: the Kronecker product of one 1-d Ulam
-    factor per node, node -k the slowest axis as in the C-order cell index.
+) -> "_Kronecker":
+    """Raw branch-weight matrix, held as the Kronecker product of one 1-d
+    Ulam factor per node, node -k the slowest axis as in the cell index.
 
     The potential is a sum of node terms, so a point's branch weight
     exp(f(pre)) / (b**d quad**d) is the product over nodes of
     exp(term_j(pre_j)) / (b quad), and the sum over the b**d branch
     choices factors node by node.  Factor j's rows are the bins of the
     quadrature axis points, its columns the bins of their preimages under
-    each inverse branch, which runs once, on the axis.  The result is in
-    canonical CSR form: sorted indices, duplicates summed.
+    each inverse branch, which runs once, on the axis.
     """
     axis = _quad_axis(grid, quad)
     pre = np.concatenate([br(axis) for br in node_map.inverse_branches])
     rows = np.tile(np.arange(axis.size) // quad, node_map.b)
     cols = grid.bin_of(pre)
     weight = 1.0 / (node_map.b * quad)
-    factors = [
+    return _Kronecker([
         sp.coo_matrix(
             (np.exp(potential.node_term(j, pre, grid.k)) * weight, (rows, cols)),
             shape=(grid.n_bins, grid.n_bins),
         ).tocsr()
         for j in range(-grid.k, grid.k + 1)
-    ]
-    matrix = reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-    matrix.sum_duplicates()
-    return matrix
+    ])
+
+
+class _Kronecker(NamedTuple):
+    """The Kronecker product of square CSR factors, the first the slowest
+    axis, held as them: a product with a vector applies each factor along
+    its own axis of the vector read as a grid; :meth:`tocsr` forms it in
+    canonical CSR form, a new matrix whatever ``copy`` says."""
+
+    factors: list[sp.csr_matrix]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.asarray(x).reshape([f.shape[0] for f in self.factors])
+        for axis, factor in enumerate(self.factors):
+            front = np.moveaxis(y, axis, 0)
+            y = np.moveaxis((factor @ front.reshape(len(front), -1)).reshape(front.shape), 0, axis)
+        return y.reshape(-1)
+
+    def tocsr(self, copy: bool = True) -> sp.csr_matrix:
+        matrix = reduce(lambda a, b: sp.kron(a, b, format="csr"), self.factors)
+        matrix.sum_duplicates()
+        return matrix
 
 
 def _normalized(kind: str, eigen: "EigenData", in_place: bool = False) -> UlamOperator:
@@ -459,9 +470,10 @@ def _normalized(kind: str, eigen: "EigenData", in_place: bool = False) -> UlamOp
     entry times v of its column, then each row, summed as ``sum(axis=1)``
     sums it, times the reciprocal of its sum (0 for a zero sum); vanished
     entries are dropped at the end.  With ``in_place`` M itself is scaled:
-    only a caller that owns the raw operator and drops it may ask that."""
+    only a caller that owns the raw operator and drops it may ask that; a
+    'P' held as its factors is formed anew (:meth:`_Kronecker.tocsr`)."""
     raw, v = eigen.operator, eigen.v
-    mat = raw.matrix if in_place else raw.matrix.copy()
+    mat = raw.matrix.tocsr(copy=not in_place)
     for lo in range(0, mat.shape[0], _ROW_CHUNK):
         starts = mat.indptr[lo : lo + _ROW_CHUNK + 1]
         part = slice(starts[0], starts[-1])
@@ -707,7 +719,8 @@ class EigenData:
     probability vector of the normalized operator diag(1/Mv) M diag(v),
     which carries the triple with ``operator``, the raw one, set to None.
     ``v_iteration`` and ``nu_iteration`` are the (steps, final sup-change)
-    of the two power iterations (None for a triple built by hand).
+    of the power iterations, the factors' worst for 'P' (None for a triple
+    built by hand).
     """
 
     lam: float
@@ -842,31 +855,54 @@ def _row_halves(matrix: sp.csr_matrix, cells: np.ndarray) -> list:
 
 
 def leading_eigenpair(op: UlamOperator) -> EigenData:
-    """Power iteration on the whole raw matrix M for lam and v, through a
-    :class:`_SplitBlock` of every cell (so a large M is multiplied in two
-    row halves, the second on a helper thread), as is the check's product
-    below, and on its CSC view ``.T`` for nu, on one thread.
-
-    v vanishes off the reachable cells: those off the coupling range, and
-    those fed only from there.  nu is the conformal measure on the whole
-    grid, nu_c = (M^T nu)_c / lam > 0.  v must be non-negative, and
-    positive on every cell with a source where v > 0.
+    """The triple of the whole raw matrix M (:func:`_triple`): M through a
+    :class:`_SplitBlock` of every cell (a large M in two row halves, the
+    second on a helper thread), its CSC view ``.T`` on one thread.  v
+    vanishes off the reachable cells: those off the coupling range, and
+    those fed only from there; nu_c = (M^T nu)_c / lam > 0 on every cell.
     """
     if op.kind == "L" or op.eigen is not None:
         raise ValueError("leading eigen-data is solved for a raw operator")
     with _SplitBlock(op.matrix, np.arange(op.n_cells)) as block:
-        right = power_iterate(block)
+        return _triple(op, [(block, op.matrix.T)])
+
+
+def nodewise_eigenpair(
+    k: int, n_bins: int, node_map: NodeMap, potential: Potential, quad: int = 4
+) -> EigenData:
+    """The leading triple of 'P' from its 2k+1 1-d factors, forming no
+    d-dimensional matrix: 'P' is their Kronecker product, so its triple is
+    the Kronecker product of theirs (:func:`_triple`).  ``operator`` is 'P'
+    with its matrix held as the factors, which 'L' forms to normalize it."""
+    grid = Grid(k=k, n_bins=n_bins)
+    matrix = _assemble_p_matrix(grid, node_map, potential, quad)
+    op = UlamOperator("P", grid, quad, matrix, node_map, potential)
+    return _triple(op, [(f, f.T) for f in matrix.factors])
+
+
+def _triple(op: UlamOperator, factors: list) -> EigenData:
+    """The triple of op, the Kronecker product of the raw matrices M_j in
+    ``factors`` (each with its adjoint): power iteration on M_j for lam_j
+    and v_j, which must be non-negative, and positive on every cell with a
+    source where v_j > 0, and on the adjoint for nu_j; lam = prod lam_j,
+    v = (x) v_j, nu = (x) nu_j, mu = h nu normalized, and per side the
+    most steps and the largest final sup-change."""
+    rights, lefts = [], []
+    for matrix, adjoint in factors:
+        right = power_iterate(matrix)
         support = right.v > 0.0
-        fed = block @ support.astype(float) > 0.0
-    if np.min(right.v) < 0.0 or not support[fed].all():
-        raise ValueError("eigenfunction is not strictly positive on the reachable cells")
-    left = power_iterate(op.matrix.T)
-    v, nu = right.v, left.v
+        fed = matrix @ support.astype(float) > 0.0
+        if np.min(right.v) < 0.0 or not support[fed].all():
+            raise ValueError("eigenfunction is not strictly positive on the reachable cells")
+        rights.append(right)
+        lefts.append(power_iterate(adjoint))
+    v, nu = (reduce(np.kron, [it.v for it in its]) for its in (rights, lefts))
     mu = v / (nu @ v) * nu
     return EigenData(
-        lam=float(right.lam), v=v, nu=nu, mu=mu / mu.sum(), operator=op,
-        v_iteration=(right.steps, right.change),
-        nu_iteration=(left.steps, left.change),
+        lam=math.prod(float(r.lam) for r in rights), v=v, nu=nu, mu=mu / mu.sum(),
+        operator=op,
+        v_iteration=(max(r.steps for r in rights), max(r.change for r in rights)),
+        nu_iteration=(max(r.steps for r in lefts), max(r.change for r in lefts)),
     )
 
 

@@ -445,6 +445,27 @@ class TestRunner:
         assert entry["passed"] is (scale == 1.0), entry
         assert (entry["tolerance"], entry["target"]) == (1e-12, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [0.05, 0.0])
+    def test_no_d_dimensional_p_in_a_coupled_run(self, epsilon, monkeypatch):
+        # at eps > 0 the eigen and ly steps read the 'P' triple from its
+        # 1-d factors and form no d-dimensional 'P'; at eps = 0 'L' forms
+        # it to normalize it, so the patch is seen to bite there
+        def refuse(self, copy=True):
+            raise RuntimeError("d-dimensional 'P' formed")
+
+        monkeypatch.setattr(transfer._Kronecker, "tocsr", refuse)
+        cfg = cl.ExperimentConfig(
+            epsilon=epsilon, k=1, n_bins=8, experiments=("eigen", "spectral", "ly")
+        )
+        report = cl.run_experiment(cfg)
+        if epsilon > 0.0:
+            assert report.errors == {}
+            assert report.results["eigen"]["normalized_row_defect"]["passed"]
+        else:
+            assert set(report.errors) == {"spectral", "ly"}
+            assert "d-dimensional 'P' formed" in report.errors["spectral"]
+            assert set(report.results) == {"eigen"}
+
     def test_conformality_target_is_per_branch_constant(self, tmp_path):
         # on the flat k=1 system each of the b^d = 8 branches carries 1/8
         out = os.path.join(tmp_path, "rep")

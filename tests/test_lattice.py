@@ -145,18 +145,18 @@ class TestCoupling:
     def test_identity_at_zero(self, doubling):
         x = np.array([0.2, 0.5, 0.9])
         e0 = cl.Coupling(epsilon=0.0)
-        assert np.array_equal(e0.apply_to_array(x, 1, doubling.p_tau), x)
+        assert np.array_equal(e0.apply_to_array(x, doubling.p_tau), x)
 
     def test_diffusive_example(self, doubling):
         x = np.array([0.2, 0.5, 0.9])
         e = cl.Coupling(epsilon=0.1)
-        out = e.apply_to_array(x, 1, doubling.p_tau)
+        out = e.apply_to_array(x, doubling.p_tau)
         assert np.allclose(out, [0.205, 0.505, 0.835])
 
     def test_constant_state_edges(self, doubling):
         c = 0.4
         e = cl.Coupling(epsilon=0.1)
-        out = e.apply_to_array(np.full(5, c), 2, doubling.p_tau)
+        out = e.apply_to_array(np.full(5, c), doubling.p_tau)
         assert out[2] == pytest.approx(c)
         assert out[0] == pytest.approx((1 - 0.05) * c)
         assert out[-1] == pytest.approx((1 - 0.05) * c)
@@ -172,7 +172,7 @@ class TestCoupling:
     def test_invert_roundtrip(self, eps, doubling):
         e = cl.Coupling(epsilon=eps)
         x = np.random.default_rng(3).uniform(0.0, 1.0, (5, 200)) * 0.999
-        y = e.apply_to_array(x, 2, doubling.p_tau)
+        y = e.apply_to_array(x, doubling.p_tau)
         back = e.invert_on_array(y, 2, doubling.p_tau)
         assert np.allclose(back, x, atol=1e-12)
 
@@ -195,10 +195,10 @@ class TestCoupling:
         vals = np.random.default_rng(9).uniform(0.0, 1.0, (d, 400))
         ref = _concatenated_coupling(vals, eps, 0.25)
         e = cl.Coupling(epsilon=eps)
-        assert np.array_equal(e.apply_to_array(vals, k, 0.25), ref)
+        assert np.array_equal(e.apply_to_array(vals, 0.25), ref)
         cube = vals.reshape(d, 20, 20)
-        assert np.array_equal(e.apply_to_array(cube, k, 0.25), ref.reshape(d, 20, 20))
-        assert np.array_equal(e.apply_to_array(vals[:, 7], k, 0.25), ref[:, 7])
+        assert np.array_equal(e.apply_to_array(cube, 0.25), ref.reshape(d, 20, 20))
+        assert np.array_equal(e.apply_to_array(vals[:, 7], 0.25), ref[:, 7])
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
@@ -228,7 +228,7 @@ class TestCoupling:
         # E(x) of states x in the cube, whose solutions lie in [0, 1)
         e = cl.Coupling(epsilon=eps)
         x = np.random.default_rng(10).uniform(0.0, 1.0, (2 * k + 1, 20_000))
-        vals = e.apply_to_array(x, k, 0.0)
+        vals = e.apply_to_array(x, 0.0)
         got = e.invert_on_array(vals, k, 0.0)
         rhs = vals - e.boundary_offset(k, 0.0)[:, None]
         ref = np.linalg.solve(e.dense_matrix(k), rhs)
@@ -253,7 +253,7 @@ class TestCoupling:
         # T = E after the nodewise map keeps the window in [0, 1)
         e = cl.Coupling(epsilon=0.1)
         x = np.random.default_rng(5).uniform(0.0, 1.0, (3, 1000)) * 0.999
-        out = e.apply_to_array(perturbed.forward(x), 1, perturbed.p_tau)
+        out = e.apply_to_array(perturbed.forward(x), perturbed.p_tau)
         assert np.all((0.0 <= out) & (out < 1.0))
 
 

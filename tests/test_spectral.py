@@ -614,6 +614,22 @@ class TestVariance:
         assert abs(vals[0] - vals[1]) / vals[0] < 0.05
 
 
+class TestSharedIteratePass:
+    @pytest.mark.parametrize("n_lags", [0, 10, 60])
+    def test_correlations_are_operator_correlations_bits(self, coupled_op_k1, n_lags):
+        # desk's operator: the sum stops at 38 products, so lag 60 carries
+        # the pass on; sigma^2 and how the sum ended do not move with n_lags
+        phi = cl.node_coordinate()
+        gk = cl.variance_green_kubo(phi, coupled_op_k1, n_lags)
+        ref = cl.operator_correlation(phi, phi, coupled_op_k1, n_lags)
+        assert np.array(gk.correlations).tobytes() == ref.tobytes()
+        alone = cl.variance_green_kubo(phi, coupled_op_k1)
+        assert (gk.sigma2, gk.products, gk.last_norm) == (
+            alone.sigma2, alone.products, alone.last_norm
+        )
+        assert alone.products == 38
+
+
 class TestGreenKuboChain:
     """Two-cell chains that flip with probability p: for x_0, phi~ = +-1/4,
     L^n phi~ = (1 - 2p)^n phi~ and C_n = C_0 (1 - 2p)^n (C_0 = 1/16), so

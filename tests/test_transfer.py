@@ -758,7 +758,7 @@ def _reference_rhs(op, box):
             np.arange(lo, min(lo + transfer._SLAB_POINTS, n_pts)), shape
         )
         y = np.stack([a[i] for a, i in zip(axes, idx)])
-        x = coupling.apply_to_array(y, grid.k, node_map.p_tau)
+        x = coupling.apply_to_array(y, node_map.p_tau)
         total += float(np.sum(rho[grid.cell_of(x)]))
     return weight * total, n_pts
 
@@ -1020,7 +1020,7 @@ def _coupled_points(grid, node_map, potential, coupling, quad):
     weight, all at once, points in C order."""
     pts, cols = _all_quad_points(grid, quad)
     fwd = node_map.forward(pts)
-    images = coupling.apply_to_array(fwd, grid.k, node_map.p_tau)
+    images = coupling.apply_to_array(fwd, node_map.p_tau)
     np.clip(images, 0.0, np.nextafter(1.0, 0.0), out=images)
     rows = grid.cell_of(images)
     log_det = np.sum(np.log(node_map.forward_deriv(pts)), axis=0)
@@ -1871,6 +1871,80 @@ class TestKroneckerEigenData:
         h_prod = np.kron(np.kron(eig0.h, eig0.h), eig0.h)
         h_prod /= h_prod.sum()
         assert np.max(np.abs(h - h_prod)) <= 1e-12 * np.max(h_prod)
+
+
+
+class TestNodewiseTriple:
+    """The 'P' triple from the 1-d factors against power iteration on the
+    d-dimensional matrix, on both maps and on potentials whose node terms
+    differ from node to node."""
+
+    # n_bins per k: the d-dimensional reference at k=2 stays small
+    BINS = {0: 64, 1: 16, 2: 6}
+
+    @staticmethod
+    def _close(got, ref, rel):
+        assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["doubling-zero", "perturbed-srb", "perturbed-decaying",
+                                      "doubling-decaying"])
+    def test_factors_match_the_d_dimensional_power_iteration(
+        self, k, case, doubling, perturbed, metric
+    ):
+        map_name, pot_name = case.split("-")
+        nm = doubling if map_name == "doubling" else perturbed
+        pot = {
+            "zero": cl.zero_potential(),
+            "srb": cl.srb_potential(nm, max_k=k, metric=metric),
+            "decaying": cl.decaying_sine_potential(0.1, base=4.0, metric=metric),
+        }[pot_name]
+        n_bins = self.BINS[k]
+        eig = cl.nodewise_eigenpair(k, n_bins, nm, pot)
+        p = cl.ulam_matrix("P", k, n_bins, nm, potential=pot).matrix
+        right, left = cl.power_iterate(p), cl.power_iterate(p.T)
+        assert eig.lam == pytest.approx(float(right.lam), rel=1e-12, abs=0.0)
+        h = right.v / (left.v @ right.v)
+        mu = h * left.v
+        self._close(eig.v, right.v, 1e-12)
+        self._close(eig.h, h, 1e-12)
+        self._close(eig.nu, left.v, 1e-12)
+        self._close(eig.mu, mu / mu.sum(), 1e-12)
+        assert eig.operator.kind == "P" and eig.operator.grid == cl.Grid(k, n_bins)
+        # the iterations reported are the factors' worst
+        factors = eig.operator.matrix.factors
+        assert len(factors) == 2 * k + 1
+        steps = [cl.power_iterate(f).steps for f in factors]
+        assert eig.v_iteration[0] == max(steps)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_row_defect_from_the_factors(self, k, perturbed, metric):
+        # the eigen step's |P h / (lam h) - 1|, P applied one factor per
+        # axis, against the d-dimensional matrix's product
+        pot = cl.decaying_sine_potential(0.1, base=4.0, metric=metric)
+        eig = cl.nodewise_eigenpair(k, self.BINS[k], perturbed, pot)
+        p = cl.ulam_matrix("P", k, self.BINS[k], perturbed, potential=pot).matrix
+        defects = [
+            float(np.max(np.abs(m @ eig.h / (eig.lam * eig.h) - 1.0)))
+            for m in (eig.operator.matrix, p)
+        ]
+        assert abs(defects[0] - defects[1]) <= 1e-13
+        assert max(defects) <= 1e-12
+        x = np.random.default_rng(k).uniform(-1.0, 1.0, p.shape[0])
+        self._close(eig.operator.matrix @ x, p @ x, 1e-14)
+
+    def test_l_forms_the_matrix_it_normalizes(self, doubling):
+        # 'L' from the factor triple equals 'L' from the d-dimensional one
+        # on the doubling map, whose factors give the same triple bit for bit
+        zero = cl.zero_potential()
+        eig = cl.nodewise_eigenpair(1, 16, doubling, zero)
+        ref = cl.leading_eigenpair(cl.ulam_matrix("P", 1, 16, doubling, potential=zero))
+        for name in ("v", "nu", "mu"):
+            assert getattr(eig, name).tobytes() == getattr(ref, name).tobytes()
+        assert eig.lam == ref.lam
+        got = cl.ulam_matrix("L", 1, 16, doubling, eigen=eig).matrix
+        want = cl.ulam_matrix("L", 1, 16, doubling, eigen=ref).matrix
+        _assert_same_bytes(got, want)
 
 
 class TestPersistence:
